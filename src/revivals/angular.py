@@ -78,19 +78,26 @@ def angular_moment(axis: str, n: int, label: TriModeLabel, chi: float, t):
     The closed-form path: product states factorize, so every expansion term
     evaluates as the product of two single-mode moments. The result of a
     Hermitian power must be real; an imaginary residue beyond
-    HERMITICITY_LIMIT raises instead of being silently dropped.
+    HERMITICITY_LIMIT times the bound on its magnitude raises instead of
+    being silently dropped.
     """
     first, second = _pair_labels(axis, label)
+    radius_first, radius_second = first.radius, second.radius
     t_arr = np.asarray(t, dtype=np.float64)
     total = np.zeros(t_arr.shape, dtype=np.complex128)
+    # Each single-mode factor is bounded by |alpha|^(i+j) of its mode.
+    bound = 0.0
     for coeff, (j1, j2, j3, j4) in lx_power_expand(n).terms:
         factor_first = ladder_moment(j1, j2, first, chi, t_arr)
         factor_second = ladder_moment(j3, j4, second, chi, t_arr)
         total = total + coeff * factor_first * factor_second
+        bound += abs(coeff) * radius_first ** (j1 + j2) * radius_second ** (j3 + j4)
     residue = float(np.max(np.abs(total.imag)))
-    if residue > HERMITICITY_LIMIT:
+    limit = HERMITICITY_LIMIT * max(1.0, bound)
+    if residue > limit:
         raise ArithmeticError(
-            f"<L{axis}^{n}> produced imaginary residue {residue:.3e}; expansion bug"
+            f"<L{axis}^{n}> produced imaginary residue {residue:.3e} above "
+            f"{limit:.3e}; expansion bug"
         )
     real = total.real
     return float(real) if real.ndim == 0 else real

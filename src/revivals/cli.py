@@ -27,7 +27,7 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .angular import TriModeLabel, lx_moment
-from .carpets import carpet, grid_to_csv, grid_to_pgm
+from .carpets import _table_text, carpet, grid_to_csv, grid_to_pgm
 from .classical import (
     PendulumArray,
     paraxial_talbot_length,
@@ -35,7 +35,7 @@ from .classical import (
     talbot_length,
     wave_count,
 )
-from .fock import CoherentLabel
+from .fock import DEFAULT_TOLERANCE, CoherentLabel, coherent_amplitudes
 from .moments import (
     ObservableTrace,
     autocorrelation,
@@ -64,6 +64,9 @@ COMMANDS = (
     "cat",
 )
 
+#: Commands that build a Fock state and so take an explicit --truncation.
+_TRUNCATING_COMMANDS = ("carpet", "cat")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -88,6 +91,11 @@ class RunConfig:
             raise ValueError("chi must be positive")
         if self.fmt not in ("csv", "pgm"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.truncation is not None:
+            if self.command not in _TRUNCATING_COMMANDS:
+                raise ValueError(f"{self.command} takes no truncation")
+            if self.truncation < 0:
+                raise ValueError("truncation must be >= 0")
 
     def output_path(self) -> str:
         if self.output is not None:
@@ -202,10 +210,8 @@ def _metadata(command: str, pairs: list[tuple[str, Any]]) -> list[str]:
     return lines
 
 
-def _csv_text(metadata: list[str], header: list[str], rows: list[list[str]]) -> str:
-    lines = metadata + [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(metadata: list[str], header: list[str], table: str) -> str:
+    return "\n".join(metadata + [",".join(header)]) + "\n" + table
 
 
 def _time_grid(config: RunConfig, period: float | None) -> np.ndarray:
@@ -235,15 +241,21 @@ def _label(config: RunConfig) -> CoherentLabel:
     return CoherentLabel(config.params["p"], config.params["q"])
 
 
-def _trace_rows(times: np.ndarray, columns: list[np.ndarray], chi: float) -> list[list[str]]:
-    normalized = chi * times / math.pi
-    rows = []
-    for i in range(times.size):
-        row = [_fmt(times[i])]
-        row.extend(_fmt(col[i]) for col in columns)
-        row.append(_fmt(normalized[i]))
-        rows.append(row)
-    return rows
+def _check_truncation(config: RunConfig, label: CoherentLabel) -> None:
+    """Refuse an explicit truncation that cuts more than DEFAULT_TOLERANCE of the state."""
+    if config.truncation is None:
+        return
+    tail = coherent_amplitudes(label, config.truncation).tail_mass
+    if tail > DEFAULT_TOLERANCE:
+        raise ValueError(
+            f"truncation N = {config.truncation} cuts tail mass {tail:.3e} "
+            f"of the state, above the tolerance {DEFAULT_TOLERANCE:g}; "
+            f"raise --truncation or omit it"
+        )
+
+
+def _trace_table(times: np.ndarray, columns: list[np.ndarray], chi: float) -> str:
+    return _table_text([times, *columns, chi * times / math.pi])
 
 
 def _run_autocorr(config: RunConfig) -> tuple[str, bytes | str]:
@@ -262,10 +274,10 @@ def _run_autocorr(config: RunConfig) -> tuple[str, bytes | str]:
             ("revival_time", period if period is not None else "aperiodic"),
         ],
     )
-    rows = _trace_rows(
+    table = _trace_table(
         times, [values.real, values.imag, np.abs(values) ** 2], config.chi
     )
-    text = _csv_text(meta, ["t", "re", "im", "abs2", "chi_t_over_pi"], rows)
+    text = _csv_text(meta, ["t", "re", "im", "abs2", "chi_t_over_pi"], table)
     return f"revival_time = {_fmt(period) if period is not None else 'aperiodic'}", text
 
 
@@ -288,8 +300,8 @@ def _run_moment(config: RunConfig) -> tuple[str, bytes | str]:
             ("revival_time", period),
         ],
     )
-    rows = _trace_rows(times, [values.real, values.imag], config.chi)
-    text = _csv_text(meta, ["t", "re", "im", "chi_t_over_pi"], rows)
+    table = _trace_table(times, [values.real, values.imag], config.chi)
+    text = _csv_text(meta, ["t", "re", "im", "chi_t_over_pi"], table)
     return f"revival_time = {_fmt(period)}", text
 
 
@@ -323,8 +335,8 @@ def _run_xptrace(config: RunConfig) -> tuple[str, bytes | str]:
             ("revival_time", period),
         ],
     )
-    rows = _trace_rows(times, [values], config.chi)
-    text = _csv_text(meta, ["t", "value", "chi_t_over_pi"], rows)
+    table = _trace_table(times, [values], config.chi)
+    text = _csv_text(meta, ["t", "value", "chi_t_over_pi"], table)
     return f"revival_time = {_fmt(period)}", text
 
 
@@ -350,14 +362,15 @@ def _run_lx(config: RunConfig) -> tuple[str, bytes | str]:
             ("revival_time", period),
         ],
     )
-    rows = _trace_rows(times, [values], config.chi)
-    text = _csv_text(meta, ["t", "value", "chi_t_over_pi"], rows)
+    table = _trace_table(times, [values], config.chi)
+    text = _csv_text(meta, ["t", "value", "chi_t_over_pi"], table)
     return f"revival_time = {_fmt(period)}", text
 
 
 def _run_carpet(config: RunConfig) -> tuple[str, bytes | str]:
     spectrum = _spectrum(config)
     label = _label(config)
+    _check_truncation(config, label)
     period = revival_time(spectrum)
     grid = carpet(
         label,
@@ -411,8 +424,8 @@ def _run_pendulum(config: RunConfig) -> tuple[str, bytes | str]:
             ("strength", strength),
         ],
     )
-    rows = [[str(j), _fmt(x)] for j, x in enumerate(positions)]
-    text = _csv_text(meta, ["j", "x"], rows)
+    table = _table_text([np.arange(len(positions)), positions], integer_columns=1)
+    text = _csv_text(meta, ["j", "x"], table)
     return f"revival_time = {_fmt(array.t_rev)}", text
 
 
@@ -422,17 +435,18 @@ def _run_talbot(config: RunConfig) -> tuple[str, bytes | str]:
     length = talbot_length(wavelength, period)
     paraxial = paraxial_talbot_length(wavelength, period)
     meta = _metadata("talbot", [])
-    rows = [[_fmt(wavelength), _fmt(period), _fmt(length), _fmt(paraxial)]]
+    table = _table_text([[wavelength], [period], [length], [paraxial]])
     text = _csv_text(
         meta,
         ["wavelength", "grating_period", "talbot_length", "paraxial_length"],
-        rows,
+        table,
     )
     return f"talbot_length = {_fmt(length)}", text
 
 
 def _run_cat(config: RunConfig) -> tuple[str, bytes | str]:
     label = _label(config)
+    _check_truncation(config, label)
     m = config.params["m"]
     spectrum = Spectrum.kerr(config.chi)
     period = revival_time(spectrum)
@@ -449,23 +463,20 @@ def _run_cat(config: RunConfig) -> tuple[str, bytes | str]:
             ("revival_time", period),
         ],
     )
-    rows = []
-    for idx, (coeff, comp) in enumerate(
-        zip(cat.coefficients, cat.component_labels)
-    ):
-        rows.append(
-            [
-                str(idx),
-                _fmt(coeff.real),
-                _fmt(coeff.imag),
-                _fmt(comp.p),
-                _fmt(comp.q),
-            ]
-        )
+    table = _table_text(
+        [
+            np.arange(cat.m),
+            cat.coefficients.real,
+            cat.coefficients.imag,
+            [comp.p for comp in cat.component_labels],
+            [comp.q for comp in cat.component_labels],
+        ],
+        integer_columns=1,
+    )
     text = _csv_text(
         meta,
         ["component", "coeff_re", "coeff_im", "label_p", "label_q"],
-        rows,
+        table,
     )
     return f"revival_time = {_fmt(period)}", text
 
@@ -509,8 +520,13 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
         "--t-max", type=float, default=None, help="default: one revival period"
     )
     parser.add_argument("--samples", type=int, default=1001)
-    parser.add_argument("--truncation", type=int, default=None)
     parser.add_argument("-o", "--output", default=None)
+
+
+def _add_truncation_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--truncation", type=int, default=None, help="Fock cutoff N (default: auto)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -555,6 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_car = sub.add_parser("carpet", help="space-time density grid")
     _add_label_options(p_car)
     _add_grid_options(p_car)
+    _add_truncation_option(p_car)
     p_car.add_argument(
         "--spectrum",
         choices=("kerr", "harmonic", "square_well"),
@@ -585,6 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat.add_argument("--m", type=int, required=True, help="number of components")
     _add_label_options(p_cat)
     _add_grid_options(p_cat)
+    _add_truncation_option(p_cat)
 
     return parser
 

@@ -15,6 +15,8 @@ Time arguments accept scalars or arrays; arrays broadcast elementwise.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,8 @@ from .fock import CoherentLabel, FockVector, OperatorMatrix, number_distribution
 from .ordering import x_power_terms
 from .spectra import Spectrum
 
-#: Imaginary residue above this size in a Hermitian moment is treated as a bug.
+#: Imaginary residue of a Hermitian moment, relative to the bound on its
+#: magnitude (at least 1), above which the residue is treated as a bug.
 HERMITICITY_LIMIT = 1e-8
 
 
@@ -70,11 +73,20 @@ def _kerr_moment(r: int, s: int, label: CoherentLabel, chi: float, t):
     t = np.asarray(t, dtype=np.float64)
     nu = label.nu
     alpha = label.alpha
+    try:
+        prefactor = (alpha**s) * (nu**r)
+    except OverflowError:
+        prefactor = complex(math.inf)
+    if cmath.isinf(prefactor):
+        raise ArithmeticError(
+            f"moment r = {r}, s = {s} overflows float64 at nu = {nu:.17g}: "
+            f"|alpha^s nu^r| exceeds the largest float"
+        )
     damping = np.exp(-nu * (1.0 - np.cos(2.0 * chi * s * t)))
     phase = np.exp(
         -1j * (chi * (s * (s - 1) + 2 * r * s) * t + nu * np.sin(2.0 * chi * s * t))
     )
-    return (alpha**s) * (nu**r) * damping * phase
+    return prefactor * damping * phase
 
 
 def general_moment(query: MomentQuery) -> complex:
@@ -174,14 +186,21 @@ def expect_x_power(k: int, label: CoherentLabel, chi: float, t):
     dagger-heavy terms), so it works for any k at closed-form speed.
     """
     t_arr = np.asarray(t, dtype=np.float64)
+    radius = label.radius
     total = np.zeros(t_arr.shape, dtype=np.complex128)
+    # |<a†^i a^j>| <= |alpha|^(i+j), so bound caps |<x^k>| at every t.
+    bound = 0.0
     for (i, j), coeff in x_power_terms(k).items():
         total = total + coeff * ladder_moment(i, j, label, chi, t_arr)
-    total = total * 2.0 ** (-k / 2.0)
+        bound += abs(coeff) * radius ** (i + j)
+    scale = 2.0 ** (-k / 2.0)
+    total = total * scale
     residue = float(np.max(np.abs(total.imag))) if total.size else 0.0
-    if residue > HERMITICITY_LIMIT:
+    limit = HERMITICITY_LIMIT * max(1.0, scale * bound)
+    if residue > limit:
         raise ArithmeticError(
-            f"<x^{k}> produced imaginary residue {residue:.3e}; expansion bug"
+            f"<x^{k}> produced imaginary residue {residue:.3e} above "
+            f"{limit:.3e}; expansion bug"
         )
     real = total.real
     return float(real) if real.ndim == 0 else real

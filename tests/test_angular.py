@@ -113,6 +113,17 @@ def test_closed_forms_match_oracle_all_orders():
             assert abs(closed - oracle) < 1e-8 * (1.0 + abs(oracle))
 
 
+def test_hermiticity_guard_scales_with_magnitude():
+    # <Lx^4> ~ 2e10 at per-mode nu = 400 leaves an imaginary residue of
+    # ~1e-7 at t = 0, which an absolute limit once reported as a bug.
+    label = TriModeLabel.from_alphas(
+        0.0, 20.0 * np.exp(0.3j), 20.0 * np.exp(-1.1j)
+    )
+    closed = lx_moment(4, label, 1.0, 0.0)
+    oracle = lx_moment_oracle(4, label, 1.0, 0.0)
+    assert closed == pytest.approx(oracle, rel=1e-11)
+
+
 def test_full_revival_periodicity():
     label = _label(1.4, -0.6, 0.8, 1.1)
     chi = 1.0

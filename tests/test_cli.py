@@ -316,3 +316,63 @@ def test_trace_rows_time_column_formatting(tmp_path, monkeypatch):
     for row in rows:
         t = float(row[0])
         assert float(row[-1]) == pytest.approx(chi * t / math.pi, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["autocorr"],
+        ["moment", "--r", "1", "--s", "1"],
+        ["xptrace"],
+        ["lx"],
+    ],
+)
+def test_truncation_refused_where_unused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--truncation", "-3", "--samples", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --truncation" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="takes no truncation"):
+        RunConfig(command=argv[0], truncation=40)
+
+
+def test_negative_truncation_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="truncation must be >= 0"):
+        RunConfig(command="carpet", truncation=-1)
+    for argv in (["carpet"], ["cat", "--m", "2"]):
+        assert main(argv + ["--truncation", "-3"]) == 1
+        assert "error: truncation must be >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_explicit_truncation_tail_mass_checked(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # Label (1, 1) has nu = 1: N = 0 keeps only the vacuum and cuts 1 - e^-1.
+    assert main(["carpet", "--truncation", "0", "--nx", "8", "--nt", "8"]) == 1
+    err = capsys.readouterr().err
+    assert "truncation N = 0" in err and "tail mass 6.321e-01" in err
+    assert main(["cat", "--m", "3", "--truncation", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "truncation N = 10" in err and "tail mass 1.005e-08" in err
+    assert not list(tmp_path.iterdir())
+    # A truncation that keeps the tail below DEFAULT_TOLERANCE is honoured.
+    assert main(["carpet", "--truncation", "40", "--nx", "8", "--nt", "8"]) == 0
+    assert main(["cat", "--m", "3", "--truncation", "40"]) == 0
+    assert (tmp_path / "carpet.csv").exists() and (tmp_path / "cat.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "r, s, p", [(0, 400, "30"), (60, 200, "30")], ids=["power", "product"]
+)
+def test_moment_overflow_reported_in_domain_terms(
+    tmp_path, monkeypatch, capsys, r, s, p
+):
+    monkeypatch.chdir(tmp_path)
+    argv = ["moment", "--r", str(r), "--s", str(s), "--p", p, "--samples", "5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: moment r = {r}, s = {s} overflows float64 at nu = 450.5" in err
+    assert not list(tmp_path.iterdir())

@@ -157,6 +157,47 @@ def test_x_cubed_against_oracle():
         assert closed == pytest.approx(oracle, abs=1e-8)
 
 
+@pytest.mark.parametrize("k, nu", [(8, 100.0), (10, 25.0)])
+def test_high_power_hermiticity_guard_scales_with_magnitude(k, nu):
+    # At t = 0 the imaginary residue is ~1e-8 on values of ~1e8, which an
+    # absolute limit once reported as an expansion bug.
+    chi = 1.0
+    label = CoherentLabel.from_alpha(math.sqrt(nu) * np.exp(0.7j))
+    big = coherent_amplitudes(label)
+    big = big.padded(big.truncation + k)
+    a = ladder_matrix("annihilation", big.truncation).entries
+    adag = ladder_matrix("creation", big.truncation).entries
+    from revivals.fock import OperatorMatrix
+
+    xk = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k), "x^k")
+    spectrum = Spectrum.kerr(chi)
+    times = np.array([0.0, 0.05, 0.3, 1.1])
+    trace = expect_x_power(k, label, chi, times)
+    for t, closed in zip(times, trace):
+        oracle = numerical_expectation(evolve(big, spectrum, float(t)), xk).real
+        assert expect_x_power(k, label, chi, float(t)) == closed
+        assert closed == pytest.approx(oracle, rel=1e-11)
+
+
+def test_hermiticity_guard_still_catches_a_wrong_expansion(monkeypatch):
+    import revivals.moments as moments
+
+    # <a> alone is not Hermitian: its imaginary part is a real residue.
+    monkeypatch.setattr(moments, "x_power_terms", lambda k: {(0, 1): 1})
+    with pytest.raises(ArithmeticError, match="expansion bug"):
+        expect_x_power(1, CoherentLabel(0.0, 1e-3), 1.0, 0.0)
+    with pytest.raises(ArithmeticError, match="expansion bug"):
+        expect_x_power(1, CoherentLabel(0.0, 1e4), 1.0, 0.0)
+
+
+def test_moment_overflow_names_the_moment():
+    label = CoherentLabel(30.0, 1.0)
+    with pytest.raises(ArithmeticError, match=r"r = 0, s = 400 overflows float64"):
+        ladder_moment(0, 400, label, 1.0, 0.0)
+    with pytest.raises(ArithmeticError, match=r"r = 60, s = 200 overflows float64"):
+        ladder_moment(260, 60, label, 1.0, np.zeros(3))
+
+
 def test_uncertainty_trace_floor_and_start():
     label = CoherentLabel(2.0, 2.0)
     times = np.linspace(0.0, math.pi, 200)
