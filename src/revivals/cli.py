@@ -89,6 +89,9 @@ class RunConfig:
             raise ValueError("samples must be at least 2")
         if not self.chi > 0:
             raise ValueError("chi must be positive")
+        for flag, value in (("--t-min", self.t_min), ("--t-max", self.t_max)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value:g}")
         if self.fmt not in ("csv", "pgm"):
             raise ValueError(f"unknown format {self.fmt!r}")
         if self.truncation is not None:

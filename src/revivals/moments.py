@@ -23,7 +23,7 @@ import numpy as np
 
 from .fock import CoherentLabel, FockVector, OperatorMatrix, number_distribution
 from .ordering import x_power_terms
-from .spectra import Spectrum
+from .spectra import Spectrum, _phase_factors
 
 #: Imaginary residue of a Hermitian moment, relative to the bound on its
 #: magnitude (at least 1), above which the residue is treated as a bug.
@@ -114,21 +114,27 @@ def autocorrelation(label: CoherentLabel, spectrum: Spectrum, t):
 
     A(t) = e^{-nu} sum_n (nu^n/n!) e^{+i chi E(n) t}, summed to the
     auto-truncation. |A| <= 1 always; |A(T_rev)| = 1 for periodic spectra.
-    Accepts scalar or array t (arrays are evaluated in memory-bounded chunks).
+    Accepts scalar or array t. An evenly spaced grid is contracted through
+    giant-step x baby-step phase factors (spectra._phase_factors), so about
+    2 sqrt(M) N exponentials serve M times; other arrays take one per cell.
+    Times go in blocks of at most 2_000_000 // N, which bounds the memory.
     """
     weights = number_distribution(label)
     energies = spectrum.energies(weights.size - 1)
     t_arr = np.asarray(t, dtype=np.float64)
     if t_arr.ndim == 0:
+        # One time: building and contracting phase tables costs more than
+        # this sum, and scalar calls are the oracle checks' hot path.
         return complex(np.sum(weights * np.exp(1j * spectrum.chi * energies * t_arr)))
-    out = np.empty(t_arr.shape, dtype=np.complex128)
-    chunk = max(1, 2_000_000 // weights.size)
-    for start in range(0, t_arr.size, chunk):
-        block = t_arr[start : start + chunk]
-        out[start : start + chunk] = np.exp(
-            1j * spectrum.chi * np.outer(block, energies)
-        ) @ weights
-    return out
+    flat = t_arr.ravel()
+    out = np.empty(flat.size, dtype=np.complex128)
+    block = max(1, 2_000_000 // weights.size)
+    for start in range(0, flat.size, block):
+        times = flat[start : start + block]
+        giant, baby = _phase_factors(spectrum, energies, times, 1.0)
+        values = (giant * weights) @ baby.T
+        out[start : start + times.size] = values.ravel()[: times.size]
+    return out.reshape(t_arr.shape)
 
 
 def _envelope_and_angle(label: CoherentLabel, chi: float, t):

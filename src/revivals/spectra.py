@@ -25,6 +25,8 @@ FIDELITY_FLOOR = 1e-9
 #: Highest level probed when searching a custom spectrum for a common period.
 PERIOD_PROBE_LIMIT = 100
 
+_EPS = float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -71,6 +73,34 @@ def evolve(state: FockVector, spectrum: Spectrum, t: float) -> FockVector:
         raise ValueError("time must be finite")
     phases = np.exp(-1j * spectrum.chi * t * spectrum.energies(state.truncation))
     return FockVector(state.amplitudes * phases, tail_mass=state.tail_mass)
+
+
+def _phase_factors(
+    spectrum: Spectrum, energies: np.ndarray, t: np.ndarray, sign: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Giant and baby rows of the phases e^{sign i chi E_n t_k} over 1-d float times t.
+
+    On an evenly spaced grid t_k = t_0 + k dt the phase splits exactly: with
+    B = isqrt(M - 1) + 1, row k = bB + j is giant[b] * baby[j], where giant
+    holds the phases at t[::B] and baby those at t[:B] - t_0. That costs
+    about 2 sqrt(M) N exponentials in place of M N. A grid counts as evenly
+    spaced when no time is farther than 4 eps max|t| from t_0 + k dt, with
+    dt = (t_{M-1} - t_0)/(M - 1), which np.linspace grids satisfy. One or
+    two times (where factoring saves nothing) or times not evenly spaced
+    get B = 1: every time is a giant row and the single baby row is all
+    ones, which is the dense one-exponential-per-cell route.
+    """
+    m = t.size
+    step = 1
+    if m > 2:
+        dt = (t[-1] - t[0]) / (m - 1)
+        drift = np.max(np.abs(t - (t[0] + dt * np.arange(m))))
+        if drift <= 4.0 * _EPS * np.max(np.abs(t)):
+            step = math.isqrt(m - 1) + 1
+    rate = sign * 1j * spectrum.chi
+    giant = np.exp(rate * (t[::step, None] * energies))
+    baby = np.exp(rate * ((t[:step] - t[:1])[:, None] * energies))
+    return giant, baby
 
 
 def _float_gcd(values: np.ndarray, tol: float = 1e-9) -> float:

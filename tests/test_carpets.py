@@ -1,6 +1,7 @@
 """Hermite-function wavefunctions, carpet grids, lobe counting, exports."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,32 @@ def test_grid_validation():
         CarpetGrid(0.0, 1.0, 4, 0.0, 1.0, 2, -np.ones((2, 4)))
     with pytest.raises(ValueError):
         CarpetGrid(1.0, 0.0, 4, 0.0, 1.0, 2, np.zeros((2, 4)))
+    for extents in (
+        (0.0, 1.0, 0.0, math.inf),
+        (0.0, 1.0, -math.inf, 1.0),
+        (0.0, math.nan, 0.0, 1.0),
+        (-math.inf, 1.0, 0.0, 1.0),
+    ):
+        x_min, x_max, t_min, t_max = extents
+        with pytest.raises(ValueError, match="grid extents must be finite"):
+            CarpetGrid(x_min, x_max, 4, t_min, t_max, 2, np.zeros((2, 4)))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"t_max": math.inf},
+        {"t_max": math.nan},
+        {"t_min": -math.inf, "t_max": 1.0},
+        {"x_max": math.inf},
+    ],
+)
+def test_carpet_rejects_non_finite_extents_before_computing(bounds):
+    label = CoherentLabel(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid extents must be finite"):
+            carpet(label, Spectrum.kerr(1.0), nx=8, nt=8, **bounds)
 
 
 def test_pgm_export_shape_and_normalization():

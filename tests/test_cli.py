@@ -376,3 +376,27 @@ def test_moment_overflow_reported_in_domain_terms(
     err = capsys.readouterr().err
     assert f"error: moment r = {r}, s = {s} overflows float64 at nu = 450.5" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["xptrace", "--t-max", "inf", "--samples", "4"], "--t-max"),
+        (["autocorr", "--t-max", "inf", "--samples", "4"], "--t-max"),
+        (["autocorr", "--t-min=-inf", "--samples", "4"], "--t-min"),
+        (["moment", "--r", "1", "--s", "1", "--t-max", "nan"], "--t-max"),
+        (["lx", "--t-min", "nan"], "--t-min"),
+        (["carpet", "--t-max", "inf", "--nx", "8", "--nt", "8"], "--t-max"),
+        (["carpet", "--t-max", "inf", "--format", "pgm"], "--t-max"),
+        (["cat", "--m", "2", "--t-max", "inf"], "--t-max"),
+    ],
+)
+def test_non_finite_time_bounds_rejected(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag} must be finite" in err
+    assert "Warning" not in err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="--t-max must be finite"):
+        RunConfig(command="autocorr", t_max=math.inf)
