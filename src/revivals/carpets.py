@@ -34,6 +34,10 @@ def _check_extents(x_min: float, x_max: float, t_min: float, t_max: float) -> No
         raise ValueError("grid extents must be finite")
     if not (x_max > x_min and t_max > t_min):
         raise ValueError("grid extents must be increasing")
+    # Python floats: a NumPy scalar would warn where the difference overflows.
+    spans = (float(x_max) - float(x_min), float(t_max) - float(t_min))
+    if not all(math.isfinite(span) for span in spans):
+        raise ValueError("grid spans x_max - x_min and t_max - t_min must be finite")
 
 
 @dataclass(frozen=True)

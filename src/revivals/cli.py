@@ -18,6 +18,7 @@ the threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -87,8 +88,8 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
-        if not self.chi > 0:
-            raise ValueError("chi must be positive")
+        if not (math.isfinite(self.chi) and self.chi > 0):
+            raise ValueError(f"--chi must be finite and positive, got {self.chi:g}")
         for flag, value in (("--t-min", self.t_min), ("--t-max", self.t_max)):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value:g}")
@@ -225,6 +226,11 @@ def _time_grid(config: RunConfig, period: float | None) -> np.ndarray:
         t_max = period
     if not t_max > config.t_min:
         raise ValueError("t_max must exceed t_min")
+    if not math.isfinite(float(t_max) - float(config.t_min)):
+        raise ValueError(
+            f"the span --t-max - --t-min overflows float64 "
+            f"({t_max:g} - {config.t_min:g})"
+        )
     return np.linspace(config.t_min, t_max, config.samples)
 
 
@@ -610,6 +616,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main() uses; built once per process, since parsing leaves it unchanged."""
+    return build_parser()
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Translate parsed flags into a RunConfig."""
     command = args.command
@@ -640,8 +652,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         config = config_from_args(args)
         return run(config)

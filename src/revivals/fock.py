@@ -7,7 +7,10 @@ so the quadratures are x = (a + a†)/√2 and p = (a - a†)/(i√2) and a
 coherent label alpha = (p + iq)/√2 has mean photon number nu = |alpha|².
 
 Amplitudes are assembled through log-gamma sums, never raw factorials,
-so truncations up to a few thousand stay finite in float64.
+so truncations up to a few thousand stay finite in float64. The values
+ln k! = lgamma(k + 1) come from one read-only module table, filled by
+math.lgamma on first need and doubled whenever a larger N asks for more,
+so repeated calls slice it instead of recomputing every level.
 """
 
 from __future__ import annotations
@@ -125,14 +128,36 @@ class OperatorMatrix:
         return self.entries.shape[0] - 1
 
 
+#: ln k! = math.lgamma(k + 1.0) for k = 0..size - 1; grown by _log_factorials only.
+_LOG_FACTORIALS = np.zeros(0)
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    """Read-only ln k! for k = 0..count - 1, sliced from the module table.
+
+    A request past the table's end refills it at max(count, twice its size)
+    entries, computing only the new ones with math.lgamma(k + 1.0).
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if count > table.size:
+        size = max(count, 2 * table.size)
+        grown = np.empty(size, dtype=np.float64)
+        grown[: table.size] = table
+        grown[table.size :] = np.fromiter(
+            (math.lgamma(k + 1.0) for k in range(table.size, size)),
+            dtype=np.float64,
+            count=size - table.size,
+        )
+        grown.setflags(write=False)
+        _LOG_FACTORIALS = table = grown
+    return table[:count]
+
+
 def _log_amplitudes(nu: float, truncation: int) -> np.ndarray:
     """ln of the Poisson amplitude magnitudes n*ln|alpha| - lnGamma(n+1)/2 - nu/2."""
     n = np.arange(truncation + 1, dtype=np.float64)
-    lgamma = np.fromiter(
-        (math.lgamma(k + 1.0) for k in range(truncation + 1)),
-        dtype=np.float64,
-        count=truncation + 1,
-    )
+    lgamma = _log_factorials(truncation + 1)
     if nu == 0.0:
         # ln|alpha| = -inf; only n = 0 survives.
         out = np.full(truncation + 1, -np.inf)
@@ -195,22 +220,21 @@ def ladder_product_matrix(r: int, k: int, truncation: int) -> OperatorMatrix:
     """Normal-ordered product (a†)^r a^k built entry by entry.
 
     Acting on |n> gives sqrt(n!/(n-k)!) * sqrt((n-k+r)!/(n-k)!) |n-k+r>,
-    so the matrix has a single shifted diagonal. Entries come straight from
-    that rule rather than from multiplying ladder matrices, which provides
-    an independent construction to test the product route against.
+    so the matrix has a single shifted diagonal, filled in one pass over
+    n = k..min(N, N+k-r) from the log-factorial table. Entries come straight
+    from that rule rather than from multiplying ladder matrices, which
+    provides an independent construction to test the product route against.
     """
     if r < 0 or k < 0:
         raise ValueError("operator powers must be nonnegative")
     dim = truncation + 1
     out = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(k, dim):
-        row = n - k + r
-        if row >= dim:
-            continue
-        log_entry = 0.5 * (math.lgamma(n + 1.0) - math.lgamma(n - k + 1.0)) + 0.5 * (
-            math.lgamma(n - k + r + 1.0) - math.lgamma(n - k + 1.0)
-        )
-        out[row, n] = math.exp(log_entry)
+    log_fact = _log_factorials(dim)
+    n = np.arange(k, min(dim, dim + k - r))
+    base = log_fact[n - k]
+    out[n - k + r, n] = np.exp(
+        0.5 * (log_fact[n] - base) + 0.5 * (log_fact[n - k + r] - base)
+    )
     return OperatorMatrix(out, f"a†^{r} a^{k}")
 
 

@@ -43,8 +43,8 @@ class MomentQuery:
     def __post_init__(self) -> None:
         if self.r < 0 or self.s < 0:
             raise ValueError("moment powers r, s must be nonnegative")
-        if not self.chi > 0:
-            raise ValueError("chi must be positive")
+        if not (math.isfinite(self.chi) and self.chi > 0):
+            raise ValueError(f"chi must be finite and positive, got {self.chi:g}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,24 @@ PERIOD_PROBE_LIMIT = 100
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _harmonic_level(n):
+    return n + 0.5
+
+
+def _kerr_level(n):
+    return n * (n - 1.0)
+
+
+def _square_well_level(n):
+    # Level 0 is assigned energy 0; the well proper starts at n = 1 and a
+    # constant offset would be an unobservable global phase anyway.
+    return n * n
+
+
+#: Level functions of the named kinds; each also takes a float array of levels.
+_ARRAY_LEVELS = frozenset((_harmonic_level, _kerr_level, _square_well_level))
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Diagonal Hamiltonian: kind tag, dimensionless level function, rate chi."""
@@ -37,29 +55,34 @@ class Spectrum:
     chi: float
 
     def __post_init__(self) -> None:
-        if not self.chi > 0:
-            raise ValueError("chi must be positive")
+        if not (math.isfinite(self.chi) and self.chi > 0):
+            raise ValueError(f"chi must be finite and positive, got {self.chi:g}")
 
     @classmethod
     def harmonic(cls, chi: float = 1.0) -> "Spectrum":
-        return cls("harmonic", lambda n: n + 0.5, chi)
+        return cls("harmonic", _harmonic_level, chi)
 
     @classmethod
     def kerr(cls, chi: float = 1.0) -> "Spectrum":
-        return cls("kerr", lambda n: n * (n - 1.0), chi)
+        return cls("kerr", _kerr_level, chi)
 
     @classmethod
     def square_well(cls, chi: float = 1.0) -> "Spectrum":
-        # Level 0 is assigned energy 0; the well proper starts at n = 1 and a
-        # constant offset would be an unobservable global phase anyway.
-        return cls("square_well", lambda n: float(n * n), chi)
+        return cls("square_well", _square_well_level, chi)
 
     @classmethod
     def custom(cls, energy: Callable[[int], float], chi: float = 1.0) -> "Spectrum":
         return cls("custom", energy, chi)
 
     def energies(self, truncation: int) -> np.ndarray:
-        """E_n for n = 0..truncation as a float vector."""
+        """E_n for n = 0..truncation as a float vector.
+
+        The named kinds evaluate their level function once on the float
+        array 0..truncation, which rounds exactly as one call per level
+        does; a custom level function is called once per level.
+        """
+        if self.energy in _ARRAY_LEVELS:
+            return self.energy(np.arange(truncation + 1, dtype=np.float64))
         return np.fromiter(
             (float(self.energy(n)) for n in range(truncation + 1)),
             dtype=np.float64,

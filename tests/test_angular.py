@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from revivals import angular
 from revivals.angular import (
     TriModeLabel,
     angular_moment,
@@ -13,6 +14,7 @@ from revivals.angular import (
     lx_power_expand,
 )
 from revivals.fock import CoherentLabel
+from revivals.moments import ladder_moment
 
 VACUUM = CoherentLabel(0.0, 0.0)
 
@@ -165,3 +167,41 @@ def test_oracle_agrees_at_t0_mixed_labels():
     closed = lx_moment(2, label, 1.0, 0.0)
     oracle = lx_moment_oracle(2, label, 1.0, 0.0)
     assert abs(closed - oracle) < 1e-8 * (1.0 + abs(oracle))
+
+
+def _unshared_sum(axis, n, label, chi, t):
+    """<L_axis^n> summed term by term, both factors evaluated for every term."""
+    first, second = angular._pair_labels(axis, label)
+    t_arr = np.asarray(t, dtype=np.float64)
+    total = np.zeros(t_arr.shape, dtype=np.complex128)
+    for coeff, (j1, j2, j3, j4) in lx_power_expand(n).terms:
+        factor_first = ladder_moment(j1, j2, first, chi, t_arr)
+        factor_second = ladder_moment(j3, j4, second, chi, t_arr)
+        total = total + coeff * factor_first * factor_second
+    return total.real
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_shared_factors_bit_identical_to_term_by_term_sum(axis, n):
+    label = TriModeLabel.from_alphas(0.8 - 0.3j, 1.5 + 2.0j, 2.4 - 1.2j)
+    chi = 0.9
+    for t in (0.37, np.linspace(0.0, math.pi / chi, 41)):
+        shared = np.asarray(angular_moment(axis, n, label, chi, t), dtype=np.float64)
+        reference = _unshared_sum(axis, n, label, chi, t)
+        assert shared.shape == reference.shape
+        assert shared.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("n, distinct", [(1, 4), (2, 8), (3, 12), (4, 18)])
+def test_each_distinct_factor_evaluated_once(monkeypatch, n, distinct):
+    calls = []
+
+    def counted(i, j, mode, chi, t):
+        calls.append((i, j, mode))
+        return ladder_moment(i, j, mode, chi, t)
+
+    monkeypatch.setattr(angular, "ladder_moment", counted)
+    label = _label(1.0, 0.5, -0.7, 1.2)
+    angular_moment("x", n, label, 1.0, 0.25)
+    assert len(calls) == len(set(calls)) == distinct

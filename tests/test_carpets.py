@@ -172,6 +172,29 @@ def test_carpet_rejects_non_finite_extents_before_computing(bounds):
             carpet(label, Spectrum.kerr(1.0), nx=8, nt=8, **bounds)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"x_min": -1e308, "x_max": 1e308},
+        {"t_min": -1e308, "t_max": 1e308},
+        {"x_min": -1.5e308, "x_max": 0.5e308},
+    ],
+)
+def test_carpet_rejects_overflowing_spans_before_computing(bounds):
+    label = CoherentLabel(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="spans .* must be finite"):
+            carpet(label, Spectrum.kerr(1.0), nx=4, nt=3, **bounds)
+        extents = {"x_min": 0.0, "x_max": 1.0, "t_min": 0.0, "t_max": 1.0, **bounds}
+        with pytest.raises(ValueError, match="spans .* must be finite"):
+            CarpetGrid(nx=4, nt=2, density=np.zeros((2, 4)), **extents)
+        # NumPy scalars take the same route without an overflow warning.
+        numpy_extents = {key: np.float64(value) for key, value in extents.items()}
+        with pytest.raises(ValueError, match="spans .* must be finite"):
+            CarpetGrid(nx=4, nt=2, density=np.zeros((2, 4)), **numpy_extents)
+
+
 def test_pgm_export_shape_and_normalization():
     density = np.array([[0.0, 1.0], [2.0, 4.0]])
     grid = CarpetGrid(0.0, 1.0, 2, 0.0, 1.0, 2, density)

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -400,3 +401,82 @@ def test_non_finite_time_bounds_rejected(tmp_path, monkeypatch, capsys, argv, fl
     assert not list(tmp_path.iterdir())
     with pytest.raises(ValueError, match="--t-max must be finite"):
         RunConfig(command="autocorr", t_max=math.inf)
+
+
+@pytest.mark.parametrize("chi", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xptrace", "--t-max", "1", "--samples", "3"],
+        ["autocorr", "--samples", "3"],
+        ["carpet", "--nx", "4", "--nt", "3"],
+    ],
+)
+def test_non_finite_chi_rejected(tmp_path, monkeypatch, capsys, argv, chi):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + [f"--chi={chi}"]) == 1
+    err = capsys.readouterr().err
+    assert "error: --chi must be finite and positive" in err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="--chi must be finite"):
+        RunConfig(command="autocorr", chi=float(chi))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["xptrace", "--t-min=-1e308", "--t-max", "1e308", "--samples", "3"],
+         "span --t-max - --t-min overflows"),
+        (["autocorr", "--t-min=-1e308", "--t-max", "1e308", "--samples", "3"],
+         "span --t-max - --t-min overflows"),
+        (["carpet", "--nx", "4", "--nt", "3", "--x-min=-1e308", "--x-max", "1e308"],
+         "spans x_max - x_min and t_max - t_min must be finite"),
+        (["carpet", "--nx", "4", "--nt", "3", "--t-min=-1e308", "--t-max", "1e308"],
+         "spans x_max - x_min and t_max - t_min must be finite"),
+    ],
+)
+def test_overflowing_spans_rejected(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_in_process_runs_match_fresh_subprocesses(tmp_path, monkeypatch, cli_env, capsys):
+    # main() reuses one parser per process; a parse error in between must
+    # leave no trace on the commands that follow.
+    commands = [
+        ["autocorr", "--p", "1.2", "--q", "0.3", "--samples", "301", "--spectrum", "harmonic"],
+        ["xptrace", "--observable", "dxdp", "--samples", "201"],
+        ["moment", "--r", "1", "--s", "2", "--chi", "0.7", "--samples", "101"],
+        ["carpet", "--nx", "24", "--nt", "17", "--format", "pgm", "--truncation", "40"],
+        ["lx", "--n", "3", "--samples", "51"],
+        ["cat", "--m", "3"],
+        ["pendulum", "--at", "0.25"],
+        ["autocorr", "--samples", "101"],
+    ]
+    inprocess = tmp_path / "inprocess"
+    fresh = tmp_path / "fresh"
+    inprocess.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(inprocess)
+    for k, argv in enumerate(commands):
+        assert main(argv + ["-o", f"{k}.out"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--no-such-flag", "1"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    for k, argv in enumerate(commands):
+        result = subprocess.run(
+            [sys.executable, "-m", "revivals", *argv, "-o", f"{k}.out"],
+            cwd=fresh,
+            env=cli_env,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (inprocess / f"{k}.out").read_bytes() == (fresh / f"{k}.out").read_bytes(), argv

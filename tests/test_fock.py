@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from revivals import fock
 from revivals.fock import (
     CoherentLabel,
     FockVector,
@@ -122,6 +123,53 @@ def test_ladder_product_matches_matrix_powers():
         # build; compare only rows both constructions can represent.
         rows = n + 1 - max(r - k, 0)
         assert np.max(np.abs(direct[:rows] - powered[:rows])) < 1e-12
+
+
+def test_log_factorial_table_grows_and_matches_lgamma(monkeypatch):
+    # Start from an empty table so growth is exercised whatever ran before.
+    monkeypatch.setattr(fock, "_LOG_FACTORIALS", np.zeros(0))
+    sizes = []
+    for count in (10, 3101, 5):
+        values = fock._log_factorials(count)
+        sizes.append(fock._LOG_FACTORIALS.size)
+        expected = [math.lgamma(k + 1.0) for k in range(count)]
+        assert values.tolist() == expected
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    # Doubling: 10 entries, then 3101 (more than twice 10), then no change.
+    assert sizes == [10, 3101, 3101]
+    assert fock._log_factorials(3200).size == 3200
+    assert fock._LOG_FACTORIALS.size == 6202
+    assert fock._LOG_FACTORIALS.tolist() == [math.lgamma(k + 1.0) for k in range(6202)]
+    assert not fock._LOG_FACTORIALS.flags.writeable
+
+
+def _ladder_product_by_rule(r, k, truncation):
+    """(a†)^r a^k entry by entry with math.lgamma and math.exp, one level at a time."""
+    dim = truncation + 1
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for n in range(k, dim):
+        row = n - k + r
+        if row >= dim:
+            continue
+        log_entry = 0.5 * (math.lgamma(n + 1.0) - math.lgamma(n - k + 1.0)) + 0.5 * (
+            math.lgamma(n - k + r + 1.0) - math.lgamma(n - k + 1.0)
+        )
+        out[row, n] = math.exp(log_entry)
+    return out
+
+
+def test_ladder_product_matches_entry_rule():
+    eps = float(np.finfo(np.float64).eps)
+    for truncation in (0, 1, 3, 17, 60):
+        for r in range(5):
+            for k in range(5):
+                built = ladder_product_matrix(r, k, truncation).entries
+                rule = _ladder_product_by_rule(r, k, truncation)
+                assert np.array_equal(built != 0, rule != 0), (r, k, truncation)
+                scale = np.where(rule != 0, np.abs(rule), 1.0)
+                assert np.max(np.abs(built - rule) / scale) <= 4 * eps, (r, k, truncation)
 
 
 def test_inner_product_requires_matching_truncation():

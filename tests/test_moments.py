@@ -43,6 +43,9 @@ def test_moment_query_validation():
         MomentQuery(-1, 0, label, 1.0, 0.0)
     with pytest.raises(ValueError):
         MomentQuery(0, 1, label, 0.0, 0.0)
+    for chi in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="chi must be finite and positive"):
+            MomentQuery(0, 1, label, chi, 0.0)
 
 
 def test_general_moment_against_oracle_sweep():

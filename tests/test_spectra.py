@@ -31,6 +31,44 @@ def test_spectrum_requires_positive_chi():
         Spectrum.kerr(0.0)
     with pytest.raises(ValueError):
         Spectrum.harmonic(-2.0)
+    for chi in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="chi must be finite and positive"):
+            Spectrum.kerr(chi)
+        with pytest.raises(ValueError, match="chi must be finite and positive"):
+            Spectrum.custom(lambda n: n, chi)
+
+
+@pytest.mark.parametrize(
+    "factory, level",
+    [
+        (Spectrum.harmonic, lambda n: n + 0.5),
+        (Spectrum.kerr, lambda n: n * (n - 1.0)),
+        (Spectrum.square_well, lambda n: float(n * n)),
+    ],
+    ids=["harmonic", "kerr", "square_well"],
+)
+def test_named_energies_bit_identical_to_per_level_calls(factory, level):
+    spectrum = factory(0.7)
+    for truncation in (0, 1, 59, 220, 3020):
+        expected = [float(level(n)) for n in range(truncation + 1)]
+        values = spectrum.energies(truncation)
+        assert values.dtype == np.float64
+        assert values.tolist() == expected
+        # The stored level function agrees with the array on single levels.
+        for n in {0, truncation // 2, truncation}:
+            assert float(spectrum.energy(n)) == expected[n]
+
+
+def test_custom_energies_called_per_level():
+    calls = []
+
+    def level(n):
+        calls.append(n)
+        return math.sqrt(n)
+
+    values = Spectrum.custom(level).energies(4)
+    assert calls == [0, 1, 2, 3, 4]
+    assert values.tolist() == [math.sqrt(n) for n in range(5)]
 
 
 def test_revival_times_named():

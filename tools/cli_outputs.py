@@ -1,0 +1,115 @@
+"""Write every CLI output of the benchmark's job lists, with a sha256 manifest.
+
+    python tools/cli_outputs.py SRC OUTDIR [--seeds 1 2 3]
+
+Imports ``revivals`` from SRC (a ``src/`` directory of any checkout) and runs
+``revivals.cli.main`` in-process on the ``trace_export`` and
+``spectral_sweep`` job lists of ``perfbench/workloads.py`` for each seed, plus
+a few commands those lists do not reach (``cat``, ``talbot``, default
+``pendulum``). Files go to OUTDIR/seed<S>/<workload>/, the printed summary
+lines of each directory to its ``stdout.txt``, and one line per file to
+OUTDIR/MANIFEST.sha256 (the ``sha256sum`` format). The last line printed is
+the sha256 of the manifest: two source trees whose CLI outputs are
+byte-identical give the same hash.
+
+    python tools/cli_outputs.py ../old/src /tmp/old && python tools/cli_outputs.py src /tmp/new
+    diff -r /tmp/old /tmp/new
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib.util
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Commands outside the benchmark's job lists, as argv without the output file.
+EXTRA = (
+    ["cat", "--m", "3", "--p", "0.0", "--q", "2.83"],
+    ["cat", "--m", "4", "--p", "1.5", "--q", "-0.5", "--truncation", "60"],
+    ["talbot", "--wavelength", "0.6", "--grating-period", "1.0"],
+    ["pendulum"],
+    ["pendulum", "--at", "0.5"],
+    ["moment", "--r", "1", "--s", "2", "--p", "2.0", "--q", "0.0"],
+    ["lx", "--n", "4", "--p2", "7.07", "--q2", "7.07", "--p3", "7.07", "--q3", "7.07"],
+)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "_bench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_revivals(src: Path):
+    sys.path.insert(0, str(src))
+    import revivals.cli
+
+    if Path(revivals.cli.__file__).resolve().parents[1] != src:
+        raise SystemExit(f"imported revivals from {revivals.cli.__file__}, not from {src}")
+    return revivals.cli
+
+
+def _run_all(main, argvs: list[list[str]], directory: Path) -> int:
+    """Run each argv in directory; returns the number of nonzero exits."""
+    directory.mkdir(parents=True, exist_ok=True)
+    here = os.getcwd()
+    log = io.StringIO()
+    failures = 0
+    os.chdir(directory)
+    try:
+        for argv in argvs:
+            with contextlib.redirect_stdout(log):
+                code = main(argv)
+            if code != 0:
+                failures += 1
+                log.write(f"exit {code}: {' '.join(argv)}\n")
+    finally:
+        os.chdir(here)
+    (directory / "stdout.txt").write_text(log.getvalue())
+    return failures
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", type=Path, help="src/ directory holding the revivals package")
+    parser.add_argument("outdir", type=Path, help="directory for the outputs and the manifest")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+
+    outdir = args.outdir.resolve()
+    if outdir.exists() and any(outdir.iterdir()):
+        parser.error(f"{outdir} is not empty")
+    cli = _load_revivals(args.src.resolve())
+    workloads = _load_workloads()
+    failures = 0
+    for seed in args.seeds:
+        for workload in ("trace_export", "spectral_sweep"):
+            jobs = workloads.jobs_for(workload, seed)
+            argvs = [workloads.cli_argv(job) for job in jobs]
+            failures += _run_all(cli.main, argvs, outdir / f"seed{seed}" / workload)
+    extra = [argv + ["-o", f"{k:02d}_{argv[0]}.csv"] for k, argv in enumerate(EXTRA)]
+    failures += _run_all(cli.main, extra, outdir / "extra")
+
+    files = sorted(p for p in outdir.rglob("*") if p.is_file() and p.name != "MANIFEST.sha256")
+    manifest = "".join(
+        f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(outdir).as_posix()}\n"
+        for p in files
+    )
+    (outdir / "MANIFEST.sha256").write_text(manifest)
+    print(f"{len(files)} files, {failures} failed commands")
+    print(hashlib.sha256(manifest.encode()).hexdigest())
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
