@@ -10,12 +10,10 @@ Talbot self-imaging), plus a deterministic command-line front end.
 """
 
 from .angular import (
-    NormalOrderedSum,
     TriModeLabel,
     angular_moment,
     lx_moment,
     lx_moment_oracle,
-    lx_power_expand,
 )
 from .carpets import (
     CarpetGrid,
@@ -34,7 +32,7 @@ from .classical import (
     talbot_length,
     wave_count,
 )
-from .cli import BurstReport, RunConfig, detect_bursts, main, run
+from .cli import RunConfig, main, run
 from .fock import (
     CoherentLabel,
     FockVector,
@@ -47,15 +45,15 @@ from .fock import (
     number_distribution,
 )
 from .moments import (
-    MomentQuery,
+    BurstReport,
     ObservableTrace,
     autocorrelation,
+    detect_bursts,
     expect_p,
     expect_p2,
     expect_x,
     expect_x2,
     expect_x_power,
-    general_moment,
     ladder_moment,
     numerical_expectation,
     uncertainty_trace,
@@ -76,8 +74,6 @@ __all__ = [
     "CatDecomposition",
     "CoherentLabel",
     "FockVector",
-    "MomentQuery",
-    "NormalOrderedSum",
     "ObservableTrace",
     "OperatorMatrix",
     "PendulumArray",
@@ -99,7 +95,6 @@ __all__ = [
     "expect_x2",
     "expect_x_power",
     "fractional_revival_times",
-    "general_moment",
     "grid_to_csv",
     "grid_to_pgm",
     "hermite_functions",
@@ -110,7 +105,6 @@ __all__ = [
     "ladder_product_matrix",
     "lx_moment",
     "lx_moment_oracle",
-    "lx_power_expand",
     "main",
     "normal_order_word",
     "number_distribution",

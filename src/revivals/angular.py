@@ -44,26 +44,6 @@ class TriModeLabel:
         )
 
 
-@dataclass(frozen=True)
-class NormalOrderedSum:
-    """Expansion of an interference-operator power into per-mode monomials.
-
-    Each term is (coefficient, (j1, j2, j3, j4)) standing for
-    coefficient * (b†)^j1 b^j2 (c†)^j3 c^j4, normal-ordered within each mode.
-    """
-
-    terms: tuple[tuple[complex, tuple[int, int, int, int]], ...]
-
-
-def lx_power_expand(n: int) -> NormalOrderedSum:
-    """Normal-ordered expansion of Lx^n = [(b†c - c†b)/2i]^n for n = 1..4."""
-    if not 1 <= n <= 4:
-        raise ValueError("supported interference powers are 1..4")
-    return NormalOrderedSum(
-        terms=tuple((coeff, powers) for powers, coeff in interference_power_terms(n))
-    )
-
-
 def _pair_labels(axis: str, label: TriModeLabel) -> tuple[CoherentLabel, CoherentLabel]:
     try:
         first, second = _AXIS_PAIRS[axis]
@@ -83,22 +63,24 @@ def angular_moment(axis: str, n: int, label: TriModeLabel, chi: float, t):
     HERMITICITY_LIMIT times the bound on its magnitude raises instead of
     being silently dropped.
     """
+    if not 1 <= n <= 4:
+        raise ValueError("supported interference powers are 1..4")
     first, second = _pair_labels(axis, label)
     radius_first, radius_second = first.radius, second.radius
     t_arr = np.asarray(t, dtype=np.float64)
-    terms = lx_power_expand(n).terms
+    terms = interference_power_terms(n)
     factors_first = {
         powers: ladder_moment(*powers, first, chi, t_arr)
-        for powers in dict.fromkeys(p[:2] for _, p in terms)
+        for powers in dict.fromkeys(p[:2] for p, _ in terms)
     }
     factors_second = {
         powers: ladder_moment(*powers, second, chi, t_arr)
-        for powers in dict.fromkeys(p[2:] for _, p in terms)
+        for powers in dict.fromkeys(p[2:] for p, _ in terms)
     }
     total = np.zeros(t_arr.shape, dtype=np.complex128)
     # Each single-mode factor is bounded by |alpha|^(i+j) of its mode.
     bound = 0.0
-    for coeff, (j1, j2, j3, j4) in terms:
+    for (j1, j2, j3, j4), coeff in terms:
         total = total + coeff * factors_first[j1, j2] * factors_second[j3, j4]
         bound += abs(coeff) * radius_first ** (j1 + j2) * radius_second ** (j3 + j4)
     residue = float(np.max(np.abs(total.imag)))

@@ -18,6 +18,7 @@ whole grid (fractional-revival rows come out dimmer, as they should).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,9 @@ from .spectra import Spectrum, _phase_factors, revival_time
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
 LOBE_THRESHOLD = 0.1
+
+#: Largest |x| whose square is a finite float64; hermite_functions needs x * x.
+_X_LIMIT = math.sqrt(sys.float_info.max)
 
 
 def _check_extents(x_min: float, x_max: float, t_min: float, t_max: float) -> None:
@@ -38,6 +42,11 @@ def _check_extents(x_min: float, x_max: float, t_min: float, t_max: float) -> No
     spans = (float(x_max) - float(x_min), float(t_max) - float(t_min))
     if not all(math.isfinite(span) for span in spans):
         raise ValueError("grid spans x_max - x_min and t_max - t_min must be finite")
+    if max(abs(x_min), abs(x_max)) > _X_LIMIT:
+        raise ValueError(
+            f"x extents must lie within +-{_X_LIMIT:.17g}, where x * x stays finite; "
+            f"got x_min = {x_min:g}, x_max = {x_max:g}"
+        )
 
 
 @dataclass(frozen=True)

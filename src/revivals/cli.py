@@ -1,18 +1,19 @@
-"""Command-line front end: traces, grids, snapshots, and burst detection.
+"""Command-line front end: one declarative table drives every subcommand.
 
-Eight subcommands cover the library surface. Numeric output goes to CSV
-files with a '#'-prefixed metadata block, a header row, and values printed
-at 17 significant digits (lossless for float64); carpets can also be
-written as binary PGM images. Nothing in any output depends on wall clock,
-environment, or randomness, so identical invocations produce byte-identical
-files.
+Eight subcommands cover the library surface. Each is one entry of
+``_COMMANDS``: its handler, its help line and its argparse options, built
+from shared groups (label, chi, time grid, spectrum, truncation, output).
+The table builds the parser and dispatches ``run``. ``config_from_args``
+splits the parsed flags into the ``RunConfig`` fields and the command's
+``params``; a command declares exactly the flags its handler reads, and
+``RunConfig`` refuses a field whose flag the command does not declare.
+Defaults live only in the parser.
 
-The burst detector quantifies "a signature is visible at t = (j/k) T_rev":
-for every reduced fraction it compares the mean squared deviation from the
-global trace mean inside a narrow window around j/k T_rev against the same
-measure over the part of the trace belonging to no window. Flat traces
-report zero everywhere; a window counts as detected when its ratio reaches
-the threshold.
+Numeric output goes to CSV files with a '#'-prefixed metadata block, a
+header row, and values printed at 17 significant digits (lossless for
+float64); carpets can also be written as binary PGM images. Nothing in any
+output depends on wall clock, environment, or randomness, so identical
+invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Any, Callable, Mapping
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .classical import (
 )
 from .fock import DEFAULT_TOLERANCE, CoherentLabel, coherent_amplitudes
 from .moments import (
-    ObservableTrace,
     autocorrelation,
     expect_p,
     expect_p2,
@@ -51,27 +50,15 @@ from .spectra import Spectrum, decompose_fractional, revival_time
 
 #: Default Kerr strength; makes the default revival time pi^2/10.
 DEFAULT_CHI = 10.0 / math.pi
-DEFAULT_WINDOW_FRAC = 1.0 / 50.0
-DEFAULT_THRESHOLD = 10.0
-
-COMMANDS = (
-    "autocorr",
-    "moment",
-    "xptrace",
-    "lx",
-    "carpet",
-    "pendulum",
-    "talbot",
-    "cat",
-)
-
-#: Commands that build a Fock state and so take an explicit --truncation.
-_TRUNCATING_COMMANDS = ("carpet", "cat")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One resolved invocation: command, its parameters, grid, destination."""
+    """One resolved invocation: command, its parameters, grid, destination.
+
+    Every field after ``params`` belongs to a flag; a command that does not
+    declare that flag must leave the field at its default.
+    """
 
     command: str
     params: Mapping[str, Any] = field(default_factory=dict)
@@ -84,7 +71,7 @@ class RunConfig:
     fmt: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise ValueError(f"unknown command {self.command!r}")
         if self.samples < 2:
             raise ValueError("samples must be at least 2")
@@ -95,110 +82,19 @@ class RunConfig:
                 raise ValueError(f"{flag} must be finite, got {value:g}")
         if self.fmt not in ("csv", "pgm"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        if self.truncation is not None:
-            if self.command not in _TRUNCATING_COMMANDS:
-                raise ValueError(f"{self.command} takes no truncation")
-            if self.truncation < 0:
-                raise ValueError("truncation must be >= 0")
+        declared = _COMMANDS[self.command].dests()
+        for flag in _FLAG_FIELDS:
+            if flag.name not in declared and getattr(self, flag.name) != flag.default:
+                raise ValueError(f"{self.command} takes no {flag.name}")
+        if self.truncation is not None and self.truncation < 0:
+            raise ValueError("truncation must be >= 0")
 
     def output_path(self) -> str:
-        if self.output is not None:
-            return self.output
-        suffix = "pgm" if self.fmt == "pgm" else "csv"
-        return f"{self.command}.{suffix}"
+        return f"{self.command}.{self.fmt}" if self.output is None else self.output
 
 
-@dataclass(frozen=True)
-class BurstReport:
-    """Variance ratios per fractional-revival window of one trace."""
-
-    windows: tuple[tuple[float, float], ...]
-    threshold: float
-    fractions: tuple[Fraction, ...] = ()
-
-    def __post_init__(self) -> None:
-        if any(ratio < 0.0 for _, ratio in self.windows):
-            raise ValueError("variance ratios cannot be negative")
-        if self.fractions and len(self.fractions) != len(self.windows):
-            raise ValueError("fractions must align with windows")
-
-    def detected(self) -> tuple[float, ...]:
-        """Window centers whose ratio reaches the threshold."""
-        return tuple(c for c, r in self.windows if r >= self.threshold)
-
-    def detected_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(
-            f
-            for f, (_, r) in zip(self.fractions, self.windows)
-            if r >= self.threshold
-        )
-
-    def ratio_at(self, fraction: Fraction) -> float:
-        for f, (_, ratio) in zip(self.fractions, self.windows):
-            if f == fraction:
-                return ratio
-        raise KeyError(f"no window at {fraction}")
-
-
-def detect_bursts(
-    trace: ObservableTrace,
-    revival_time: float,
-    k_max: int,
-    window_frac: float = DEFAULT_WINDOW_FRAC,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> BurstReport:
-    """Score every reduced fraction j/k (k <= k_max) window of the trace.
-
-    The score of a window centered at (j/k) * revival_time is the mean
-    squared deviation from the global trace mean inside the window divided
-    by the same quantity over the complement of all windows. Deviations are
-    measured from the one global mean, not per-window means: a fractional
-    revival announces itself as an excursion of the trace away from its
-    plateau, and that excursion must not be absorbed into a local mean.
-    Ratio conventions: 0/0 -> 0 (flat trace), positive/0 -> inf.
-    """
-    times = trace.times
-    values = trace.values
-    if times.size == 0:
-        raise ValueError("empty trace")
-    if not revival_time > 0:
-        raise ValueError("revival_time must be positive")
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if not (0.0 < window_frac < 1.0):
-        raise ValueError("window_frac must lie in (0, 1)")
-    span = 1e-9 * revival_time
-    if times[0] > span or times[-1] < revival_time - span:
-        raise ValueError("trace must cover [0, revival_time]")
-
-    fractions = sorted(
-        {Fraction(j, k) for k in range(1, k_max + 1) for j in range(1, k + 1)}
-    )
-    half = 0.5 * window_frac * revival_time
-    deviations = np.abs(values - np.mean(values)) ** 2
-    in_any = np.zeros(times.shape, dtype=bool)
-    masks = []
-    for frac in fractions:
-        center = float(frac) * revival_time
-        mask = np.abs(times - center) <= half
-        masks.append(mask)
-        in_any |= mask
-    outside = ~in_any
-    out_level = float(np.mean(deviations[outside])) if outside.any() else 0.0
-
-    windows = []
-    for frac, mask in zip(fractions, masks):
-        in_level = float(np.mean(deviations[mask])) if mask.any() else 0.0
-        if out_level > 0.0:
-            ratio = in_level / out_level
-        else:
-            ratio = 0.0 if in_level == 0.0 else math.inf
-        windows.append((float(frac) * revival_time, ratio))
-    return BurstReport(
-        windows=tuple(windows),
-        threshold=threshold,
-        fractions=tuple(fractions),
-    )
+#: The RunConfig fields that flags set; everything else parsed goes to params.
+_FLAG_FIELDS = tuple(f for f in fields(RunConfig) if f.default is not MISSING)
 
 
 def _fmt(value: float) -> str:
@@ -214,16 +110,14 @@ def _metadata(command: str, pairs: list[tuple[str, Any]]) -> list[str]:
     return lines
 
 
-def _csv_text(metadata: list[str], header: list[str], table: str) -> str:
-    return "\n".join(metadata + [",".join(header)]) + "\n" + table
+def _csv(command: str, pairs: list, columns: dict, integer_columns: int = 0) -> str:
+    """Metadata lines, a header row of the column names, then the table."""
+    table = _table_text(list(columns.values()), integer_columns=integer_columns)
+    return "\n".join(_metadata(command, pairs) + [",".join(columns)]) + "\n" + table
 
 
-def _time_grid(config: RunConfig, period: float | None) -> np.ndarray:
-    t_max = config.t_max
-    if t_max is None:
-        if period is None:
-            raise ValueError("aperiodic spectrum: pass --t-max explicitly")
-        t_max = period
+def _time_grid(config: RunConfig, period: float) -> np.ndarray:
+    t_max = period if config.t_max is None else config.t_max
     if not t_max > config.t_min:
         raise ValueError("t_max must exceed t_min")
     if not math.isfinite(float(t_max) - float(config.t_min)):
@@ -234,16 +128,14 @@ def _time_grid(config: RunConfig, period: float | None) -> np.ndarray:
     return np.linspace(config.t_min, t_max, config.samples)
 
 
+_SPECTRA = ("kerr", "harmonic", "square_well")
+
+
 def _spectrum(config: RunConfig) -> Spectrum:
-    name = config.params.get("spectrum", "kerr")
-    factory = {
-        "kerr": Spectrum.kerr,
-        "harmonic": Spectrum.harmonic,
-        "square_well": Spectrum.square_well,
-    }.get(name)
-    if factory is None:
+    name = config.params["spectrum"]
+    if name not in _SPECTRA:
         raise ValueError(f"unknown spectrum {name!r}")
-    return factory(config.chi)
+    return getattr(Spectrum, name)(config.chi)
 
 
 def _label(config: RunConfig) -> CoherentLabel:
@@ -263,8 +155,13 @@ def _check_truncation(config: RunConfig, label: CoherentLabel) -> None:
         )
 
 
-def _trace_table(times: np.ndarray, columns: list[np.ndarray], chi: float) -> str:
-    return _table_text([times, *columns, chi * times / math.pi])
+def _trace(
+    config: RunConfig, period: float, times: np.ndarray, pairs: list, columns: dict
+) -> tuple[str, str]:
+    """Trace CSV: metadata ending in chi and revival_time; t, columns, chi_t_over_pi."""
+    pairs = [*pairs, ("chi", config.chi), ("revival_time", period)]
+    columns = {"t": times, **columns, "chi_t_over_pi": config.chi * times / math.pi}
+    return f"revival_time = {_fmt(period)}", _csv(config.command, pairs, columns)
 
 
 def _run_autocorr(config: RunConfig) -> tuple[str, bytes | str]:
@@ -273,21 +170,9 @@ def _run_autocorr(config: RunConfig) -> tuple[str, bytes | str]:
     period = revival_time(spectrum)
     times = _time_grid(config, period)
     values = autocorrelation(label, spectrum, times)
-    meta = _metadata(
-        "autocorr",
-        [
-            ("spectrum", spectrum.kind),
-            ("p", label.p),
-            ("q", label.q),
-            ("chi", config.chi),
-            ("revival_time", period if period is not None else "aperiodic"),
-        ],
-    )
-    table = _trace_table(
-        times, [values.real, values.imag, np.abs(values) ** 2], config.chi
-    )
-    text = _csv_text(meta, ["t", "re", "im", "abs2", "chi_t_over_pi"], table)
-    return f"revival_time = {_fmt(period) if period is not None else 'aperiodic'}", text
+    pairs = [("spectrum", spectrum.kind), ("p", label.p), ("q", label.q)]
+    columns = {"re": values.real, "im": values.imag, "abs2": np.abs(values) ** 2}
+    return _trace(config, period, times, pairs, columns)
 
 
 def _run_moment(config: RunConfig) -> tuple[str, bytes | str]:
@@ -298,20 +183,8 @@ def _run_moment(config: RunConfig) -> tuple[str, bytes | str]:
     values = np.asarray(
         ladder_moment(r, r + s, label, config.chi, times), dtype=np.complex128
     )
-    meta = _metadata(
-        "moment",
-        [
-            ("r", r),
-            ("s", s),
-            ("p", label.p),
-            ("q", label.q),
-            ("chi", config.chi),
-            ("revival_time", period),
-        ],
-    )
-    table = _trace_table(times, [values.real, values.imag], config.chi)
-    text = _csv_text(meta, ["t", "re", "im", "chi_t_over_pi"], table)
-    return f"revival_time = {_fmt(period)}", text
+    pairs = [("r", r), ("s", s), ("p", label.p), ("q", label.q)]
+    return _trace(config, period, times, pairs, {"re": values.real, "im": values.imag})
 
 
 _OBSERVABLES: dict[str, Callable[[CoherentLabel, float, np.ndarray], np.ndarray]] = {
@@ -334,46 +207,22 @@ def _run_xptrace(config: RunConfig) -> tuple[str, bytes | str]:
         values = np.asarray(_OBSERVABLES[name](label, config.chi, times))
     else:
         raise ValueError(f"unknown observable {name!r}")
-    meta = _metadata(
-        "xptrace",
-        [
-            ("observable", name),
-            ("p", label.p),
-            ("q", label.q),
-            ("chi", config.chi),
-            ("revival_time", period),
-        ],
-    )
-    table = _trace_table(times, [values], config.chi)
-    text = _csv_text(meta, ["t", "value", "chi_t_over_pi"], table)
-    return f"revival_time = {_fmt(period)}", text
+    pairs = [("observable", name), ("p", label.p), ("q", label.q)]
+    return _trace(config, period, times, pairs, {"value": values})
 
 
 def _run_lx(config: RunConfig) -> tuple[str, bytes | str]:
-    n = config.params["n"]
+    params = config.params
     label = TriModeLabel(
         CoherentLabel(0.0, 0.0),
-        CoherentLabel(config.params["p2"], config.params["q2"]),
-        CoherentLabel(config.params["p3"], config.params["q3"]),
+        CoherentLabel(params["p2"], params["q2"]),
+        CoherentLabel(params["p3"], params["q3"]),
     )
     period = math.pi / config.chi
     times = _time_grid(config, period)
-    values = np.asarray(lx_moment(n, label, config.chi, times))
-    meta = _metadata(
-        "lx",
-        [
-            ("n", n),
-            ("p2", label.mode_b.p),
-            ("q2", label.mode_b.q),
-            ("p3", label.mode_c.p),
-            ("q3", label.mode_c.q),
-            ("chi", config.chi),
-            ("revival_time", period),
-        ],
-    )
-    table = _trace_table(times, [values], config.chi)
-    text = _csv_text(meta, ["t", "value", "chi_t_over_pi"], table)
-    return f"revival_time = {_fmt(period)}", text
+    values = np.asarray(lx_moment(params["n"], label, config.chi, times))
+    pairs = [(key, params[key]) for key in ("n", "p2", "q2", "p3", "q3")]
+    return _trace(config, period, times, pairs, {"value": values})
 
 
 def _run_carpet(config: RunConfig) -> tuple[str, bytes | str]:
@@ -384,73 +233,47 @@ def _run_carpet(config: RunConfig) -> tuple[str, bytes | str]:
     grid = carpet(
         label,
         spectrum,
-        x_min=config.params.get("x_min"),
-        x_max=config.params.get("x_max"),
-        nx=config.params.get("nx", 400),
         t_min=config.t_min,
-        t_max=config.t_max if config.t_max is not None else period,
-        nt=config.params.get("nt", 400),
+        t_max=config.t_max,
         truncation=config.truncation,
+        **{key: config.params[key] for key in ("x_min", "x_max", "nx", "nt")},
     )
-    note = f"revival_time = {_fmt(period) if period is not None else 'aperiodic'}"
+    note = f"revival_time = {_fmt(period)}"
     if config.fmt == "pgm":
         return note, grid_to_pgm(grid)
-    meta = _metadata(
-        "carpet",
-        [
-            ("spectrum", spectrum.kind),
-            ("p", label.p),
-            ("q", label.q),
-            ("chi", config.chi),
-            ("revival_time", period if period is not None else "aperiodic"),
-            ("nx", grid.nx),
-            ("nt", grid.nt),
-        ],
-    )
-    return note, "\n".join(meta) + "\n" + grid_to_csv(grid, config.chi)
+    pairs = [("spectrum", spectrum.kind), ("p", label.p), ("q", label.q)]
+    pairs += [("chi", config.chi), ("revival_time", period)]
+    pairs += [("nx", grid.nx), ("nt", grid.nt)]
+    meta = "\n".join(_metadata("carpet", pairs))
+    return note, meta + "\n" + grid_to_csv(grid, config.chi)
 
 
 def _run_pendulum(config: RunConfig) -> tuple[str, bytes | str]:
-    array = PendulumArray(
-        count=config.params.get("count", 100),
-        base_cycles=config.params.get("base_cycles", 30),
-        t_rev=config.params.get("t_rev", 1.0),
-        amplitude=config.params.get("amplitude", 1.0),
-    )
-    at = config.params.get("at", 0.0)
+    params = dict(config.params)
+    at = params.pop("at")
+    array = PendulumArray(**params)
     t = at * array.t_rev
     positions = pendulum_positions(array, t)
     waves, strength = wave_count(array, t)
-    meta = _metadata(
-        "pendulum",
-        [
-            ("count", array.count),
-            ("base_cycles", array.base_cycles),
-            ("t_rev", array.t_rev),
-            ("amplitude", array.amplitude),
-            ("t", t),
-            ("waves", waves),
-            ("strength", strength),
-        ],
-    )
-    table = _table_text([np.arange(len(positions)), positions], integer_columns=1)
-    text = _csv_text(meta, ["j", "x"], table)
+    keys = ("count", "base_cycles", "t_rev", "amplitude")
+    pairs = [(key, getattr(array, key)) for key in keys]
+    pairs += [("t", t), ("waves", waves), ("strength", strength)]
+    columns = {"j": np.arange(len(positions)), "x": positions}
+    text = _csv("pendulum", pairs, columns, integer_columns=1)
     return f"revival_time = {_fmt(array.t_rev)}", text
 
 
 def _run_talbot(config: RunConfig) -> tuple[str, bytes | str]:
     wavelength = config.params["wavelength"]
-    period = config.params["grating_period"]
-    length = talbot_length(wavelength, period)
-    paraxial = paraxial_talbot_length(wavelength, period)
-    meta = _metadata("talbot", [])
-    table = _table_text([[wavelength], [period], [length], [paraxial]])
-    text = _csv_text(
-        meta,
-        ["wavelength", "grating_period", "talbot_length", "paraxial_length"],
-        table,
-    )
-    return f"talbot_length = {_fmt(length)}", text
+    grating = config.params["grating_period"]
+    length = talbot_length(wavelength, grating)
+    columns = {
+        "wavelength": [wavelength],
+        "grating_period": [grating],
+        "talbot_length": [length],
+        "paraxial_length": [paraxial_talbot_length(wavelength, grating)],
+    }
+    return f"talbot_length = {_fmt(length)}", _csv("talbot", [], columns)
 
 
 def _run_cat(config: RunConfig) -> tuple[str, bytes | str]:
@@ -460,51 +283,121 @@ def _run_cat(config: RunConfig) -> tuple[str, bytes | str]:
     spectrum = Spectrum.kerr(config.chi)
     period = revival_time(spectrum)
     cat = decompose_fractional(label, m, spectrum, config.truncation)
-    meta = _metadata(
-        "cat",
-        [
-            ("p", label.p),
-            ("q", label.q),
-            ("chi", config.chi),
-            ("m", cat.m),
-            ("time", cat.time),
-            ("fidelity", cat.fidelity),
-            ("revival_time", period),
-        ],
-    )
-    table = _table_text(
-        [
-            np.arange(cat.m),
-            cat.coefficients.real,
-            cat.coefficients.imag,
-            [comp.p for comp in cat.component_labels],
-            [comp.q for comp in cat.component_labels],
-        ],
-        integer_columns=1,
-    )
-    text = _csv_text(
-        meta,
-        ["component", "coeff_re", "coeff_im", "label_p", "label_q"],
-        table,
-    )
+    pairs = [("p", label.p), ("q", label.q), ("chi", config.chi), ("m", cat.m)]
+    pairs += [("time", cat.time), ("fidelity", cat.fidelity), ("revival_time", period)]
+    columns = {
+        "component": np.arange(cat.m),
+        "coeff_re": cat.coefficients.real,
+        "coeff_im": cat.coefficients.imag,
+        "label_p": [comp.p for comp in cat.component_labels],
+        "label_q": [comp.q for comp in cat.component_labels],
+    }
+    text = _csv("cat", pairs, columns, integer_columns=1)
     return f"revival_time = {_fmt(period)}", text
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], tuple[str, bytes | str]]] = {
-    "autocorr": _run_autocorr,
-    "moment": _run_moment,
-    "xptrace": _run_xptrace,
-    "lx": _run_lx,
-    "carpet": _run_carpet,
-    "pendulum": _run_pendulum,
-    "talbot": _run_talbot,
-    "cat": _run_cat,
+#: One argparse option: its flags and the keywords of add_argument.
+_Option = tuple[tuple[str, ...], dict[str, Any]]
+
+
+def _opt(*flags: str, **kwargs: Any) -> _Option:
+    return flags, kwargs
+
+
+class _Command(NamedTuple):
+    """One subcommand: its handler, its help line and its options."""
+
+    run: Callable[[RunConfig], tuple[str, bytes | str]]
+    help: str
+    options: tuple[_Option, ...]
+
+    def dests(self) -> set[str]:
+        """The names the options parse into, derived as argparse derives them."""
+        return {
+            kwargs.get("dest", flags[-1].lstrip("-").replace("-", "_"))
+            for flags, kwargs in self.options
+        }
+
+
+_LABEL = (
+    _opt("--p", type=float, default=1.0, help="initial <x>"),
+    _opt("--q", type=float, default=1.0, help="initial <p>"),
+)
+_CHI = (_opt("--chi", type=float, default=DEFAULT_CHI),)
+_TIMES = (
+    _opt("--t-min", type=float, default=0.0),
+    _opt("--t-max", type=float, default=None, help="default: one revival period"),
+)
+_SAMPLES = (_opt("--samples", type=int, default=1001),)
+_SPECTRUM = (_opt("--spectrum", choices=_SPECTRA, default="kerr"),)
+_TRUNCATION = (
+    _opt("--truncation", type=int, default=None, help="Fock cutoff N (default: auto)"),
+)
+_OUTPUT = (_opt("-o", "--output", default=None),)
+#: The options every time trace shares.
+_TRACE = _CHI + _TIMES + _SAMPLES + _OUTPUT
+
+_COMMANDS: dict[str, _Command] = {
+    "autocorr": _Command(_run_autocorr, "autocorrelation trace", (
+        *_LABEL,
+        *_TRACE,
+        *_SPECTRUM,
+    )),
+    "moment": _Command(_run_moment, "normal-ordered ladder moment trace", (
+        _opt("--r", type=int, required=True),
+        _opt("--s", type=int, required=True),
+        *_LABEL,
+        *_TRACE,
+    )),
+    "xptrace": _Command(_run_xptrace, "quadrature moment trace", (
+        _opt("--observable", choices=(*_OBSERVABLES, "dxdp"), default="x"),
+        *_LABEL,
+        *_TRACE,
+    )),
+    "lx": _Command(_run_lx, "angular-momentum moment trace", (
+        _opt("--n", type=int, default=1, help="power of Lx"),
+        *(_opt(f"--{key}", type=float, default=1.0) for key in ("p2", "q2", "p3", "q3")),
+        *_TRACE,
+    )),
+    "carpet": _Command(_run_carpet, "space-time density grid", (
+        *_LABEL,
+        *_CHI,
+        *_TIMES,
+        *_OUTPUT,
+        *_TRUNCATION,
+        *_SPECTRUM,
+        _opt("--nx", type=int, default=400),
+        _opt("--nt", type=int, default=400),
+        _opt("--x-min", type=float, default=None),
+        _opt("--x-max", type=float, default=None),
+        _opt("--format", dest="fmt", choices=("csv", "pgm"), default="csv"),
+    )),
+    "pendulum": _Command(_run_pendulum, "pendulum-wave snapshot", (
+        _opt("--count", type=int, default=100),
+        _opt("--base-cycles", type=int, default=30),
+        _opt("--t-rev", type=float, default=1.0),
+        _opt("--amplitude", type=float, default=1.0),
+        _opt("--at", type=float, default=0.0, help="snapshot time as a fraction of t_rev"),
+        *_OUTPUT,
+    )),
+    "talbot": _Command(_run_talbot, "grating self-imaging length", (
+        _opt("--wavelength", type=float, required=True),
+        _opt("--grating-period", type=float, required=True),
+        *_OUTPUT,
+    )),
+    "cat": _Command(_run_cat, "fractional-revival cat decomposition", (
+        _opt("--m", type=int, required=True, help="number of components"),
+        *_LABEL,
+        *_CHI,
+        *_TRUNCATION,
+        *_OUTPUT,
+    )),
 }
 
 
 def run(config: RunConfig) -> int:
     """Execute one configured command: write its file, print its summary."""
-    note, payload = _HANDLERS[config.command](config)
+    note, payload = _COMMANDS[config.command].run(config)
     path = config.output_path()
     if isinstance(payload, bytes):
         with open(path, "wb") as handle:
@@ -517,102 +410,16 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _add_label_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=float, default=1.0, help="initial <x>")
-    parser.add_argument("--q", type=float, default=1.0, help="initial <p>")
-
-
-def _add_grid_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--chi", type=float, default=DEFAULT_CHI)
-    parser.add_argument("--t-min", type=float, default=0.0)
-    parser.add_argument(
-        "--t-max", type=float, default=None, help="default: one revival period"
-    )
-    parser.add_argument("--samples", type=int, default=1001)
-    parser.add_argument("-o", "--output", default=None)
-
-
-def _add_truncation_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--truncation", type=int, default=None, help="Fock cutoff N (default: auto)"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revivals",
         description="Coherent-state revival traces, carpets, and analogs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_auto = sub.add_parser("autocorr", help="autocorrelation trace")
-    _add_label_options(p_auto)
-    _add_grid_options(p_auto)
-    p_auto.add_argument(
-        "--spectrum",
-        choices=("kerr", "harmonic", "square_well"),
-        default="kerr",
-    )
-
-    p_mom = sub.add_parser("moment", help="normal-ordered ladder moment trace")
-    p_mom.add_argument("--r", type=int, required=True)
-    p_mom.add_argument("--s", type=int, required=True)
-    _add_label_options(p_mom)
-    _add_grid_options(p_mom)
-
-    p_xp = sub.add_parser("xptrace", help="quadrature moment trace")
-    p_xp.add_argument(
-        "--observable",
-        choices=("x", "p", "x2", "p2", "dxdp"),
-        default="x",
-    )
-    _add_label_options(p_xp)
-    _add_grid_options(p_xp)
-
-    p_lx = sub.add_parser("lx", help="angular-momentum moment trace")
-    p_lx.add_argument("--n", type=int, default=1, help="power of Lx")
-    p_lx.add_argument("--p2", type=float, default=1.0)
-    p_lx.add_argument("--q2", type=float, default=1.0)
-    p_lx.add_argument("--p3", type=float, default=1.0)
-    p_lx.add_argument("--q3", type=float, default=1.0)
-    _add_grid_options(p_lx)
-
-    p_car = sub.add_parser("carpet", help="space-time density grid")
-    _add_label_options(p_car)
-    _add_grid_options(p_car)
-    _add_truncation_option(p_car)
-    p_car.add_argument(
-        "--spectrum",
-        choices=("kerr", "harmonic", "square_well"),
-        default="kerr",
-    )
-    p_car.add_argument("--nx", type=int, default=400)
-    p_car.add_argument("--nt", type=int, default=400)
-    p_car.add_argument("--x-min", type=float, default=None)
-    p_car.add_argument("--x-max", type=float, default=None)
-    p_car.add_argument("--format", choices=("csv", "pgm"), default="csv")
-
-    p_pen = sub.add_parser("pendulum", help="pendulum-wave snapshot")
-    p_pen.add_argument("--count", type=int, default=100)
-    p_pen.add_argument("--base-cycles", type=int, default=30)
-    p_pen.add_argument("--t-rev", type=float, default=1.0)
-    p_pen.add_argument("--amplitude", type=float, default=1.0)
-    p_pen.add_argument(
-        "--at", type=float, default=0.0, help="snapshot time as a fraction of t_rev"
-    )
-    p_pen.add_argument("-o", "--output", default=None)
-
-    p_tal = sub.add_parser("talbot", help="grating self-imaging length")
-    p_tal.add_argument("--wavelength", type=float, required=True)
-    p_tal.add_argument("--grating-period", type=float, required=True)
-    p_tal.add_argument("-o", "--output", default=None)
-
-    p_cat = sub.add_parser("cat", help="fractional-revival cat decomposition")
-    p_cat.add_argument("--m", type=int, required=True, help="number of components")
-    _add_label_options(p_cat)
-    _add_grid_options(p_cat)
-    _add_truncation_option(p_cat)
-
+    for name, command in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=command.help)
+        for flags, kwargs in command.options:
+            subparser.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -623,42 +430,22 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Translate parsed flags into a RunConfig."""
-    command = args.command
-    params: dict[str, Any] = {}
-    passthrough = {
-        "autocorr": ("p", "q", "spectrum"),
-        "moment": ("p", "q", "r", "s"),
-        "xptrace": ("p", "q", "observable"),
-        "lx": ("n", "p2", "q2", "p3", "q3"),
-        "carpet": ("p", "q", "spectrum", "nx", "nt", "x_min", "x_max"),
-        "pendulum": ("count", "base_cycles", "t_rev", "amplitude", "at"),
-        "talbot": ("wavelength", "grating_period"),
-        "cat": ("p", "q", "m"),
-    }[command]
-    for name in passthrough:
-        params[name] = getattr(args, name)
-    return RunConfig(
-        command=command,
-        params=params,
-        chi=getattr(args, "chi", DEFAULT_CHI),
-        t_min=getattr(args, "t_min", 0.0),
-        t_max=getattr(args, "t_max", None),
-        samples=getattr(args, "samples", 1001),
-        truncation=getattr(args, "truncation", None),
-        output=getattr(args, "output", None),
-        fmt=getattr(args, "format", "csv"),
-    )
+    """Translate parsed flags into a RunConfig: its own fields, the rest as params."""
+    params = dict(vars(args))
+    command = params.pop("command")
+    flags = {f.name: params.pop(f.name) for f in _FLAG_FIELDS if f.name in params}
+    return RunConfig(command=command, params=params, **flags)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-        return run(config)
+        return run(config_from_args(args))
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Closed-form expectation values for Kerr-evolved coherent states.
+"""Closed-form expectation values for Kerr-evolved coherent states, and burst scoring.
 
 The workhorse is the normal-ordered moment
 
@@ -11,6 +11,13 @@ numerical_expectation, which knows nothing about the formulas: it just
 sandwiches a dense operator matrix between truncated state vectors.
 
 Time arguments accept scalars or arrays; arrays broadcast elementwise.
+
+The burst detector quantifies "a signature is visible at t = (j/k) T_rev":
+for every reduced fraction it compares the mean squared deviation from the
+global trace mean inside a narrow window around j/k T_rev against the same
+measure over the part of the trace belonging to no window. Flat traces
+report zero everywhere; a window counts as detected when its ratio reaches
+the threshold.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,22 +37,10 @@ from .spectra import Spectrum, _phase_factors
 #: magnitude (at least 1), above which the residue is treated as a bug.
 HERMITICITY_LIMIT = 1e-8
 
-
-@dataclass(frozen=True)
-class MomentQuery:
-    """Selects <a†^r a^(r+s)> on the Kerr-evolved state coherent(label)."""
-
-    r: int
-    s: int
-    label: CoherentLabel
-    chi: float
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0 or self.s < 0:
-            raise ValueError("moment powers r, s must be nonnegative")
-        if not (math.isfinite(self.chi) and self.chi > 0):
-            raise ValueError(f"chi must be finite and positive, got {self.chi:g}")
+#: Burst-detector defaults: window width as a fraction of the revival time,
+#: and the variance ratio at which a window counts as detected.
+DEFAULT_WINDOW_FRAC = 1.0 / 50.0
+DEFAULT_THRESHOLD = 10.0
 
 
 @dataclass(frozen=True)
@@ -68,6 +64,99 @@ class ObservableTrace:
         object.__setattr__(self, "values", values)
 
 
+@dataclass(frozen=True)
+class BurstReport:
+    """Variance ratios per fractional-revival window of one trace."""
+
+    windows: tuple[tuple[float, float], ...]
+    threshold: float
+    fractions: tuple[Fraction, ...] = ()
+
+    def __post_init__(self) -> None:
+        if any(ratio < 0.0 for _, ratio in self.windows):
+            raise ValueError("variance ratios cannot be negative")
+        if self.fractions and len(self.fractions) != len(self.windows):
+            raise ValueError("fractions must align with windows")
+
+    def detected(self) -> tuple[float, ...]:
+        """Window centers whose ratio reaches the threshold."""
+        return tuple(c for c, r in self.windows if r >= self.threshold)
+
+    def detected_fractions(self) -> tuple[Fraction, ...]:
+        return tuple(
+            f
+            for f, (_, r) in zip(self.fractions, self.windows)
+            if r >= self.threshold
+        )
+
+    def ratio_at(self, fraction: Fraction) -> float:
+        for f, (_, ratio) in zip(self.fractions, self.windows):
+            if f == fraction:
+                return ratio
+        raise KeyError(f"no window at {fraction}")
+
+
+def detect_bursts(
+    trace: ObservableTrace,
+    revival_time: float,
+    k_max: int,
+    window_frac: float = DEFAULT_WINDOW_FRAC,
+    threshold: float = DEFAULT_THRESHOLD,
+) -> BurstReport:
+    """Score every reduced fraction j/k (k <= k_max) window of the trace.
+
+    The score of a window centered at (j/k) * revival_time is the mean
+    squared deviation from the global trace mean inside the window divided
+    by the same quantity over the complement of all windows. Deviations are
+    measured from the one global mean, not per-window means: a fractional
+    revival announces itself as an excursion of the trace away from its
+    plateau, and that excursion must not be absorbed into a local mean.
+    Ratio conventions: 0/0 -> 0 (flat trace), positive/0 -> inf.
+    """
+    times = trace.times
+    values = trace.values
+    if times.size == 0:
+        raise ValueError("empty trace")
+    if not revival_time > 0:
+        raise ValueError("revival_time must be positive")
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
+    if not (0.0 < window_frac < 1.0):
+        raise ValueError("window_frac must lie in (0, 1)")
+    span = 1e-9 * revival_time
+    if times[0] > span or times[-1] < revival_time - span:
+        raise ValueError("trace must cover [0, revival_time]")
+
+    fractions = sorted(
+        {Fraction(j, k) for k in range(1, k_max + 1) for j in range(1, k + 1)}
+    )
+    half = 0.5 * window_frac * revival_time
+    deviations = np.abs(values - np.mean(values)) ** 2
+    in_any = np.zeros(times.shape, dtype=bool)
+    masks = []
+    for frac in fractions:
+        center = float(frac) * revival_time
+        mask = np.abs(times - center) <= half
+        masks.append(mask)
+        in_any |= mask
+    outside = ~in_any
+    out_level = float(np.mean(deviations[outside])) if outside.any() else 0.0
+
+    windows = []
+    for frac, mask in zip(fractions, masks):
+        in_level = float(np.mean(deviations[mask])) if mask.any() else 0.0
+        if out_level > 0.0:
+            ratio = in_level / out_level
+        else:
+            ratio = 0.0 if in_level == 0.0 else math.inf
+        windows.append((float(frac) * revival_time, ratio))
+    return BurstReport(
+        windows=tuple(windows),
+        threshold=threshold,
+        fractions=tuple(fractions),
+    )
+
+
 def _kerr_moment(r: int, s: int, label: CoherentLabel, chi: float, t):
     """Vectorized <a†^r a^(r+s)>; t may be a scalar or an array."""
     t = np.asarray(t, dtype=np.float64)
@@ -89,13 +178,6 @@ def _kerr_moment(r: int, s: int, label: CoherentLabel, chi: float, t):
     return prefactor * damping * phase
 
 
-def general_moment(query: MomentQuery) -> complex:
-    """Evaluate the closed-form normal-ordered moment for one query."""
-    return complex(
-        _kerr_moment(query.r, query.s, query.label, query.chi, query.t)
-    )
-
-
 def ladder_moment(i: int, j: int, label: CoherentLabel, chi: float, t):
     """<(a†)^i a^j> for arbitrary powers, via conjugation when daggers exceed.
 
@@ -104,6 +186,8 @@ def ladder_moment(i: int, j: int, label: CoherentLabel, chi: float, t):
     """
     if i < 0 or j < 0:
         raise ValueError("operator powers must be nonnegative")
+    if not (math.isfinite(chi) and chi > 0):
+        raise ValueError(f"chi must be finite and positive, got {chi:g}")
     if j >= i:
         return _kerr_moment(i, j - i, label, chi, t)
     return np.conj(_kerr_moment(j, i - j, label, chi, t))

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from revivals import detect_bursts
 from revivals.angular import TriModeLabel, lx_moment, lx_moment_oracle
 from revivals.carpets import carpet, count_lobes
 from revivals.classical import (
@@ -19,7 +20,6 @@ from revivals.classical import (
     talbot_length,
     wave_count,
 )
-from revivals.cli import detect_bursts
 from revivals.fock import (
     CoherentLabel,
     coherent_amplitudes,
@@ -27,14 +27,13 @@ from revivals.fock import (
     number_distribution,
 )
 from revivals.moments import (
-    MomentQuery,
     ObservableTrace,
     autocorrelation,
     expect_p,
     expect_p2,
     expect_x,
     expect_x2,
-    general_moment,
+    ladder_moment,
     numerical_expectation,
     uncertainty_trace,
 )
@@ -91,9 +90,7 @@ def test_ladder_moment_closed_form_matches_matrix_oracle():
             for s in range(4):
                 op = ladder_product_matrix(r, r + s, padded.truncation)
                 for t in rng.uniform(0.0, T_REV, size=50):
-                    closed = general_moment(
-                        MomentQuery(r, s, label, CHI, float(t))
-                    )
+                    closed = ladder_moment(r, r + s, label, CHI, float(t))
                     oracle = numerical_expectation(
                         evolve(padded, KERR, float(t)), op
                     )

@@ -11,10 +11,10 @@ from revivals.angular import (
     angular_moment,
     lx_moment,
     lx_moment_oracle,
-    lx_power_expand,
 )
 from revivals.fock import CoherentLabel
 from revivals.moments import ladder_moment
+from revivals.ordering import interference_power_terms
 
 VACUUM = CoherentLabel(0.0, 0.0)
 
@@ -30,13 +30,12 @@ def test_from_alphas():
 
 
 def test_expansion_orders_guarded():
-    with pytest.raises(ValueError):
-        lx_power_expand(0)
-    with pytest.raises(ValueError):
-        lx_power_expand(5)
+    label = _label(1.0, 0.5, -0.7, 1.2)
+    for n in (0, 5):
+        with pytest.raises(ValueError, match="supported interference powers are 1..4"):
+            angular_moment("x", n, label, 1.0, 0.0)
     for n in range(1, 5):
-        expansion = lx_power_expand(n)
-        assert len(expansion.terms) > 0
+        assert math.isfinite(angular_moment("x", n, label, 1.0, 0.3))
 
 
 def test_initial_value_is_cross_product_half():
@@ -174,7 +173,7 @@ def _unshared_sum(axis, n, label, chi, t):
     first, second = angular._pair_labels(axis, label)
     t_arr = np.asarray(t, dtype=np.float64)
     total = np.zeros(t_arr.shape, dtype=np.complex128)
-    for coeff, (j1, j2, j3, j4) in lx_power_expand(n).terms:
+    for (j1, j2, j3, j4), coeff in interference_power_terms(n):
         factor_first = ladder_moment(j1, j2, first, chi, t_arr)
         factor_second = ladder_moment(j3, j4, second, chi, t_arr)
         total = total + coeff * factor_first * factor_second

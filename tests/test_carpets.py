@@ -1,6 +1,7 @@
 """Hermite-function wavefunctions, carpet grids, lobe counting, exports."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -193,6 +194,28 @@ def test_carpet_rejects_overflowing_spans_before_computing(bounds):
         numpy_extents = {key: np.float64(value) for key, value in extents.items()}
         with pytest.raises(ValueError, match="spans .* must be finite"):
             CarpetGrid(nx=4, nt=2, density=np.zeros((2, 4)), **numpy_extents)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        {"x_min": -1e307, "x_max": 1e307},
+        {"x_min": 0.0, "x_max": 2e154},
+        {"x_min": -2e154, "x_max": -1e154},
+    ],
+)
+def test_carpet_rejects_x_extents_whose_square_overflows(bounds):
+    label = CoherentLabel(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="x extents must lie within"):
+            carpet(label, Spectrum.kerr(1.0), nx=4, nt=3, **bounds)
+        with pytest.raises(ValueError, match="x extents must lie within"):
+            CarpetGrid(nx=4, t_min=0.0, t_max=1.0, nt=2, density=np.zeros((2, 4)), **bounds)
+        # The largest extent whose square is finite still runs without a warning.
+        limit = math.sqrt(sys.float_info.max)
+        grid = carpet(label, Spectrum.kerr(1.0), x_min=-limit, x_max=limit, nx=4, nt=3)
+        assert grid.density.shape == (3, 4)
 
 
 def test_pgm_export_shape_and_normalization():

@@ -1,5 +1,6 @@
 """Command-line front end: configs, burst detection, file output."""
 
+import argparse
 import math
 import subprocess
 import sys
@@ -9,14 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from revivals.cli import (
-    DEFAULT_CHI,
-    BurstReport,
-    RunConfig,
-    detect_bursts,
-    main,
-)
-from revivals.moments import ObservableTrace
+from revivals import BurstReport, ObservableTrace, detect_bursts
+from revivals.cli import DEFAULT_CHI, RunConfig, build_parser, main
 
 
 def _read_csv(path):
@@ -339,6 +334,25 @@ def test_truncation_refused_where_unused(tmp_path, monkeypatch, capsys, argv):
         RunConfig(command=argv[0], truncation=40)
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["cat", "--m", "2", "--t-max", "inf"], "t_max"),
+        (["cat", "--m", "2", "--samples", "9", "--t-min", "3", "--t-max", "4"], "samples"),
+        (["carpet", "--nx", "3", "--nt", "3", "--samples", "7"], "samples"),
+    ],
+)
+def test_time_grid_flags_refused_where_unused(tmp_path, monkeypatch, capsys, argv, field):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(ValueError, match=f"{argv[0]} takes no {field}"):
+        RunConfig(command=argv[0], **{field: 4})
+
+
 def test_negative_truncation_rejected(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError, match="truncation must be >= 0"):
@@ -389,7 +403,6 @@ def test_moment_overflow_reported_in_domain_terms(
         (["lx", "--t-min", "nan"], "--t-min"),
         (["carpet", "--t-max", "inf", "--nx", "8", "--nt", "8"], "--t-max"),
         (["carpet", "--t-max", "inf", "--format", "pgm"], "--t-max"),
-        (["cat", "--m", "2", "--t-max", "inf"], "--t-max"),
     ],
 )
 def test_non_finite_time_bounds_rejected(tmp_path, monkeypatch, capsys, argv, flag):
@@ -435,6 +448,8 @@ def test_non_finite_chi_rejected(tmp_path, monkeypatch, capsys, argv, chi):
          "spans x_max - x_min and t_max - t_min must be finite"),
         (["carpet", "--nx", "4", "--nt", "3", "--t-min=-1e308", "--t-max", "1e308"],
          "spans x_max - x_min and t_max - t_min must be finite"),
+        (["carpet", "--nx", "4", "--nt", "3", "--x-min=-1e307", "--x-max", "1e307"],
+         "x extents must lie within"),
     ],
 )
 def test_overflowing_spans_rejected(tmp_path, monkeypatch, capsys, argv, message):
@@ -480,3 +495,78 @@ def test_in_process_runs_match_fresh_subprocesses(tmp_path, monkeypatch, cli_env
         )
         assert result.returncode == 0, result.stderr
         assert (inprocess / f"{k}.out").read_bytes() == (fresh / f"{k}.out").read_bytes(), argv
+
+
+def test_allocation_failure_reported_without_traceback(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # 1e14 float64 samples need 728 TiB, more than a 128 TiB address space
+    # holds, so the allocation fails at once and nothing is really allocated.
+    assert main(["autocorr", "--samples", "100000000000000", "--t-max", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: autocorr ran out of memory: ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+#: Flags each command needs (or keeps small) in every run of the test below.
+_BASE_ARGV = {
+    "autocorr": ["--samples", "5"],
+    "moment": ["--r", "1", "--s", "1", "--samples", "5"],
+    "xptrace": ["--samples", "5"],
+    "lx": ["--samples", "5"],
+    "carpet": ["--nx", "4", "--nt", "3"],
+    "pendulum": ["--count", "6", "--at", "0.3"],
+    "talbot": ["--wavelength", "0.6", "--grating-period", "1.0"],
+    "cat": ["--m", "2"],
+}
+
+#: One valid value, different from the base run's, for every flag of every command.
+_FLAG_VALUES = {
+    "autocorr": {"--p": "0.5", "--q": "-0.5", "--chi": "2.0", "--t-min": "0.1",
+                 "--t-max": "0.5", "--samples": "6", "--spectrum": "harmonic"},
+    "moment": {"--r": "2", "--s": "2", "--p": "0.5", "--q": "-0.5", "--chi": "2.0",
+               "--t-min": "0.1", "--t-max": "0.5", "--samples": "6"},
+    "xptrace": {"--observable": "p", "--p": "0.5", "--q": "-0.5", "--chi": "2.0",
+                "--t-min": "0.1", "--t-max": "0.5", "--samples": "6"},
+    "lx": {"--n": "2", "--p2": "0.5", "--q2": "-0.5", "--p3": "0.5", "--q3": "-0.5",
+           "--chi": "2.0", "--t-min": "0.1", "--t-max": "0.5", "--samples": "6"},
+    "carpet": {"--p": "0.5", "--q": "-0.5", "--chi": "2.0", "--t-min": "0.1",
+               "--t-max": "0.5", "--truncation": "40", "--spectrum": "harmonic",
+               "--nx": "5", "--nt": "4", "--x-min": "-5", "--x-max": "5",
+               "--format": "pgm"},
+    "pendulum": {"--count": "7", "--base-cycles": "20", "--t-rev": "2.0",
+                 "--amplitude": "0.5", "--at": "0.25"},
+    "talbot": {"--wavelength": "0.5", "--grating-period": "2.0"},
+    "cat": {"--m": "3", "--p": "0.5", "--q": "-0.5", "--chi": "2.0", "--truncation": "40"},
+}
+
+
+def test_every_accepted_flag_is_read(tmp_path, monkeypatch, capsys):
+    # A flag that parses but changes nothing is a silent no-op for the user.
+    # The table must name every flag the parser accepts (apart from help and
+    # the output path), so a new flag cannot be added without a case here.
+    monkeypatch.chdir(tmp_path)
+    parser = build_parser()
+    commands = next(
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(commands) == set(_FLAG_VALUES)
+    for command, subparser in commands.items():
+        accepted = {
+            flag
+            for action in subparser._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help", "-o", "--output")
+        }
+        values = _FLAG_VALUES[command]
+        assert set(values) == accepted, command
+        base = [command, *_BASE_ARGV[command]]
+        assert main(base + ["-o", "base.out"]) == 0
+        reference = (tmp_path / "base.out").read_bytes()
+        for flag, value in values.items():
+            assert main(base + [flag, value, "-o", "changed.out"]) == 0, (command, flag)
+            if flag != "--truncation":
+                assert (tmp_path / "changed.out").read_bytes() != reference, (command, flag)
+    capsys.readouterr()

@@ -5,10 +5,12 @@
 Imports ``revivals`` from SRC (a ``src/`` directory of any checkout) and runs
 ``revivals.cli.main`` in-process on the ``trace_export`` and
 ``spectral_sweep`` job lists of ``perfbench/workloads.py`` for each seed, plus
-a few commands those lists do not reach (``cat``, ``talbot``, default
-``pendulum``). Files go to OUTDIR/seed<S>/<workload>/, the printed summary
-lines of each directory to its ``stdout.txt``, and one line per file to
-OUTDIR/MANIFEST.sha256 (the ``sha256sum`` format). The last line printed is
+the commands and flags those lists do not reach (``cat``, ``talbot``, the
+pendulum and carpet flags, ``--t-min``, ``--truncation`` and the rest), so
+that every flag of every command is exercised. Files go to
+OUTDIR/seed<S>/<workload>/, the printed summary lines of each directory to
+its ``stdout.txt``, and one line per file to OUTDIR/MANIFEST.sha256 (the
+``sha256sum`` format). The last line printed is
 the sha256 of the manifest: two source trees whose CLI outputs are
 byte-identical give the same hash.
 
@@ -38,6 +40,16 @@ EXTRA = (
     ["pendulum", "--at", "0.5"],
     ["moment", "--r", "1", "--s", "2", "--p", "2.0", "--q", "0.0"],
     ["lx", "--n", "4", "--p2", "7.07", "--q2", "7.07", "--p3", "7.07", "--q3", "7.07"],
+    # Flags that no benchmark job sets, so that the manifest covers every flag.
+    ["carpet", "--p", "2.0", "--q", "-1.0", "--nx", "60", "--nt", "40",
+     "--x-min=-7.5", "--x-max", "6.5", "--t-min", "0.1", "--truncation", "60"],
+    ["autocorr", "--spectrum", "harmonic", "--t-min", "0.25", "--samples", "301"],
+    ["xptrace", "--observable", "dxdp", "--t-min", "0.2", "--t-max", "1.1", "--samples", "301"],
+    ["moment", "--r", "0", "--s", "1", "--t-min", "0.05", "--t-max", "0.6", "--samples", "201"],
+    ["lx", "--n", "2", "--t-min", "0.05", "--t-max", "0.6", "--samples", "201"],
+    ["cat", "--m", "3", "--chi", "0.7"],
+    ["pendulum", "--count", "37", "--base-cycles", "12", "--t-rev", "2.5",
+     "--amplitude", "0.75", "--at", "0.4"],
 )
 
 
