@@ -13,6 +13,14 @@ giant-step x baby-step factors (about 2 sqrt(nt) N exponentials) and
 contracted with the Hermite table in one real matrix product. Helper
 exports render it as CSV or as an 8-bit PGM image normalized over the
 whole grid (fractional-revival rows come out dimmer, as they should).
+
+Memory: a carpet holds the (N + 1) x nx Hermite table, one stacked real
+coefficient block of 2 nt x (N + 1) (Re above Im, filled from the phase
+factors one giant row at a time, with no complex table of its own) and
+the 2 nt x nx output of the product, which is squared and summed in place;
+the grid then copies its nt x nx half. Every other temporary is one Hermite
+row or one giant row of phases. A fresh multi-megabyte temporary costs a page fault per 4 KiB
+page on first touch; for 600 x 600 carpets that is as much as the arithmetic.
 """
 
 from __future__ import annotations
@@ -160,6 +168,11 @@ def carpet(
     t_max defaults to one revival period; an aperiodic custom spectrum has
     none, so it must be given explicitly there. Extents must be finite and
     increasing; they are checked before any work is done.
+
+    Besides the Hermite table, the work needs one 2 nt x (N + 1) real block
+    and one 2 nt x nx product buffer, in which |psi|^2 is squared and summed
+    in place; nothing is kept between calls, and the returned grid holds its
+    own read-only copy.
     """
     if x_min is None or x_max is None:
         lo, hi = default_window(label)
@@ -180,11 +193,23 @@ def carpet(
     table = hermite_functions(grid, n_max)
     energies = spectrum.energies(n_max)
     giant, baby = _phase_factors(spectrum, energies, times, -1.0)
-    giant = giant * state.amplitudes
-    coeffs = (giant[:, None] * baby[None]).reshape(-1, n_max + 1)[:nt]
+    giant *= state.amplitudes
+    # Coefficients c_n e^{-i chi E_n t_k} for time k = b B + j are giant[b] *
+    # baby[j]; they go straight into one real block, Re above Im, one giant
+    # row (B times) at a time.
+    step = baby.shape[0]
+    block = np.empty((2, nt, n_max + 1))
+    for b in range(giant.shape[0]):
+        start = b * step
+        stop = min(start + step, nt)
+        prod = giant[b] * baby
+        block[0, start:stop] = prod.real[: stop - start]
+        block[1, start:stop] = prod.imag[: stop - start]
     # One real product for both parts: rows [:nt] give Re psi, [nt:] Im psi.
-    psi = np.concatenate((coeffs.real, coeffs.imag)) @ table
-    density = psi[:nt] ** 2 + psi[nt:] ** 2
+    # |psi|^2 is formed in that product's buffer, the sum landing in [:nt].
+    psi = block.reshape(2 * nt, n_max + 1) @ table
+    np.square(psi, out=psi)
+    density = np.add(psi[:nt], psi[nt:], out=psi[:nt])
     return CarpetGrid(
         x_min=float(x_min),
         x_max=float(x_max),
@@ -252,6 +277,7 @@ def grid_to_pgm(grid: CarpetGrid) -> bytes:
     if peak <= 0.0:
         levels = np.zeros_like(grid.density, dtype=np.uint8)
     else:
-        levels = np.rint(grid.density * (255.0 / peak)).astype(np.uint8)
+        scaled = np.multiply(grid.density, 255.0 / peak)
+        levels = np.rint(scaled, out=scaled).astype(np.uint8)
     header = f"P5\n{grid.nx} {grid.nt}\n255\n".encode("ascii")
     return header + levels.tobytes()

@@ -396,15 +396,22 @@ _COMMANDS: dict[str, _Command] = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute one configured command: write its file, print its summary."""
+    """Execute one configured command: write its file, print its summary.
+
+    A file that cannot be opened or written is reported on stderr with exit 1.
+    """
     note, payload = _COMMANDS[config.command].run(config)
     path = config.output_path()
-    if isinstance(payload, bytes):
-        with open(path, "wb") as handle:
-            handle.write(payload)
-    else:
-        with open(path, "w", newline="\n") as handle:
-            handle.write(payload)
+    try:
+        if isinstance(payload, bytes):
+            with open(path, "wb") as handle:
+                handle.write(payload)
+        else:
+            with open(path, "w", newline="\n") as handle:
+                handle.write(payload)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     print(note)
     print(f"wrote {path}")
     return 0

@@ -17,8 +17,24 @@ from revivals.carpets import (
     hermite_functions,
     position_wavefunction,
 )
-from revivals.fock import CoherentLabel
-from revivals.spectra import Spectrum
+from revivals.fock import CoherentLabel, coherent_amplitudes
+from revivals.spectra import Spectrum, _phase_factors, revival_time
+
+SPECTRA = (Spectrum.kerr(1.3), Spectrum.harmonic(0.7), Spectrum.square_well(2.1))
+
+
+def _density_out_of_place(label, spectrum, nx, nt):
+    """carpet's default-window density by its former out-of-place expressions."""
+    x_min, x_max = default_window(label)
+    times = np.linspace(0.0, revival_time(spectrum), nt)
+    state = coherent_amplitudes(label)
+    n_max = state.truncation
+    table = hermite_functions(np.linspace(x_min, x_max, nx), n_max)
+    giant, baby = _phase_factors(spectrum, spectrum.energies(n_max), times, -1.0)
+    giant = giant * state.amplitudes
+    coeffs = (giant[:, None] * baby[None]).reshape(-1, n_max + 1)[:nt]
+    psi = np.concatenate((coeffs.real, coeffs.imag)) @ table
+    return psi[:nt] ** 2 + psi[nt:] ** 2
 
 
 def test_hermite_low_orders_explicit():
@@ -245,3 +261,65 @@ def test_csv_export_roundtrip():
     assert np.array_equal(parsed, density)
     times = np.array([float(line.split(",")[0]) for line in lines[1:]])
     assert np.array_equal(times, grid.t_axis())
+
+
+# nt = 2 takes one time per giant row (B = 1); 3 and 401 end on a partial
+# giant row (3 = 2 + 1, 401 = 19 * 21 + 2); 600 = 24 * 25 does not.
+@pytest.mark.parametrize("nt", [2, 3, 401, 600])
+@pytest.mark.parametrize("spectrum", SPECTRA, ids=lambda s: s.kind)
+def test_carpet_density_matches_out_of_place_bits(spectrum, nt):
+    label = CoherentLabel(7.0, -5.5)
+    grid = carpet(label, spectrum, nx=53, nt=nt)
+    expected = _density_out_of_place(label, spectrum, 53, nt)
+    assert grid.density.tobytes() == expected.tobytes()
+
+
+def test_pgm_matches_out_of_place_quantization_bits():
+    grid = carpet(CoherentLabel(3.0, 2.0), Spectrum.kerr(1.0), nx=97, nt=61)
+    levels = np.rint(grid.density * (255.0 / grid.density.max())).astype(np.uint8)
+    assert grid_to_pgm(grid) == b"P5\n97 61\n255\n" + levels.tobytes()
+
+
+def test_carpet_density_is_read_only_and_owned_by_the_grid():
+    spectrum = Spectrum.kerr(1.0)
+    first = carpet(CoherentLabel(2.0, 1.0), spectrum, nx=40, nt=30)
+    kept = first.density.copy()
+    second = carpet(CoherentLabel(-1.0, 3.0), spectrum, nx=40, nt=30)
+    assert not first.density.flags.writeable
+    with pytest.raises(ValueError):
+        first.density[0, 0] = 1.0
+    assert not np.shares_memory(first.density, second.density)
+    assert np.array_equal(first.density, kept)
+
+
+# The default window leaves 6 sigma beyond every packet, so erfc(3 sqrt 2)/2,
+# about 9.9e-10 of the norm, may fall outside it. The bound allows five times
+# that: at nu = 600 the t = 0 and t = T rows read 2.7e-9 short, because at the
+# window edge (x ~ 38.9) phi_0 is already subnormal, the onset of the fault below.
+ROW_NORM_BOUND = 5e-9
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [
+        10.0,
+        200.0,
+        600.0,
+        pytest.param(
+            1250.0,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP item 1: phi_0 underflows for |x| > 38.6, so rows "
+                "with the packet at x = 50 integrate to 0",
+            ),
+        ),
+    ],
+)
+@pytest.mark.parametrize("spectrum", SPECTRA, ids=lambda s: s.kind)
+def test_carpet_row_norms_match_kept_fock_weight(spectrum, nu):
+    # A real alpha puts the packet at x = sqrt(2 nu), the window's far end,
+    # on the t = 0 row; the referee is the weight the truncation kept.
+    label = CoherentLabel(math.sqrt(2.0 * nu), 0.0)
+    kept = 1.0 - coherent_amplitudes(label).tail_mass
+    grid = carpet(label, spectrum, nx=4001, nt=5)
+    assert float(np.max(np.abs(grid.row_integrals() - kept))) <= ROW_NORM_BOUND

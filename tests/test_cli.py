@@ -296,6 +296,20 @@ def test_error_exit_codes(tmp_path, monkeypatch, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("target", ["missing_dir/x.csv", "a_dir"])
+def test_unwritable_output_reported_without_traceback(tmp_path, monkeypatch, capsys, target):
+    # A missing parent directory, or an output path that is a directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    argv = ["talbot", "--wavelength", "0.6", "--grating-period", "1.0", "-o", target]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in captured.err
+    assert "wrote" not in captured.out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir"]
+
+
 def test_trace_rows_time_column_formatting(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     chi = 2.0
