@@ -9,8 +9,9 @@ functions. The recurrence
 works on the normalized functions directly, so no factorial ever appears
 and n up to a few hundred is routine. The densities |psi|^2 over an evenly
 spaced time grid give the carpet: its phase table is built from
-giant-step x baby-step factors (about 2 sqrt(nt) N exponentials) and
-contracted with the Hermite table in one real matrix product. Helper
+giant-step x baby-step factors (three rows of N exponentials, the rest
+complex products, about 2 sqrt(nt) N of them) and contracted with the
+Hermite table in one real matrix product. Helper
 exports render it as CSV or as an 8-bit PGM image normalized over the
 whole grid (fractional-revival rows come out dimmer, as they should).
 
@@ -129,8 +130,11 @@ def position_wavefunction(
 ) -> complex | np.ndarray:
     """psi(x, t) for a coherent state evolved under the spectrum's phases.
 
-    x may be a scalar or a 1-d grid; the result matches its shape.
+    x may be a scalar or a 1-d grid; the result matches its shape. A
+    non-finite t raises ValueError, as in evolve.
     """
+    if not math.isfinite(t):
+        raise ValueError("time must be finite")
     scalar = np.isscalar(x)
     grid = np.atleast_1d(np.asarray(x, dtype=np.float64))
     state = coherent_amplitudes(label, truncation)

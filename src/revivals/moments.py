@@ -198,25 +198,33 @@ def autocorrelation(label: CoherentLabel, spectrum: Spectrum, t):
 
     A(t) = e^{-nu} sum_n (nu^n/n!) e^{+i chi E(n) t}, summed to the
     auto-truncation. |A| <= 1 always; |A(T_rev)| = 1 for periodic spectra.
-    Accepts scalar or array t. An evenly spaced grid is contracted through
-    giant-step x baby-step phase factors (spectra._phase_factors), so about
-    2 sqrt(M) N exponentials serve M times; other arrays take one per cell.
-    Times go in blocks of at most 2_000_000 // N, which bounds the memory.
+    Accepts scalar or array t; a non-finite time raises ValueError, as in
+    evolve. An evenly spaced grid is contracted through giant-step x
+    baby-step phase factors (spectra._phase_factors), so three rows of N
+    exponentials and about 2 sqrt(M) N complex products serve M times; other
+    arrays take one exponential per cell. Times go in blocks of at most
+    2_000_000 // N, which bounds the memory.
     """
     weights = number_distribution(label)
     energies = spectrum.energies(weights.size - 1)
     t_arr = np.asarray(t, dtype=np.float64)
     if t_arr.ndim == 0:
+        if not math.isfinite(t_arr):
+            raise ValueError("time must be finite")
         # One time: building and contracting phase tables costs more than
         # this sum, and scalar calls are the oracle checks' hot path.
         return complex(np.sum(weights * np.exp(1j * spectrum.chi * energies * t_arr)))
+    if not np.isfinite(t_arr).all():
+        raise ValueError("time must be finite")
     flat = t_arr.ravel()
     out = np.empty(flat.size, dtype=np.complex128)
     block = max(1, 2_000_000 // weights.size)
     for start in range(0, flat.size, block):
         times = flat[start : start + block]
         giant, baby = _phase_factors(spectrum, energies, times, 1.0)
-        values = (giant * weights) @ baby.T
+        # In place: a fresh product table would cost a page fault per 4 KiB.
+        giant *= weights
+        values = giant @ baby.T
         out[start : start + times.size] = values.ravel()[: times.size]
     return out.reshape(t_arr.shape)
 

@@ -105,31 +105,54 @@ def _phase_factors(
 
     On an evenly spaced grid t_k = t_0 + k dt the phase splits exactly: with
     B = isqrt(M - 1) + 1, row k = bB + j is giant[b] * baby[j], where giant
-    holds the phases at t[::B] and baby those at t[:B] - t_0. That costs
-    about 2 sqrt(M) N exponentials in place of M N. A grid counts as evenly
-    spaced when no time is farther than 4 eps max|t| from t_0 + k dt, with
-    dt = (t_{M-1} - t_0)/(M - 1), which np.linspace grids satisfy. One or
-    two times (where factoring saves nothing) or times not evenly spaced
-    get B = 1: every time is a giant row and the single baby row is all
-    ones, which is the dense one-exponential-per-cell route.
+    holds the phases at t_0 + bB dt and baby those at j dt. Only three rows
+    are exponentials: e^{sign i chi E t_0}, w = e^{sign i chi E dt} and
+    W = e^{sign i chi E B dt}. Every other row is a product, baby[j] =
+    baby[j - 1] w and giant[b] = giant[b - 1] W, so 3 N exponentials and
+    about 2 sqrt(M) N complex products serve M N cells. A chain of k
+    products adds about k ulps to the rounding of its seed's argument, which
+    is of the same size as the rounding of chi E t_k itself. A grid counts
+    as evenly spaced when no time is farther than 4 eps max|t| from
+    t_0 + k dt, with dt = (t_{M-1} - t_0)/(M - 1), which np.linspace grids
+    satisfy. One or two times (where factoring saves nothing) or times not
+    evenly spaced get B = 1: every time is a giant row of its own
+    exponentials and the single baby row is all ones, which is the dense
+    one-exponential-per-cell route.
     """
     m = t.size
-    step = 1
+    rate = sign * 1j * spectrum.chi
+    even = False
     if m > 2:
         dt = (t[-1] - t[0]) / (m - 1)
         drift = np.max(np.abs(t - (t[0] + dt * np.arange(m))))
-        if drift <= 4.0 * _EPS * np.max(np.abs(t)):
-            step = math.isqrt(m - 1) + 1
-    rate = sign * 1j * spectrum.chi
-    giant = np.exp(rate * (t[::step, None] * energies))
-    baby = np.exp(rate * ((t[:step] - t[:1])[:, None] * energies))
+        even = drift <= 4.0 * _EPS * np.max(np.abs(t))
+    if not even:
+        giant = np.exp(rate * (t[:, None] * energies))
+        return giant, np.ones((1, energies.size), dtype=np.complex128)
+    step = math.isqrt(m - 1) + 1
+    giant = np.empty((-(-m // step), energies.size), dtype=np.complex128)
+    baby = np.empty((step, energies.size), dtype=np.complex128)
+    giant[0] = np.exp(rate * (t[0] * energies))
+    baby[0] = 1.0
+    baby[1] = np.exp(rate * (dt * energies))
+    stride = np.exp(rate * ((step * dt) * energies))
+    for b in range(1, giant.shape[0]):
+        np.multiply(giant[b - 1], stride, out=giant[b])
+    for j in range(2, step):
+        np.multiply(baby[j - 1], baby[1], out=baby[j])
     return giant, baby
 
 
-def _float_gcd(values: np.ndarray, tol: float = 1e-9) -> float:
-    """Euclidean gcd extended to floats; 0 means no nonzero input."""
+def _float_gcd(values: np.ndarray, rel_tol: float = 1e-9) -> float:
+    """Euclidean gcd extended to floats; 0 means no nonzero input.
+
+    A remainder at or below rel_tol max|values| counts as zero, so the
+    result does not depend on the units the values are written in.
+    """
+    magnitudes = np.abs(values)
+    tol = rel_tol * float(np.max(magnitudes, initial=0.0))
     g = 0.0
-    for v in np.abs(values):
+    for v in magnitudes:
         a, b = g, float(v)
         while b > tol:
             a, b = b, math.fmod(a, b)
@@ -142,14 +165,16 @@ def revival_time(spectrum: Spectrum) -> float | None:
 
     Closed answers for the named kinds; custom spectra are probed over
     n <= PERIOD_PROBE_LIMIT and None is returned when no common period
-    exists there (an aperiodic spectrum).
+    exists there (an aperiodic spectrum). Levels below 1e-12 max|E_n| count
+    as zero, and the gcd's tolerance is relative too, so scaling every
+    level by s scales the period by 1/s.
     """
     if spectrum.kind == "kerr":
         return math.pi / spectrum.chi
     if spectrum.kind in ("harmonic", "square_well"):
         return 2.0 * math.pi / spectrum.chi
     energies = spectrum.energies(PERIOD_PROBE_LIMIT)
-    nonzero = energies[np.abs(energies) > 1e-12]
+    nonzero = energies[np.abs(energies) > 1e-12 * np.max(np.abs(energies))]
     if nonzero.size == 0:
         return None
     g = _float_gcd(nonzero)

@@ -43,11 +43,11 @@ def _mpmath_autocorrelation(label, spectrum, t):
     "label, spectrum, t_max, samples",
     [
         # Kerr, nu = 2500, the CLI's default 801-sample [0, T_rev] grid.
-        # Measured: largest error 9.6e-10 at k = 640, bound 2.5e-8.
+        # Measured: largest error 3.6e-10 at k = 640, bound 2.5e-8.
         (CoherentLabel.from_alpha(50.0), Spectrum.kerr(1.0), math.pi,
          [0, 137, 400, 640, 799, 800]),
         # Square well, nu = 900, t_max = 4.4 (0.70 T_rev, no multiple of
-        # any revival). Measured: largest error 6.0e-11 at k = 800, bound 5.8e-9.
+        # any revival). Measured: largest error 4.7e-11 at k = 799, bound 5.8e-9.
         (CoherentLabel.from_alpha(30.0 * (0.6 + 0.8j)), Spectrum.square_well(1.0),
          4.4, [0, 137, 400, 656, 799, 800]),
     ],
@@ -65,6 +65,31 @@ def test_autocorrelation_matches_mpmath(label, spectrum, t_max, samples):
     assert max(errors) <= bound, (errors, bound)
     # A(0) is the norm of the truncated state.
     assert abs(values[0] - 1.0) < 1e-12
+
+
+def test_long_negative_grid_at_chain_ends_matches_mpmath():
+    # Kerr, nu = 900, 4001 samples over [-2T, 3T]: B = 64 baby rows and 63
+    # giant rows, each a chain of products from one exponential seed. The
+    # samples sit at both ends of the baby chain (k = 0, 63), of the giant
+    # chain (k = 64, 3968) and of the longest product of the two (k = 3967),
+    # plus t = 0, T/2 and the last time. Measured: largest error 2.5e-10 at
+    # k = 4000, bound 1.3e-8.
+    spectrum = Spectrum.kerr(0.7)
+    label = CoherentLabel.from_alpha(30.0 * (0.8 - 0.6j))
+    period = math.pi / spectrum.chi
+    times = np.linspace(-2.0 * period, 3.0 * period, 4001)
+    values = autocorrelation(label, spectrum, times)
+    e_max = float(np.max(spectrum.energies(number_distribution(label).size - 1)))
+    bound = 4.0 * EPS * spectrum.chi * e_max * 3.0 * period
+    samples = [0, 63, 64, 1600, 2000, 3967, 3968, 4000]
+    errors = [
+        abs(values[k] - _mpmath_autocorrelation(label, spectrum, times[k]))
+        for k in samples
+    ]
+    assert max(errors) <= bound, (errors, bound)
+    # Every full revival, -2T to 3T, returns the norm of the truncated state.
+    revivals = np.abs(values[::800])
+    assert np.max(np.abs(revivals - 1.0)) < 1e-12
 
 
 def _mpmath_poisson_weights(label):

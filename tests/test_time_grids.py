@@ -1,17 +1,21 @@
 """Evenly spaced time grids: the factored phase route against per-time evaluation.
 
 On an evenly spaced grid, autocorrelation and carpet build their phases from
-giant-step x baby-step factors (spectra._phase_factors); a scalar time or an
-uneven array takes one exponential per time. Both must agree with the
+giant-step x baby-step factors (spectra._phase_factors): three rows of N
+exponentials seed two chains of complex products, so a phase at chain
+position k carries about k ulps on top of its seed's rounding. A scalar time
+or an uneven array takes one exponential per cell. Both must agree with the
 per-sample evaluation to the float64 rounding of the largest phase chi E t,
-plus the summation of N terms.
+plus the chain lengths and the summation of N terms.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from revivals import spectra
 from revivals.carpets import carpet, position_wavefunction
 from revivals.fock import CoherentLabel, number_distribution
 from revivals.moments import autocorrelation
@@ -147,3 +151,88 @@ def test_carpet_rows_match_position_wavefunction(nt, name):
     )
     levels = number_distribution(label).size
     assert np.max(np.abs(grid.density - reference)) <= _bound(spectrum, levels, times)
+
+
+# Kerr at nu = 2500: N = 3021 levels, E_max = 3020 * 3019.
+KERR_2500 = Spectrum.kerr(1.0).energies(3020)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "t0, t1, m",
+    [(0.0, math.pi, 801), (0.0, math.pi, 20001), (-2.3, 4.1, 20001)],
+    ids=["cli-grid-801", "20001", "negative-t0-20001"],
+)
+def test_recurrence_rows_match_one_exponential_per_cell(sign, t0, t1, m):
+    times = np.linspace(t0, t1, m)
+    giant, baby = _phase_factors(Spectrum.kerr(1.0), KERR_2500, times, sign)
+    step = math.isqrt(m - 1) + 1
+    rows = -(-m // step)
+    assert giant.shape == (rows, KERR_2500.size) and baby.shape == (step, KERR_2500.size)
+    dt = (times[-1] - times[0]) / (m - 1)
+    rate = sign * 1j
+    giant_ref = np.exp(rate * ((t0 + step * dt * np.arange(rows))[:, None] * KERR_2500))
+    baby_ref = np.exp(rate * ((dt * np.arange(step))[:, None] * KERR_2500))
+    e_max = float(KERR_2500[-1])
+    bound = 16.0 * EPS * (e_max * np.max(np.abs(times)) + step + rows)
+    assert np.max(np.abs(giant - giant_ref)) <= bound
+    assert np.max(np.abs(baby - baby_ref)) <= bound
+    drift = (step + rows) * EPS
+    assert np.max(np.abs(np.abs(giant) - 1.0)) <= drift
+    assert np.max(np.abs(np.abs(baby) - 1.0)) <= drift
+
+
+class _CountingExp:
+    """numpy namespace whose exp counts the elements it evaluates."""
+
+    def __init__(self):
+        self.cells = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        self.cells += np.size(x)
+        return np.exp(x)
+
+
+@pytest.mark.parametrize("m", [3, 4, 801, 20001])
+def test_even_grid_evaluates_three_exponential_rows(monkeypatch, m):
+    counter = _CountingExp()
+    monkeypatch.setattr(spectra, "np", counter)
+    _phase_factors(Spectrum.kerr(1.0), KERR_2500, np.linspace(-1.0, 2.0, m), 1.0)
+    assert counter.cells == 3 * KERR_2500.size
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "times",
+    [np.array([0.7]), np.array([-0.3, 2.9]), np.geomspace(1e-3, 40.0, 50)],
+    ids=["one", "two", "uneven"],
+)
+def test_dense_route_is_one_exponential_per_cell(sign, times):
+    spectrum = Spectrum.kerr(0.9)
+    energies = spectrum.energies(200)
+    giant, baby = _phase_factors(spectrum, energies, times, sign)
+    rate = sign * 1j * spectrum.chi
+    np.testing.assert_array_equal(giant, np.exp(rate * (times[:, None] * energies)))
+    np.testing.assert_array_equal(baby, np.ones((1, energies.size)))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_times_are_refused(bad):
+    spectrum = Spectrum.kerr(1.0)
+    label = CoherentLabel(1.0, 2.0)
+    grid = np.linspace(0.0, 1.0, 9)
+    grid[4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: autocorrelation(label, spectrum, bad),
+            lambda: autocorrelation(label, spectrum, np.float64(bad)),
+            lambda: autocorrelation(label, spectrum, grid),
+            lambda: autocorrelation(label, spectrum, grid.reshape(3, 3)),
+            lambda: position_wavefunction(label, np.linspace(-3.0, 3.0, 5), bad, spectrum),
+        ):
+            with pytest.raises(ValueError, match="time must be finite"):
+                call()
