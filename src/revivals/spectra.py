@@ -25,6 +25,9 @@ FIDELITY_FLOOR = 1e-9
 #: Highest level probed when searching a custom spectrum for a common period.
 PERIOD_PROBE_LIMIT = 100
 
+#: Custom levels below this fraction of max|E_n| count as zero there.
+LEVEL_ZERO_REL = 1e-12
+
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -143,20 +146,21 @@ def _phase_factors(
     return giant, baby
 
 
-def _float_gcd(values: np.ndarray, rel_tol: float = 1e-9) -> float:
-    """Euclidean gcd extended to floats; 0 means no nonzero input.
+def _float_gcd(values: np.ndarray) -> float:
+    """Euclidean gcd of floats, each taken as exact to eps of its size.
 
-    A remainder at or below rel_tol max|values| counts as zero, so the
-    result does not depend on the units the values are written in.
+    fmod is exact, so a remainder a - k b of inputs off by da and db is off
+    by at most da + k db; a remainder within four times that bound counts as
+    zero. The result thus depends neither on the units the values are
+    written in nor on how widely they spread. 0 means no nonzero input.
     """
-    magnitudes = np.abs(values)
-    tol = rel_tol * float(np.max(magnitudes, initial=0.0))
-    g = 0.0
-    for v in magnitudes:
-        a, b = g, float(v)
-        while b > tol:
-            a, b = b, math.fmod(a, b)
-        g = a
+    g = g_err = 0.0
+    for v in np.abs(values):
+        a, a_err = g, g_err
+        b, b_err = float(v), _EPS * float(v)
+        while b > 4.0 * b_err:
+            a, a_err, b, b_err = b, b_err, math.fmod(a, b), a_err + (a // b) * b_err
+        g, g_err = a, a_err
     return g
 
 
@@ -165,23 +169,30 @@ def revival_time(spectrum: Spectrum) -> float | None:
 
     Closed answers for the named kinds; custom spectra are probed over
     n <= PERIOD_PROBE_LIMIT and None is returned when no common period
-    exists there (an aperiodic spectrum). Levels below 1e-12 max|E_n| count
-    as zero, and the gcd's tolerance is relative too, so scaling every
-    level by s scales the period by 1/s.
+    exists there (an aperiodic spectrum). Levels below LEVEL_ZERO_REL
+    max|E_n| count as zero and every other tolerance is relative too, so
+    scaling every level by s scales the period by 1/s.
     """
     if spectrum.kind == "kerr":
         return math.pi / spectrum.chi
     if spectrum.kind in ("harmonic", "square_well"):
         return 2.0 * math.pi / spectrum.chi
     energies = spectrum.energies(PERIOD_PROBE_LIMIT)
-    nonzero = energies[np.abs(energies) > 1e-12 * np.max(np.abs(energies))]
+    nonzero = energies[np.abs(energies) > LEVEL_ZERO_REL * np.max(np.abs(energies))]
     if nonzero.size == 0:
         return None
     g = _float_gcd(nonzero)
-    if g <= 0.0:
-        return None
+    # Euclid leaves g off by up to about eps max|E_n|. A least-squares fit of
+    # g to the levels brings that to about eps g: first over the levels
+    # within 2^20 of the smallest, whose multiples k round safely, then over
+    # all of them.
+    smallest = np.min(np.abs(nonzero))
+    for cut in (2.0**20 * smallest, math.inf):
+        levels = nonzero[np.abs(nonzero) <= cut]
+        k = np.round(levels / g)
+        g = float(k @ levels) / float(k @ k)
     ratios = nonzero / g
-    if np.max(np.abs(ratios - np.round(ratios))) > 1e-6:
+    if np.any(np.abs(ratios - np.round(ratios)) > 1e-6 + 64.0 * _EPS * np.abs(ratios)):
         return None
     return 2.0 * math.pi / (spectrum.chi * g)
 

@@ -5,11 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from revivals.fock import CoherentLabel, coherent_amplitudes, inner_product
 from revivals.spectra import (
-    PERIOD_PROBE_LIMIT,
     Spectrum,
     decompose_fractional,
     evolve,
@@ -88,30 +86,18 @@ def test_revival_time_custom_spectrum():
 
 @pytest.mark.parametrize(
     "level, period",
-    [(lambda n: 1e-10 * n, 2.0 * math.pi / 1e-10), (lambda n: 1e-13 * n * n, 2.0 * math.pi / 1e-13)],
-    ids=["linear-1e-10", "square-1e-13"],
+    [
+        (lambda n: 1e-10 * n, 2.0 * math.pi / 1e-10),
+        (lambda n: 1e-13 * n * n, 2.0 * math.pi / 1e-13),
+        (lambda n: n**5, 2.0 * math.pi),
+        (lambda n: float(n) ** 7, 2.0 * math.pi),
+        (lambda n: 0.1 * n**5, 20.0 * math.pi),
+    ],
+    ids=["linear-1e-10", "square-1e-13", "quintic", "septic", "quintic-0.1"],
 )
-def test_revival_time_of_tiny_spectra(level, period):
+def test_revival_time_of_tiny_and_wide_spectra(level, period):
+    # Tiny levels, and levels spread up to 1e14 times their gcd.
     assert revival_time(Spectrum.custom(level, 1.0)) == pytest.approx(period, rel=1e-9)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    a=st.integers(0, 8),
-    b=st.integers(-8, 8),
-    q=st.integers(1, 12),
-    power=st.integers(-40, 40),
-    chi=st.floats(0.1, 10.0),
-)
-def test_revival_time_of_rational_quadratic_spectra(a, b, q, power, chi):
-    # E_n = s (a n^2 + b n) / q has common period 2 pi / (chi g), with g the
-    # exact gcd of the probed levels: s gcd(a n^2 + b n) / q.
-    assume(a or b)
-    scale = 2.0**power
-    spectrum = Spectrum.custom(lambda n: scale * (a * n * n + b * n) / q, chi)
-    levels = range(PERIOD_PROBE_LIMIT + 1)
-    g = Fraction(scale) * Fraction(math.gcd(*(a * n * n + b * n for n in levels)), q)
-    assert revival_time(spectrum) == pytest.approx(2.0 * math.pi / (chi * float(g)), rel=1e-9)
 
 
 def test_evolution_preserves_norm_and_revives():
