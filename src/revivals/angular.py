@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import CoherentLabel, auto_truncation, coherent_amplitudes, ladder_matrix
-from .moments import HERMITICITY_LIMIT, ladder_moment
+from .moments import HERMITICITY_LIMIT, _hermitian_value, ladder_moment
 from .ordering import interference_power_terms
+from .spectra import Spectrum, evolve
 
 #: Largest allowed two-mode dimension (N+1)^2 for the tensor oracle.
 ORACLE_DIMENSION_LIMIT = 4_000_000
@@ -83,15 +84,7 @@ def angular_moment(axis: str, n: int, label: TriModeLabel, chi: float, t):
     for (j1, j2, j3, j4), coeff in terms:
         total = total + coeff * factors_first[j1, j2] * factors_second[j3, j4]
         bound += abs(coeff) * radius_first ** (j1 + j2) * radius_second ** (j3 + j4)
-    residue = float(np.max(np.abs(total.imag)))
-    limit = HERMITICITY_LIMIT * max(1.0, bound)
-    if residue > limit:
-        raise ArithmeticError(
-            f"<L{axis}^{n}> produced imaginary residue {residue:.3e} above "
-            f"{limit:.3e}; expansion bug"
-        )
-    real = total.real
-    return float(real) if real.ndim == 0 else real
+    return _hermitian_value(total, bound, f"<L{axis}^{n}>")
 
 
 def lx_moment(n: int, label: TriModeLabel, chi: float, t):
@@ -115,6 +108,7 @@ def lx_moment_oracle(
     """
     if not 1 <= n <= 4:
         raise ValueError("supported interference powers are 1..4")
+    spectrum = Spectrum.kerr(chi)
     first, second = _pair_labels("x", label)
     if per_mode_truncation is None:
         per_mode_truncation = auto_truncation(max(first.nu, second.nu))
@@ -127,11 +121,10 @@ def lx_moment_oracle(
 
     lower = ladder_matrix("annihilation", per_mode_truncation).entries
     raise_ = ladder_matrix("creation", per_mode_truncation).entries
-    kerr_phase = np.exp(
-        -1j * chi * t * np.arange(dim) * (np.arange(dim) - 1.0)
+    amp_first, amp_second = (
+        evolve(coherent_amplitudes(mode, per_mode_truncation), spectrum, t).amplitudes
+        for mode in (first, second)
     )
-    amp_first = coherent_amplitudes(first, per_mode_truncation).amplitudes * kerr_phase
-    amp_second = coherent_amplitudes(second, per_mode_truncation).amplitudes * kerr_phase
     state = np.outer(amp_first, amp_second)
 
     applied = state

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import CoherentLabel, coherent_amplitudes
-from .spectra import Spectrum, _phase_factors, revival_time
+from .spectra import Spectrum, _phase_factors, evolve, revival_time
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
 LOBE_THRESHOLD = 0.1
@@ -130,17 +130,13 @@ def position_wavefunction(
 ) -> complex | np.ndarray:
     """psi(x, t) for a coherent state evolved under the spectrum's phases.
 
-    x may be a scalar or a 1-d grid; the result matches its shape. A
-    non-finite t raises ValueError, as in evolve.
+    x may be a scalar or a 1-d grid; the result matches its shape. The
+    state evolves through spectra.evolve, which refuses a non-finite t.
     """
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
     scalar = np.isscalar(x)
     grid = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    state = coherent_amplitudes(label, truncation)
-    n_max = state.truncation
-    phases = np.exp(-1j * spectrum.chi * spectrum.energies(n_max) * t)
-    psi = (state.amplitudes * phases) @ hermite_functions(grid, n_max)
+    state = evolve(coherent_amplitudes(label, truncation), spectrum, t)
+    psi = state.amplitudes @ hermite_functions(grid, state.truncation)
     return complex(psi[0]) if scalar else psi
 
 

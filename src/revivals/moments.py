@@ -3,10 +3,13 @@
 The workhorse is the normal-ordered moment
 
     <a†^r a^(r+s)> = alpha^s nu^r e^{-nu(1-cos 2chi s t)}
-                     * e^{-i chi (s(s-1)+2rs) t - i nu sin(2chi s t)},
+                     * e^{-i chi (s(s-1)+2rs) t - i nu sin(2chi s t)}.
 
-from which the x/p means and second moments follow by expanding the
-quadratures. Every closed form here can be checked against
+Its time dependence, a damping factor and an angle, is written once, in
+_kerr_envelope, which also refuses a bad chi or time. <x^k> and <L^n> sum
+such moments; the x/p means and second moments (x = √2 Re<a>, p = √2 Im<a>,
+x², p² = ½ + nu ± Re<a²>) combine the envelopes at s = 1 and 2 with alpha
+in real arithmetic. Every closed form can be checked against
 numerical_expectation, which knows nothing about the formulas: it just
 sandwiches a dense operator matrix between truncated state vectors.
 
@@ -157,13 +160,31 @@ def detect_bursts(
     )
 
 
+def _kerr_envelope(r: int, s: int, nu: float, chi: float, t):
+    """Damping e^{-nu(1 - cos 2chi s t)} and angle chi(s(s-1) + 2rs)t + nu sin 2chi s t.
+
+    <a†^r a^(r+s)> = alpha^s nu^r damping e^{-i angle}; t may be a scalar or
+    an array. A chi that is not finite and positive, or a time that is not
+    finite, raises ValueError before any numpy warning.
+    """
+    if not (math.isfinite(chi) and chi > 0):
+        raise ValueError(f"chi must be finite and positive, got {chi:g}")
+    t = np.asarray(t, dtype=np.float64)
+    # One time is checked by math: a ufunc call would cost a third of the moment.
+    if not (np.isfinite(t).all() if t.ndim else math.isfinite(t)):
+        raise ValueError("time must be finite")
+    arg = 2.0 * chi * s * t
+    damping = np.exp(-nu * (1.0 - np.cos(arg)))
+    angle = chi * (s * (s - 1) + 2 * r * s) * t + nu * np.sin(arg)
+    return damping, angle
+
+
 def _kerr_moment(r: int, s: int, label: CoherentLabel, chi: float, t):
     """Vectorized <a†^r a^(r+s)>; t may be a scalar or an array."""
-    t = np.asarray(t, dtype=np.float64)
     nu = label.nu
-    alpha = label.alpha
+    damping, angle = _kerr_envelope(r, s, nu, chi, t)
     try:
-        prefactor = (alpha**s) * (nu**r)
+        prefactor = (label.alpha**s) * (nu**r)
     except OverflowError:
         prefactor = complex(math.inf)
     if cmath.isinf(prefactor):
@@ -171,11 +192,7 @@ def _kerr_moment(r: int, s: int, label: CoherentLabel, chi: float, t):
             f"moment r = {r}, s = {s} overflows float64 at nu = {nu:.17g}: "
             f"|alpha^s nu^r| exceeds the largest float"
         )
-    damping = np.exp(-nu * (1.0 - np.cos(2.0 * chi * s * t)))
-    phase = np.exp(
-        -1j * (chi * (s * (s - 1) + 2 * r * s) * t + nu * np.sin(2.0 * chi * s * t))
-    )
-    return prefactor * damping * phase
+    return prefactor * damping * np.exp(-1j * angle)
 
 
 def ladder_moment(i: int, j: int, label: CoherentLabel, chi: float, t):
@@ -186,8 +203,6 @@ def ladder_moment(i: int, j: int, label: CoherentLabel, chi: float, t):
     """
     if i < 0 or j < 0:
         raise ValueError("operator powers must be nonnegative")
-    if not (math.isfinite(chi) and chi > 0):
-        raise ValueError(f"chi must be finite and positive, got {chi:g}")
     if j >= i:
         return _kerr_moment(i, j - i, label, chi, t)
     return np.conj(_kerr_moment(j, i - j, label, chi, t))
@@ -229,51 +244,61 @@ def autocorrelation(label: CoherentLabel, spectrum: Spectrum, t):
     return out.reshape(t_arr.shape)
 
 
-def _envelope_and_angle(label: CoherentLabel, chi: float, t):
-    t = np.asarray(t, dtype=np.float64)
-    nu = label.nu
-    damping = np.exp(-nu * (1.0 - np.cos(2.0 * chi * t)))
-    angle = nu * np.sin(2.0 * chi * t)
-    return damping, angle
+def _scalar_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _quadrature_moments(s: int, label: CoherentLabel, chi: float, t):
+    """(<x>, <p>) at s = 1 and (<x²>, <p²>) at s = 2, from one Kerr envelope.
+
+    The envelope turns 2^(s/2) alpha^s, which is p + iq or p² - q² + 2ipq,
+    by e^{-i angle}. Real arithmetic keeps <x> at (q, -p) exactly equal to
+    <p> at (p, q); numpy's complex multiply would not.
+    """
+    damping, angle = _kerr_envelope(0, s, label.nu, chi, t)
+    p, q = label.p, label.q
+    cos, sin = np.cos(angle), np.sin(angle)
+    if s == 1:
+        return damping * (p * cos + q * sin), damping * (q * cos - p * sin)
+    bracket = damping * ((p * p - q * q) * cos + 2.0 * p * q * sin)
+    base = 1.0 + p * p + q * q
+    return 0.5 * (base + bracket), 0.5 * (base - bracket)
 
 
 def expect_x(label: CoherentLabel, chi: float, t):
     """<x> on the Kerr-evolved state; equals p at t = 0 and at full revivals."""
-    damping, angle = _envelope_and_angle(label, chi, t)
-    value = damping * (label.p * np.cos(angle) + label.q * np.sin(angle))
-    return float(value) if value.ndim == 0 else value
+    return _scalar_or_array(_quadrature_moments(1, label, chi, t)[0])
 
 
 def expect_p(label: CoherentLabel, chi: float, t):
     """<p> on the Kerr-evolved state; equals q at t = 0."""
-    damping, angle = _envelope_and_angle(label, chi, t)
-    value = damping * (label.q * np.cos(angle) - label.p * np.sin(angle))
-    return float(value) if value.ndim == 0 else value
-
-
-def _second_moment_bracket(label: CoherentLabel, chi: float, t):
-    t = np.asarray(t, dtype=np.float64)
-    nu = label.nu
-    damping = np.exp(-nu * (1.0 - np.cos(4.0 * chi * t)))
-    theta = 2.0 * chi * t + nu * np.sin(4.0 * chi * t)
-    p1, q1 = label.p, label.q
-    return damping * (
-        (p1 * p1 - q1 * q1) * np.cos(theta) + 2.0 * p1 * q1 * np.sin(theta)
-    )
+    return _scalar_or_array(_quadrature_moments(1, label, chi, t)[1])
 
 
 def expect_x2(label: CoherentLabel, chi: float, t):
     """<x²>; together with <p²> it sums to 1 + p² + q² at every t."""
-    base = 1.0 + label.p * label.p + label.q * label.q
-    value = 0.5 * (base + _second_moment_bracket(label, chi, t))
-    return float(value) if np.ndim(value) == 0 else value
+    return _scalar_or_array(_quadrature_moments(2, label, chi, t)[0])
 
 
 def expect_p2(label: CoherentLabel, chi: float, t):
     """<p²>; the oscillating bracket enters with the opposite sign to <x²>."""
-    base = 1.0 + label.p * label.p + label.q * label.q
-    value = 0.5 * (base - _second_moment_bracket(label, chi, t))
-    return float(value) if np.ndim(value) == 0 else value
+    return _scalar_or_array(_quadrature_moments(2, label, chi, t)[1])
+
+
+def _hermitian_value(total: np.ndarray, bound: float, name: str):
+    """The real part of a Hermitian moment, after checking its imaginary residue.
+
+    A residue above HERMITICITY_LIMIT times the bound on the moment's
+    magnitude (at least 1) is an expansion bug and raises ArithmeticError.
+    """
+    residue = float(np.max(np.abs(total.imag))) if total.size else 0.0
+    limit = HERMITICITY_LIMIT * max(1.0, bound)
+    if residue > limit:
+        raise ArithmeticError(
+            f"{name} produced imaginary residue {residue:.3e} above "
+            f"{limit:.3e}; expansion bug"
+        )
+    return _scalar_or_array(total.real)
 
 
 def expect_x_power(k: int, label: CoherentLabel, chi: float, t):
@@ -288,20 +313,11 @@ def expect_x_power(k: int, label: CoherentLabel, chi: float, t):
     total = np.zeros(t_arr.shape, dtype=np.complex128)
     # |<a†^i a^j>| <= |alpha|^(i+j), so bound caps |<x^k>| at every t.
     bound = 0.0
-    for (i, j), coeff in x_power_terms(k).items():
+    for (i, j), coeff in x_power_terms(k):
         total = total + coeff * ladder_moment(i, j, label, chi, t_arr)
         bound += abs(coeff) * radius ** (i + j)
     scale = 2.0 ** (-k / 2.0)
-    total = total * scale
-    residue = float(np.max(np.abs(total.imag))) if total.size else 0.0
-    limit = HERMITICITY_LIMIT * max(1.0, scale * bound)
-    if residue > limit:
-        raise ArithmeticError(
-            f"<x^{k}> produced imaginary residue {residue:.3e} above "
-            f"{limit:.3e}; expansion bug"
-        )
-    real = total.real
-    return float(real) if real.ndim == 0 else real
+    return _hermitian_value(total * scale, scale * bound, f"<x^{k}>")
 
 
 def uncertainty_trace(
@@ -314,10 +330,10 @@ def uncertainty_trace(
     rounding because the state starts minimum-uncertainty.
     """
     times = np.asarray(times, dtype=np.float64)
-    var_x = expect_x2(label, chi, times) - expect_x(label, chi, times) ** 2
-    var_p = expect_p2(label, chi, times) - expect_p(label, chi, times) ** 2
-    dx = np.sqrt(var_x)
-    dp = np.sqrt(var_p)
+    x, p = _quadrature_moments(1, label, chi, times)
+    x2, p2 = _quadrature_moments(2, label, chi, times)
+    dx = np.sqrt(x2 - x**2)
+    dp = np.sqrt(p2 - p**2)
     product = ObservableTrace(times, dx * dp, "Δx·Δp")
     path = ObservableTrace(times, dx + 1j * dp, "(Δx, Δp)")
     return product, path

@@ -48,7 +48,10 @@ def normal_order_word(word: tuple[bool, ...]) -> dict[Monomial, int]:
 
 
 @lru_cache(maxsize=None)
-def _x_power_terms(k: int) -> tuple[tuple[Monomial, int], ...]:
+def x_power_terms(k: int) -> tuple[tuple[Monomial, int], ...]:
+    """Normal-ordered expansion of (a + a†)^k, sorted; the 2^(-k/2) factor is not included."""
+    if k < 0:
+        raise ValueError("power must be nonnegative")
     terms: dict[Monomial, int] = {}
     for word in product((False, True), repeat=k):
         for mono, coeff in normal_order_word(word).items():
@@ -56,15 +59,11 @@ def _x_power_terms(k: int) -> tuple[tuple[Monomial, int], ...]:
     return tuple(sorted(terms.items()))
 
 
-def x_power_terms(k: int) -> dict[Monomial, int]:
-    """Normal-ordered expansion of (a + a†)^k; the 2^(-k/2) factor is not included."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    return dict(_x_power_terms(k))
-
-
 @lru_cache(maxsize=None)
-def _interference_power_terms(n: int) -> tuple[tuple[TwoModeMonomial, complex], ...]:
+def interference_power_terms(n: int) -> tuple[tuple[TwoModeMonomial, complex], ...]:
+    """Normal-ordered expansion of [(b†c - c†b)/2i]^n, sorted for determinism."""
+    if n < 1:
+        raise ValueError("power must be >= 1")
     integer_terms: dict[TwoModeMonomial, int] = {}
     # Each factor of (b†c - c†b) contributes one letter to the b-word and one
     # to the c-word; cross-mode letters commute, in-mode order is preserved.
@@ -84,10 +83,3 @@ def _interference_power_terms(n: int) -> tuple[tuple[TwoModeMonomial, complex], 
         for key, coeff in sorted(integer_terms.items())
         if coeff != 0
     )
-
-
-def interference_power_terms(n: int) -> tuple[tuple[TwoModeMonomial, complex], ...]:
-    """Normal-ordered expansion of [(b†c - c†b)/2i]^n, sorted for determinism."""
-    if n < 1:
-        raise ValueError("power must be >= 1")
-    return _interference_power_terms(n)

@@ -1,6 +1,7 @@
 """Angular-momentum moments: closed forms, tensor oracle, burst structure."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -157,6 +158,18 @@ def test_oracle_memory_guard():
     label = _label(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         lx_moment_oracle(1, label, 1.0, 0.0, per_mode_truncation=2500)
+
+
+def test_oracle_refuses_bad_chi_and_time_before_any_warning():
+    label = _label(1.0, 0.5, -0.7, 1.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for chi in (math.inf, math.nan, 0.0):
+            with pytest.raises(ValueError, match="chi must be finite and positive"):
+                lx_moment_oracle(2, label, chi, 0.3)
+        for t in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="time must be finite"):
+                lx_moment_oracle(2, label, 1.0, t)
 
 
 def test_oracle_agrees_at_t0_mixed_labels():
