@@ -4,10 +4,10 @@ Three oscillator modes a, b, c (along x, y, z) each carry their own
 coherent label and evolve under independent Kerr phases. The quadratic
 combinations such as Lx = (b†c - c†b)/2i then have time-dependent moments
 that factorize over modes: expand Lx^n into per-mode normal-ordered terms
-once, evaluate each single-mode factor with the closed-form moment engine,
-and sum. An independent tensor-product oracle does the same computation
-with dense matrices on the truncated two-mode space and arbitrates any
-disagreement.
+once, for any n, evaluate each single-mode factor with the closed-form
+moment engine, and sum. An independent tensor-product oracle does the same
+computation with dense matrices on the truncated two-mode space and
+arbitrates any disagreement.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import CoherentLabel, auto_truncation, coherent_amplitudes, ladder_matrix
-from .moments import HERMITICITY_LIMIT, _hermitian_value, ladder_moment
+from .moments import _hermitian_value, _term_sum
 from .ordering import interference_power_terms
 from .spectra import Spectrum, evolve
 
@@ -54,41 +54,21 @@ def _pair_labels(axis: str, label: TriModeLabel) -> tuple[CoherentLabel, Coheren
 
 
 def angular_moment(axis: str, n: int, label: TriModeLabel, chi: float, t):
-    """<L_axis^n> on the per-mode Kerr-evolved product state.
+    """<L_axis^n> on the per-mode Kerr-evolved product state, for any n >= 1.
 
-    The closed-form path: product states factorize, so every expansion term
-    evaluates as the product of two single-mode moments. Terms share those
-    factors (at n = 4, 18 terms use 18 distinct ones instead of 36), so each
-    distinct per-mode factor is evaluated once per call and reused. The
-    result of a Hermitian power must be real; an imaginary residue beyond
-    HERMITICITY_LIMIT times the bound on its magnitude raises instead of
-    being silently dropped.
+    Product states factorize, so every expansion term is a product of two
+    single-mode moments; each distinct one is evaluated once (at n = 4 the
+    18 terms use 18, not 36). The result of a Hermitian power must be real;
+    an imaginary residue beyond HERMITICITY_LIMIT times the bound on its
+    magnitude raises instead of being silently dropped.
     """
-    if not 1 <= n <= 4:
-        raise ValueError("supported interference powers are 1..4")
-    first, second = _pair_labels(axis, label)
-    radius_first, radius_second = first.radius, second.radius
-    t_arr = np.asarray(t, dtype=np.float64)
-    terms = interference_power_terms(n)
-    factors_first = {
-        powers: ladder_moment(*powers, first, chi, t_arr)
-        for powers in dict.fromkeys(p[:2] for p, _ in terms)
-    }
-    factors_second = {
-        powers: ladder_moment(*powers, second, chi, t_arr)
-        for powers in dict.fromkeys(p[2:] for p, _ in terms)
-    }
-    total = np.zeros(t_arr.shape, dtype=np.complex128)
-    # Each single-mode factor is bounded by |alpha|^(i+j) of its mode.
-    bound = 0.0
-    for (j1, j2, j3, j4), coeff in terms:
-        total = total + coeff * factors_first[j1, j2] * factors_second[j3, j4]
-        bound += abs(coeff) * radius_first ** (j1 + j2) * radius_second ** (j3 + j4)
+    terms = interference_power_terms(n)   # refuses n < 1
+    total, bound = _term_sum(terms, _pair_labels(axis, label), chi, t)
     return _hermitian_value(total, bound, f"<L{axis}^{n}>")
 
 
 def lx_moment(n: int, label: TriModeLabel, chi: float, t):
-    """<Lx^n> via the closed-form factorized expansion (n = 1..4)."""
+    """<Lx^n> via the closed-form factorized expansion."""
     return angular_moment("x", n, label, chi, t)
 
 
@@ -106,8 +86,8 @@ def lx_moment_oracle(
     realizes the (N+1)^2-dimensional operator without ever materializing it.
     Knows nothing of the closed forms; this is the arbitration route.
     """
-    if not 1 <= n <= 4:
-        raise ValueError("supported interference powers are 1..4")
+    if n < 1:
+        raise ValueError(f"interference power must be at least 1, got {n}")
     spectrum = Spectrum.kerr(chi)
     first, second = _pair_labels("x", label)
     if per_mode_truncation is None:
@@ -132,9 +112,5 @@ def lx_moment_oracle(
         # b†c moves one quantum from the second mode to the first; rows carry
         # the first mode's index, so b acts from the left and c from the right.
         applied = (raise_ @ applied @ lower.T - lower @ applied @ raise_.T) / 2j
-    value = complex(np.vdot(state, applied))
-    if abs(value.imag) > HERMITICITY_LIMIT * max(1.0, abs(value.real)):
-        raise ArithmeticError(
-            f"oracle expectation has imaginary residue {value.imag:.3e}"
-        )
-    return value.real
+    value = np.vdot(state, applied)
+    return _hermitian_value(value, abs(value.real), f"oracle <Lx^{n}>")

@@ -11,6 +11,7 @@ role for a monochromatic wave.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,8 +37,10 @@ class PendulumArray:
             raise ValueError("need at least two oscillators")
         if self.base_cycles < 1:
             raise ValueError("base_cycles must be a positive integer")
-        if not (self.t_rev > 0.0 and self.amplitude > 0.0):
-            raise ValueError("t_rev and amplitude must be positive")
+        if not (0.0 < self.t_rev < math.inf and 0.0 < self.amplitude < math.inf):
+            raise ValueError("t_rev and amplitude must be finite and positive")
+        if math.isinf((self.base_cycles + self.count - 1) / self.t_rev):
+            raise ValueError(f"t_rev {self.t_rev:g} is too small: the frequencies overflow")
 
     def frequencies(self) -> np.ndarray:
         j = np.arange(self.count, dtype=np.float64)
@@ -80,26 +83,42 @@ def wave_count(array: PendulumArray, t: float) -> tuple[int, int]:
     return waves, array.count // waves
 
 
+def _check_grating(wavelength: float, grating_period: float) -> None:
+    if not (0.0 < wavelength < math.inf and 0.0 < grating_period < math.inf):
+        raise ValueError("wavelength and grating period must be finite and positive")
+
+
+def _finite_length(length: float, name: str) -> float:
+    if math.isinf(length):
+        raise ValueError(f"{name} overflows float64; rescale --wavelength and --grating-period")
+    return length
+
+
 def talbot_length(wavelength: float, grating_period: float) -> float:
     """Self-imaging distance z = lambda / (1 - sqrt(1 - lambda^2/a^2)).
 
     Evaluated as lambda (1 + sqrt(1 - x)) / x with x = lambda^2/a^2, which
     is the same number without the catastrophic cancellation at small
-    lambda/a. Requires 0 < wavelength <= grating_period; beyond that the
-    radicand goes negative and no self-image forms.
+    lambda/a. Requires 0 < wavelength <= grating_period, both finite;
+    beyond that the radicand goes negative and no self-image forms. An x
+    below the smallest normal float has lost its digits and is refused.
     """
-    if not (wavelength > 0.0 and grating_period > 0.0):
-        raise ValueError("wavelength and grating period must be positive")
+    _check_grating(wavelength, grating_period)
     if wavelength > grating_period:
         raise ValueError(
             "no Talbot image for wavelength above the grating period"
         )
     x = (wavelength / grating_period) ** 2
-    return wavelength * (1.0 + math.sqrt(1.0 - x)) / x
+    if x < sys.float_info.min:
+        raise ValueError(
+            f"(wavelength / grating period)^2 underflows float64 at --wavelength "
+            f"{wavelength:g} and --grating-period {grating_period:g}; rescale both"
+        )
+    return _finite_length(wavelength * (1.0 + math.sqrt(1.0 - x)) / x, "Talbot length")
 
 
 def paraxial_talbot_length(wavelength: float, grating_period: float) -> float:
     """First-order approximation 2 a^2 / lambda, valid for lambda << a."""
-    if not (wavelength > 0.0 and grating_period > 0.0):
-        raise ValueError("wavelength and grating period must be positive")
-    return 2.0 * grating_period * grating_period / wavelength
+    _check_grating(wavelength, grating_period)
+    length = 2.0 * grating_period * grating_period / wavelength
+    return _finite_length(length, "paraxial Talbot length")

@@ -253,8 +253,8 @@ def _run_pendulum(config: RunConfig) -> tuple[str, bytes | str]:
     at = params.pop("at")
     array = PendulumArray(**params)
     t = at * array.t_rev
+    waves, strength = wave_count(array, t)   # refuses t outside [0, t_rev]
     positions = pendulum_positions(array, t)
-    waves, strength = wave_count(array, t)
     keys = ("count", "base_cycles", "t_rev", "amplitude")
     pairs = [(key, getattr(array, key)) for key in keys]
     pairs += [("t", t), ("waves", waves), ("strength", strength)]

@@ -76,15 +76,14 @@ class CoherentLabel:
 class FockVector:
     """State vector over number states 0..N.
 
-    truncation is always len(amplitudes) - 1 and is filled in automatically.
+    truncation is always len(amplitudes) - 1, a read-only property.
     tail_mass carries, when known, the probability weight the truncation cut
     off (1 - sum |c_n|^2 of the untruncated state); consumers compare it
     against their tolerance instead of receiving warnings.
     """
 
     amplitudes: np.ndarray
-    truncation: int = field(default=-1)
-    tail_mass: float | None = None
+    tail_mass: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128).copy()
@@ -92,7 +91,10 @@ class FockVector:
             raise ValueError("amplitudes must be a nonempty 1-d sequence")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "truncation", amp.size - 1)
+
+    @property
+    def truncation(self) -> int:
+        return self.amplitudes.size - 1
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)

@@ -1,4 +1,4 @@
-"""Exact normal ordering of ladder-operator words.
+"""Exact normal ordering of ladder-operator words and powers.
 
 A single-mode operator polynomial is a dict mapping (i, j) to an integer
 coefficient, the monomial being (a†)^i a^j. Words are reduced by
@@ -7,16 +7,15 @@ right-multiplying letter by letter with the rewriting rule derived from
 exact integers; the caller attaches whatever scalar prefactor the operator
 carries (powers of 1/2i and so on).
 
-Two-mode products such as the angular-momentum interference term factor
-across modes because b-operators commute with c-operators: collect each
-mode's letters in order, normal-order them separately, then take the
-tensor product of the resulting polynomials.
+A power of a linear form such as a + a† or b†c - c†b is the polynomial
+right-multiplied by the form n times, so the work grows with the number of
+terms, not with the 2^n words. Two-mode keys hold one (i, j) pair per mode;
+b-operators commute with c-operators, so a letter rewrites only its mode's pair.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 #: Monomial keys: (dagger power, plain power) for one mode.
 Monomial = tuple[int, int]
@@ -24,18 +23,26 @@ Monomial = tuple[int, int]
 #: Two-mode keys: (i1, j1, i2, j2) meaning (b†)^i1 b^j1 (c†)^i2 c^j2.
 TwoModeMonomial = tuple[int, int, int, int]
 
+#: Linear forms: (coefficient, letters) products, a letter being (creation, key position).
+_X_FORM = ((1, ((False, 0),)), (1, ((True, 0),)))   # a + a†
+_L_FORM = ((1, ((True, 0), (False, 2))), (-1, ((False, 0), (True, 2))))   # b†c - b c†
 
-def _multiply_letter(poly: dict[Monomial, int], creation: bool) -> dict[Monomial, int]:
-    """Right-multiply a normal-ordered polynomial by a single a or a†."""
-    out: dict[Monomial, int] = {}
-    for (i, j), coeff in poly.items():
+
+def _multiply_letter(poly: dict, creation: bool, position: int = 0) -> dict:
+    """Right-multiply a normal-ordered polynomial by an a or a† of the mode at key[position]."""
+    out: dict = {}
+    for key, coeff in poly.items():
+        head, (i, j), tail = key[:position], key[position : position + 2], key[position + 2 :]
         if creation:
             # (a†)^i a^j a† = (a†)^(i+1) a^j + j (a†)^i a^(j-1)
-            out[(i + 1, j)] = out.get((i + 1, j), 0) + coeff
+            raised = head + (i + 1, j) + tail
+            out[raised] = out.get(raised, 0) + coeff
             if j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), 0) + j * coeff
+                lowered = head + (i, j - 1) + tail
+                out[lowered] = out.get(lowered, 0) + j * coeff
         else:
-            out[(i, j + 1)] = out.get((i, j + 1), 0) + coeff
+            lowered = head + (i, j + 1) + tail
+            out[lowered] = out.get(lowered, 0) + coeff
     return out
 
 
@@ -47,39 +54,37 @@ def normal_order_word(word: tuple[bool, ...]) -> dict[Monomial, int]:
     return poly
 
 
+def _power(form, n: int, one: tuple[int, ...]) -> dict:
+    """Normal-ordered form^n with exact integer coefficients; one is the identity key."""
+    poly = {one: 1}
+    for _ in range(n):
+        out: dict = {}
+        for coeff, letters in form:
+            product = poly
+            for creation, position in letters:
+                product = _multiply_letter(product, creation, position)
+            for key, value in product.items():
+                out[key] = out.get(key, 0) + coeff * value
+        poly = out
+    return poly
+
+
 @lru_cache(maxsize=None)
 def x_power_terms(k: int) -> tuple[tuple[Monomial, int], ...]:
     """Normal-ordered expansion of (a + a†)^k, sorted; the 2^(-k/2) factor is not included."""
     if k < 0:
         raise ValueError("power must be nonnegative")
-    terms: dict[Monomial, int] = {}
-    for word in product((False, True), repeat=k):
-        for mono, coeff in normal_order_word(word).items():
-            terms[mono] = terms.get(mono, 0) + coeff
-    return tuple(sorted(terms.items()))
+    return tuple(sorted(_power(_X_FORM, k, (0, 0)).items()))
 
 
 @lru_cache(maxsize=None)
 def interference_power_terms(n: int) -> tuple[tuple[TwoModeMonomial, complex], ...]:
     """Normal-ordered expansion of [(b†c - c†b)/2i]^n, sorted for determinism."""
     if n < 1:
-        raise ValueError("power must be >= 1")
-    integer_terms: dict[TwoModeMonomial, int] = {}
-    # Each factor of (b†c - c†b) contributes one letter to the b-word and one
-    # to the c-word; cross-mode letters commute, in-mode order is preserved.
-    for choice in product((0, 1), repeat=n):
-        sign = -1 if sum(choice) % 2 else 1
-        b_word = tuple(c == 0 for c in choice)   # b†c picks b†, c†b picks b
-        c_word = tuple(c == 1 for c in choice)   # b†c picks c,  c†b picks c†
-        poly_b = normal_order_word(b_word)
-        poly_c = normal_order_word(c_word)
-        for (i1, j1), cb in poly_b.items():
-            for (i2, j2), cc in poly_c.items():
-                key = (i1, j1, i2, j2)
-                integer_terms[key] = integer_terms.get(key, 0) + sign * cb * cc
+        raise ValueError(f"interference power must be at least 1, got {n}")
     prefactor = (-0.5j) ** n   # (1/2i)^n
     return tuple(
         (key, prefactor * coeff)
-        for key, coeff in sorted(integer_terms.items())
+        for key, coeff in sorted(_power(_L_FORM, n, (0, 0, 0, 0)).items())
         if coeff != 0
     )

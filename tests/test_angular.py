@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from revivals import angular
+from revivals import angular, moments
 from revivals.angular import (
     TriModeLabel,
     angular_moment,
@@ -32,10 +32,11 @@ def test_from_alphas():
 
 def test_expansion_orders_guarded():
     label = _label(1.0, 0.5, -0.7, 1.2)
-    for n in (0, 5):
-        with pytest.raises(ValueError, match="supported interference powers are 1..4"):
-            angular_moment("x", n, label, 1.0, 0.0)
-    for n in range(1, 5):
+    for n in (0, -1):
+        for moment in (lx_moment, lx_moment_oracle):
+            with pytest.raises(ValueError, match=f"interference power must be at least 1, got {n}"):
+                moment(n, label, 1.0, 0.0)
+    for n in range(1, 7):
         assert math.isfinite(angular_moment("x", n, label, 1.0, 0.3))
 
 
@@ -113,6 +114,33 @@ def test_closed_forms_match_oracle_all_orders():
             closed = lx_moment(n, label, chi, float(t))
             oracle = lx_moment_oracle(n, label, chi, float(t))
             assert abs(closed - oracle) < 1e-8 * (1.0 + abs(oracle))
+
+
+def _magnitude_bound(n, first, second):
+    """Σ |coeff| |beta|^(i1+j1) |gamma|^(i2+j2): the size of the terms <Lx^n> sums."""
+    return sum(
+        abs(coeff) * first.radius ** (i1 + j1) * second.radius ** (i2 + j2)
+        for (i1, j1, i2, j2), coeff in interference_power_terms(n)
+    )
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_high_orders_match_oracle_on_every_axis(axis):
+    # Ly pairs modes (c, a) and Lz pairs (a, b), so the x-axis oracle runs on
+    # the label re-ordered to put that pair in the (b, c) slots. Measured
+    # worst error: 5.3e-16 of the magnitude bound over n = 5..10.
+    a = CoherentLabel.from_alpha(0.8 - 0.3j)
+    b = CoherentLabel.from_alpha(1.2 + 0.9j)
+    c = CoherentLabel.from_alpha(-0.7 + 1.1j)
+    label = TriModeLabel(a, b, c)
+    as_x = {"x": label, "y": TriModeLabel(b, c, a), "z": TriModeLabel(c, a, b)}[axis]
+    chi = 0.9
+    for n in range(5, 11):
+        scale = _magnitude_bound(n, as_x.mode_b, as_x.mode_c)
+        for t in (0.0, 0.37, 1.3, 2.9):
+            closed = angular_moment(axis, n, label, chi, t)
+            oracle = lx_moment_oracle(n, as_x, chi, t)
+            assert abs(closed - oracle) <= 1e-15 * scale
 
 
 def test_hermiticity_guard_scales_with_magnitude():
@@ -205,7 +233,9 @@ def test_shared_factors_bit_identical_to_term_by_term_sum(axis, n):
         assert shared.tobytes() == reference.tobytes()
 
 
-@pytest.mark.parametrize("n, distinct", [(1, 4), (2, 8), (3, 12), (4, 18)])
+@pytest.mark.parametrize(
+    "n, distinct", [(1, 4), (2, 8), (3, 12), (4, 18), (5, 24), (6, 32), (7, 40), (8, 50)]
+)
 def test_each_distinct_factor_evaluated_once(monkeypatch, n, distinct):
     calls = []
 
@@ -213,7 +243,7 @@ def test_each_distinct_factor_evaluated_once(monkeypatch, n, distinct):
         calls.append((i, j, mode))
         return ladder_moment(i, j, mode, chi, t)
 
-    monkeypatch.setattr(angular, "ladder_moment", counted)
+    monkeypatch.setattr(moments, "ladder_moment", counted)
     label = _label(1.0, 0.5, -0.7, 1.2)
     angular_moment("x", n, label, 1.0, 0.25)
     assert len(calls) == len(set(calls)) == distinct

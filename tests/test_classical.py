@@ -1,6 +1,7 @@
 """Pendulum-wave recurrences and the Talbot self-imaging length."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -119,6 +120,36 @@ def test_talbot_domain_errors():
         talbot_length(0.0, 1.0)
     with pytest.raises(ValueError):
         talbot_length(1.0, -1.0)
+
+
+def test_talbot_refuses_non_finite_and_unrepresentable_inputs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for wavelength, period in ((math.inf, math.inf), (1e-300, math.inf), (math.nan, 1.0)):
+            for length in (talbot_length, paraxial_talbot_length):
+                with pytest.raises(ValueError, match="must be finite and positive"):
+                    length(wavelength, period)
+        # (lambda/a)^2 = 1e-600 underflows to zero; 1e-310 is subnormal.
+        for wavelength, period in ((1e-300, 1.0), (1e-155, 1.0)):
+            with pytest.raises(ValueError, match="--wavelength .* and --grating-period .*; rescale"):
+                talbot_length(wavelength, period)
+        with pytest.raises(ValueError, match="Talbot length overflows float64"):
+            talbot_length(1e307, 1e308)
+        with pytest.raises(ValueError, match="paraxial Talbot length overflows float64"):
+            paraxial_talbot_length(1e199, 1e200)
+        # A square of the ratio that is still a normal float is kept.
+        assert talbot_length(1e-300, 1e-150) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_array_refuses_non_finite_inputs():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ({"t_rev": math.inf}, {"t_rev": math.nan}, {"amplitude": math.inf},
+                    {"amplitude": -1.0}):
+            with pytest.raises(ValueError, match="t_rev and amplitude must be finite and positive"):
+                PendulumArray(**bad)
+        with pytest.raises(ValueError, match="frequencies overflow"):
+            PendulumArray(t_rev=1e-310)
 
 
 def test_wave_count_reduced_fraction_logic():

@@ -430,6 +430,30 @@ def test_non_finite_time_bounds_rejected(tmp_path, monkeypatch, capsys, argv, fl
         RunConfig(command="autocorr", t_max=math.inf)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pendulum", "--t-rev", "inf", "--at", "0.5"], "t_rev and amplitude must be finite"),
+        (["pendulum", "--amplitude", "inf"], "t_rev and amplitude must be finite"),
+        (["pendulum", "--at", "inf"], "t must lie within [0, t_rev]"),
+        (["talbot", "--wavelength", "inf", "--grating-period", "inf"],
+         "wavelength and grating period must be finite and positive"),
+        (["talbot", "--wavelength", "1e-300", "--grating-period", "1"],
+         "(wavelength / grating period)^2 underflows float64 at --wavelength 1e-300 "
+         "and --grating-period 1; rescale both"),
+        (["talbot", "--wavelength", "1e-300", "--grating-period", "inf"],
+         "wavelength and grating period must be finite and positive"),
+    ],
+)
+def test_classical_inputs_refused(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("chi", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize(
     "argv",

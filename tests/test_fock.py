@@ -203,6 +203,17 @@ def test_fock_vector_validation():
         vec.amplitudes[0] = 5.0
 
 
+def test_fock_vector_truncation_is_derived_not_accepted():
+    vec = FockVector(np.ones(3), tail_mass=0.25)
+    assert (vec.truncation, vec.tail_mass) == (2, 0.25)
+    with pytest.raises(TypeError):
+        FockVector(np.ones(3), truncation=99)
+    with pytest.raises(TypeError):
+        FockVector(np.ones(3), 0.25)   # tail_mass is keyword-only
+    with pytest.raises(AttributeError):
+        vec.truncation = 5
+
+
 def test_operator_matrix_validation():
     with pytest.raises(ValueError):
         OperatorMatrix(np.zeros((2, 3)), "bad")

@@ -9,6 +9,7 @@ import pytest
 from revivals.angular import TriModeLabel, angular_moment
 from revivals.fock import (
     CoherentLabel,
+    OperatorMatrix,
     coherent_amplitudes,
     ladder_matrix,
     ladder_product_matrix,
@@ -25,6 +26,7 @@ from revivals.moments import (
     numerical_expectation,
     uncertainty_trace,
 )
+from revivals.ordering import x_power_terms
 from revivals.spectra import Spectrum, evolve
 
 
@@ -209,6 +211,27 @@ def test_x_cubed_against_oracle():
         closed = expect_x_power(3, label, chi, float(t))
         oracle = numerical_expectation(evolve(big, spectrum, float(t)), x3).real
         assert closed == pytest.approx(oracle, abs=1e-8)
+
+
+def test_x_powers_to_twenty_against_dense_matrix_power():
+    # The error is measured against Σ |coeff| |alpha|^(i+j) 2^(-k/2), the size
+    # of the terms the expansion sums; measured worst: 2.0e-15 of it.
+    chi = 1.0
+    label = CoherentLabel(1.0, -1.5)
+    state = coherent_amplitudes(label)
+    spectrum = Spectrum.kerr(chi)
+    for k in range(1, 21):
+        big = state.padded(state.truncation + k)
+        a = ladder_matrix("annihilation", big.truncation).entries
+        adag = ladder_matrix("creation", big.truncation).entries
+        xk = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k), "x^k")
+        scale = 2.0 ** (-k / 2.0) * sum(
+            abs(coeff) * label.radius ** (i + j) for (i, j), coeff in x_power_terms(k)
+        )
+        for t in (0.0, 0.21, 0.8, 2.3):
+            closed = expect_x_power(k, label, chi, t)
+            oracle = numerical_expectation(evolve(big, spectrum, t), xk).real
+            assert abs(closed - oracle) <= 4e-15 * scale
 
 
 @pytest.mark.parametrize("k, nu", [(8, 100.0), (10, 25.0)])

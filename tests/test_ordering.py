@@ -1,5 +1,8 @@
 """Normal-ordering engine checks against brute-force matrix algebra."""
 
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -73,6 +76,44 @@ def test_x_power_terms_match_matrices():
         assert np.max(np.abs(direct[:keep, :keep] - rebuilt[:keep, :keep])) < 1e-10
 
 
+def test_x_power_terms_match_exact_coefficients():
+    # (a + a†)^k = Σ k! / (i! j! m! 2^m) (a†)^i a^j over i + j + 2m = k.
+    f = math.factorial
+    for k in range(41):
+        expected = {}
+        for i in range(k + 1):
+            for j in range(k + 1 - i):
+                m, odd = divmod(k - i - j, 2)
+                if not odd:
+                    expected[i, j] = f(k) // (f(i) * f(j) * f(m) * 2**m)
+                    assert expected[i, j] * f(i) * f(j) * f(m) * 2**m == f(k)
+        terms = x_power_terms(k)
+        assert [key for key, _ in terms] == sorted(expected)
+        assert dict(terms) == expected
+
+
+def _interference_word_sum(n):
+    """[(b†c - c†b)/2i]^n by normal-ordering each of its 2^n words separately."""
+    integer_terms = {}
+    for choice in product((0, 1), repeat=n):
+        sign = -1 if sum(choice) % 2 else 1
+        poly_b = normal_order_word(tuple(c == 0 for c in choice))   # b†c picks b†, c†b picks b
+        poly_c = normal_order_word(tuple(c == 1 for c in choice))   # b†c picks c, c†b picks c†
+        for (i1, j1), cb in poly_b.items():
+            for (i2, j2), cc in poly_c.items():
+                key = (i1, j1, i2, j2)
+                integer_terms[key] = integer_terms.get(key, 0) + sign * cb * cc
+    prefactor = (-0.5j) ** n
+    return tuple(
+        (key, prefactor * coeff) for key, coeff in sorted(integer_terms.items()) if coeff != 0
+    )
+
+
+def test_interference_terms_match_word_sum():
+    for n in range(1, 11):
+        assert interference_power_terms(n) == _interference_word_sum(n)
+
+
 def test_interference_terms_n1():
     terms = dict(interference_power_terms(1))
     assert terms == {(0, 1, 1, 0): 0.5j, (1, 0, 0, 1): -0.5j}
@@ -129,5 +170,5 @@ def test_interference_expansion_matches_tensor_matrices():
 
 
 def test_interference_terms_rejects_bad_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="interference power must be at least 1, got 0"):
         interference_power_terms(0)

@@ -50,6 +50,8 @@ EXTRA = (
     ["cat", "--m", "3", "--chi", "0.7"],
     ["pendulum", "--count", "37", "--base-cycles", "12", "--t-rev", "2.5",
      "--amplitude", "0.75", "--at", "0.4"],
+    # An angular order above the n <= 4 that the benchmark's jobs reach.
+    ["lx", "--n", "6", "--samples", "201"],
 )
 
 
