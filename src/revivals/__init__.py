@@ -58,7 +58,7 @@ from .moments import (
     numerical_expectation,
     uncertainty_trace,
 )
-from .ordering import interference_power_terms, normal_order_word, x_power_terms
+from .ordering import interference_power_terms, x_power_terms
 from .spectra import (
     CatDecomposition,
     Spectrum,
@@ -106,7 +106,6 @@ __all__ = [
     "lx_moment",
     "lx_moment_oracle",
     "main",
-    "normal_order_word",
     "number_distribution",
     "numerical_expectation",
     "paraxial_talbot_length",

@@ -4,7 +4,7 @@ Three oscillator modes a, b, c (along x, y, z) each carry their own
 coherent label and evolve under independent Kerr phases. The quadratic
 combinations such as Lx = (b†c - c†b)/2i then have time-dependent moments
 that factorize over modes: expand Lx^n into per-mode normal-ordered terms
-once, for any n, evaluate each single-mode factor with the closed-form
+once (n up to 40), evaluate each single-mode factor with the closed-form
 moment engine, and sum. An independent tensor-product oracle does the same
 computation with dense matrices on the truncated two-mode space and
 arbitrates any disagreement.
@@ -54,7 +54,7 @@ def _pair_labels(axis: str, label: TriModeLabel) -> tuple[CoherentLabel, Coheren
 
 
 def angular_moment(axis: str, n: int, label: TriModeLabel, chi: float, t):
-    """<L_axis^n> on the per-mode Kerr-evolved product state, for any n >= 1.
+    """<L_axis^n> on the per-mode Kerr-evolved product state, for 1 <= n <= 40.
 
     Product states factorize, so every expansion term is a product of two
     single-mode moments; each distinct one is evaluated once (at n = 4 the
@@ -62,7 +62,7 @@ def angular_moment(axis: str, n: int, label: TriModeLabel, chi: float, t):
     an imaginary residue beyond HERMITICITY_LIMIT times the bound on its
     magnitude raises instead of being silently dropped.
     """
-    terms = interference_power_terms(n)   # refuses n < 1
+    terms = interference_power_terms(n)   # refuses n outside 1..40
     total, bound = _term_sum(terms, _pair_labels(axis, label), chi, t)
     return _hermitian_value(total, bound, f"<L{axis}^{n}>")
 

@@ -27,6 +27,11 @@ TwoModeMonomial = tuple[int, int, int, int]
 _X_FORM = ((1, ((False, 0),)), (1, ((True, 0),)))   # a + a†
 _L_FORM = ((1, ((True, 0), (False, 2))), (-1, ((False, 0), (True, 2))))   # b†c - b c†
 
+#: Largest order of [(b†c - c†b)/2i]^n that interference_power_terms builds:
+#: the range checked against the dense oracle. The expansion takes about n^4
+#: steps: 0.5 s at n = 40 and 2.3 s at n = 60 on a 2-core Intel Xeon.
+MAX_INTERFERENCE_POWER = 40
+
 
 def _multiply_letter(poly: dict, creation: bool, position: int = 0) -> dict:
     """Right-multiply a normal-ordered polynomial by an a or a† of the mode at key[position]."""
@@ -44,14 +49,6 @@ def _multiply_letter(poly: dict, creation: bool, position: int = 0) -> dict:
             lowered = head + (i, j + 1) + tail
             out[lowered] = out.get(lowered, 0) + coeff
     return out
-
-
-def normal_order_word(word: tuple[bool, ...]) -> dict[Monomial, int]:
-    """Normal-order a product of letters, True meaning a† and False meaning a."""
-    poly: dict[Monomial, int] = {(0, 0): 1}
-    for creation in word:
-        poly = _multiply_letter(poly, creation)
-    return poly
 
 
 def _power(form, n: int, one: tuple[int, ...]) -> dict:
@@ -79,9 +76,17 @@ def x_power_terms(k: int) -> tuple[tuple[Monomial, int], ...]:
 
 @lru_cache(maxsize=None)
 def interference_power_terms(n: int) -> tuple[tuple[TwoModeMonomial, complex], ...]:
-    """Normal-ordered expansion of [(b†c - c†b)/2i]^n, sorted for determinism."""
+    """Normal-ordered expansion of [(b†c - c†b)/2i]^n, sorted for determinism.
+
+    n must lie in 1..MAX_INTERFERENCE_POWER, the verified range.
+    """
     if n < 1:
         raise ValueError(f"interference power must be at least 1, got {n}")
+    if n > MAX_INTERFERENCE_POWER:
+        raise ValueError(
+            f"interference power must be at most {MAX_INTERFERENCE_POWER} "
+            f"(the verified range 1..{MAX_INTERFERENCE_POWER}), got {n}"
+        )
     prefactor = (-0.5j) ** n   # (1/2i)^n
     return tuple(
         (key, prefactor * coeff)

@@ -430,6 +430,16 @@ def test_non_finite_time_bounds_rejected(tmp_path, monkeypatch, capsys, argv, fl
         RunConfig(command="autocorr", t_max=math.inf)
 
 
+def test_lx_order_beyond_verified_range_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["lx", "--n", "41", "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: interference power must be at most 40 (the verified range 1..40), got 41\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -8,10 +8,19 @@ import pytest
 
 from revivals.fock import ladder_matrix, ladder_product_matrix
 from revivals.ordering import (
+    MAX_INTERFERENCE_POWER,
+    _multiply_letter,
     interference_power_terms,
-    normal_order_word,
     x_power_terms,
 )
+
+
+def normal_order_word(word):
+    """Reference: normal-order a product of letters, True meaning a† and False meaning a."""
+    poly = {(0, 0): 1}
+    for creation in word:
+        poly = _multiply_letter(poly, creation)
+    return poly
 
 
 def _word_matrix(word, truncation):
@@ -172,3 +181,5 @@ def test_interference_expansion_matches_tensor_matrices():
 def test_interference_terms_rejects_bad_order():
     with pytest.raises(ValueError, match="interference power must be at least 1, got 0"):
         interference_power_terms(0)
+    with pytest.raises(ValueError, match=r"verified range 1\.\.40\), got 41"):
+        interference_power_terms(MAX_INTERFERENCE_POWER + 1)

@@ -1,6 +1,6 @@
 """Write every CLI output of the benchmark's job lists, with a sha256 manifest.
 
-    python tools/cli_outputs.py SRC OUTDIR [--seeds 1 2 3]
+    python tools/cli_outputs.py SRC OUTDIR [--seeds 1 2 3] [--expect SHA256]
 
 Imports ``revivals`` from SRC (a ``src/`` directory of any checkout) and runs
 ``revivals.cli.main`` in-process on the ``trace_export`` and
@@ -12,7 +12,14 @@ OUTDIR/seed<S>/<workload>/, the printed summary lines of each directory to
 its ``stdout.txt``, and one line per file to OUTDIR/MANIFEST.sha256 (the
 ``sha256sum`` format). The last line printed is
 the sha256 of the manifest: two source trees whose CLI outputs are
-byte-identical give the same hash.
+byte-identical give the same hash. With ``--expect`` the exit status is 1
+when that hash differs from the one given, so a byte-identity check is one
+command:
+
+    python tools/cli_outputs.py src /tmp/out \
+        --expect ee0234f3bfb6cc5767765a1bad02640bcff1802fb310f8a34708f2c047094438
+
+To see which files moved, write both trees and compare them:
 
     python tools/cli_outputs.py ../old/src /tmp/old && python tools/cli_outputs.py src /tmp/new
     diff -r /tmp/old /tmp/new
@@ -98,6 +105,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("src", type=Path, help="src/ directory holding the revivals package")
     parser.add_argument("outdir", type=Path, help="directory for the outputs and the manifest")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--expect", metavar="SHA256",
+                        help="exit 1 unless the manifest hash equals this one")
     args = parser.parse_args(argv)
 
     outdir = args.outdir.resolve()
@@ -121,7 +130,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     (outdir / "MANIFEST.sha256").write_text(manifest)
     print(f"{len(files)} files, {failures} failed commands")
-    print(hashlib.sha256(manifest.encode()).hexdigest())
+    digest = hashlib.sha256(manifest.encode()).hexdigest()
+    print(digest)
+    if args.expect is not None and digest != args.expect.lower():
+        print(f"manifest hash differs from the expected {args.expect}", file=sys.stderr)
+        return 1
     return 1 if failures else 0
 
 
