@@ -32,7 +32,7 @@ from .classical import (
     talbot_length,
     wave_count,
 )
-from .cli import RunConfig, main, run
+from .cli import main
 from .fock import (
     CoherentLabel,
     FockVector,
@@ -77,7 +77,6 @@ __all__ = [
     "ObservableTrace",
     "OperatorMatrix",
     "PendulumArray",
-    "RunConfig",
     "Spectrum",
     "TriModeLabel",
     "angular_moment",
@@ -113,7 +112,6 @@ __all__ = [
     "period_increment_positions",
     "position_wavefunction",
     "revival_time",
-    "run",
     "talbot_length",
     "uncertainty_trace",
     "wave_count",

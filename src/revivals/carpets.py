@@ -452,8 +452,8 @@ def _cells_text(block: np.ndarray) -> bytes:
     return text.tobytes().translate(None, b"\0")
 
 
-def _table_text(columns) -> str:
-    """CSV rows of equal-length columns, one line per row, each ending in a newline.
+def _table_text(columns) -> bytes:
+    """ASCII CSV rows of equal-length columns, one line per row, each ending in a newline.
 
     A 2-d column block contributes one field per column. Every field is
     exactly format(v, ".17g"), so parsing it back reproduces its float64, and
@@ -467,20 +467,18 @@ def _table_text(columns) -> str:
     """
     block = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
     step = max(1, _CHUNK_CELLS // block.shape[1])
-    return "".join(
-        _cells_text(block[r : r + step]).decode("ascii") for r in range(0, block.shape[0], step)
-    )
+    return b"".join(_cells_text(block[r : r + step]) for r in range(0, block.shape[0], step))
 
 
-def grid_to_csv(grid: CarpetGrid, chi: float) -> str:
-    """Row-major CSV: header carries the x axis, each row is one time slice.
+def grid_to_csv(grid: CarpetGrid, chi: float) -> bytes:
+    """Row-major ASCII CSV: header carries the x axis, each row is one time slice.
 
     Columns: t, chi_t_over_pi, then one density column per grid x. Values
     print with 17 significant digits so parsing the file back reproduces
     the float64 grid exactly.
     """
-    axis = _table_text([grid.x_axis()[None, :]])   # one row: "x0,x1,...\n"
-    header = "t,chi_t_over_pi,x=" + axis.replace(",", ",x=")
+    axis = _table_text([grid.x_axis()[None, :]])   # one row: b"x0,x1,...\n"
+    header = b"t,chi_t_over_pi,x=" + axis.replace(b",", b",x=")
     t = grid.t_axis()
     return header + _table_text([t, chi * t / math.pi, grid.density])
 

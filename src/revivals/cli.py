@@ -1,26 +1,18 @@
-"""Command-line front end: one declarative table drives every subcommand.
+"""Command-line front end: argv in, the bytes of one file out.
 
 Eight subcommands cover the library surface. Each is one entry of
 ``_COMMANDS``: its handler, its help line and its argparse options, built
 from shared groups (label, chi, time grid, spectrum, truncation, output).
-The table builds the parser and dispatches ``run``. ``config_from_args``
-splits the parsed flags into the ``RunConfig`` fields and the command's
-``params``; a command declares exactly the flags its handler reads, and
-``RunConfig`` refuses a field whose flag the command does not declare.
-Defaults live only in the parser.
+The table builds the parser. ``main(argv)`` parses, checks the shared
+flags, and hands the parsed namespace to the command's handler, which
+returns a one-line summary and the file's bytes; ``main`` writes them in
+one binary write. A command declares exactly the flags its handler reads,
+and defaults live only in the parser.
 
-Numeric output goes to CSV files with a '#'-prefixed metadata block, a
-header row, and values printed at 17 significant digits (lossless for
-float64); carpets can also be written as binary PGM images. Nothing in any
-output depends on wall clock, environment, or randomness, so identical
-invocations produce byte-identical files.
-
-Tables are written by ``carpets._table_text``, a NumPy kernel whose every
-field is exactly ``format(v, ".17g")``. Its significands come from a
-double-double product with a relative error below 2^-100. A cell it cannot
-vouch for is formatted by ``format()`` itself: nan, inf, subnormals,
-|v| outside [1e-280, 1e280), and rounding fractions within 1e-6 of 1/2. So
-the output is the same as per-cell formatting, byte for byte.
+A file is a CSV table (a '#'-prefixed metadata block, a header row, then
+``%.17g`` fields from ``carpets._table_text``) or, for carpets, a binary
+PGM image. Nothing in any output depends on wall clock, environment, or
+randomness, so the same argv always writes the same bytes.
 """
 
 from __future__ import annotations
@@ -29,8 +21,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -59,139 +50,91 @@ from .spectra import Spectrum, decompose_fractional, revival_time
 DEFAULT_CHI = 10.0 / math.pi
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, its parameters, grid, destination.
-
-    Every field after ``params`` belongs to a flag; a command that does not
-    declare that flag must leave the field at its default.
-    """
-
-    command: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    chi: float = DEFAULT_CHI
-    t_min: float = 0.0
-    t_max: float | None = None
-    samples: int = 1001
-    truncation: int | None = None
-    output: str | None = None
-    fmt: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.samples < 2:
-            raise ValueError("samples must be at least 2")
-        if not (math.isfinite(self.chi) and self.chi > 0):
-            raise ValueError(f"--chi must be finite and positive, got {self.chi:g}")
-        for flag, value in (("--t-min", self.t_min), ("--t-max", self.t_max)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{flag} must be finite, got {value:g}")
-        if self.fmt not in ("csv", "pgm"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        declared = _COMMANDS[self.command].dests()
-        for flag in _FLAG_FIELDS:
-            if flag.name not in declared and getattr(self, flag.name) != flag.default:
-                raise ValueError(f"{self.command} takes no {flag.name}")
-        if self.truncation is not None and self.truncation < 0:
-            raise ValueError("truncation must be >= 0")
-
-    def output_path(self) -> str:
-        return f"{self.command}.{self.fmt}" if self.output is None else self.output
-
-
-#: The RunConfig fields that flags set; everything else parsed goes to params.
-_FLAG_FIELDS = tuple(f for f in fields(RunConfig) if f.default is not MISSING)
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _metadata(command: str, pairs: list[tuple[str, Any]]) -> list[str]:
-    lines = [f"# command = {command}"]
+def _metadata(command: str, pairs: list[tuple[str, Any]]) -> bytes:
+    lines = [f"# command = {command}\n"]
     for key, value in pairs:
         if isinstance(value, float):
             value = _fmt(value)
-        lines.append(f"# {key} = {value}")
-    return lines
+        lines.append(f"# {key} = {value}\n")
+    return "".join(lines).encode()
 
 
-def _csv(command: str, pairs: list, columns: dict) -> str:
+def _csv(command: str, pairs: list, columns: dict) -> bytes:
     """Metadata lines, a header row of the column names, then the table."""
-    table = _table_text(list(columns.values()))
-    return "\n".join(_metadata(command, pairs) + [",".join(columns)]) + "\n" + table
+    header = (",".join(columns) + "\n").encode()
+    return b"".join((_metadata(command, pairs), header, _table_text(list(columns.values()))))
 
 
-def _time_grid(config: RunConfig, period: float) -> np.ndarray:
-    t_max = period if config.t_max is None else config.t_max
-    if not t_max > config.t_min:
+def _time_grid(args: argparse.Namespace, period: float) -> np.ndarray:
+    t_max = period if args.t_max is None else args.t_max
+    if not t_max > args.t_min:
         raise ValueError("t_max must exceed t_min")
-    if not math.isfinite(float(t_max) - float(config.t_min)):
+    if not math.isfinite(float(t_max) - float(args.t_min)):
         raise ValueError(
             f"the span --t-max - --t-min overflows float64 "
-            f"({t_max:g} - {config.t_min:g})"
+            f"({t_max:g} - {args.t_min:g})"
         )
-    return np.linspace(config.t_min, t_max, config.samples)
+    return np.linspace(args.t_min, t_max, args.samples)
 
 
 _SPECTRA = ("kerr", "harmonic", "square_well")
 
 
-def _spectrum(config: RunConfig) -> Spectrum:
-    name = config.params["spectrum"]
-    if name not in _SPECTRA:
-        raise ValueError(f"unknown spectrum {name!r}")
-    return getattr(Spectrum, name)(config.chi)
+def _spectrum(args: argparse.Namespace) -> Spectrum:
+    return getattr(Spectrum, args.spectrum)(args.chi)
 
 
-def _label(config: RunConfig) -> CoherentLabel:
-    return CoherentLabel(config.params["p"], config.params["q"])
+def _label(args: argparse.Namespace) -> CoherentLabel:
+    return CoherentLabel(args.p, args.q)
 
 
-def _check_truncation(config: RunConfig, label: CoherentLabel) -> None:
+def _check_truncation(args: argparse.Namespace, label: CoherentLabel) -> None:
     """Refuse an explicit truncation that cuts more than DEFAULT_TOLERANCE of the state."""
-    if config.truncation is None:
+    if args.truncation is None:
         return
-    tail = coherent_amplitudes(label, config.truncation).tail_mass
+    tail = coherent_amplitudes(label, args.truncation).tail_mass
     if tail > DEFAULT_TOLERANCE:
         raise ValueError(
-            f"truncation N = {config.truncation} cuts tail mass {tail:.3e} "
+            f"truncation N = {args.truncation} cuts tail mass {tail:.3e} "
             f"of the state, above the tolerance {DEFAULT_TOLERANCE:g}; "
             f"raise --truncation or omit it"
         )
 
 
 def _trace(
-    config: RunConfig, period: float, times: np.ndarray, pairs: list, columns: dict
-) -> tuple[str, str]:
+    args: argparse.Namespace, period: float, times: np.ndarray, pairs: list, columns: dict
+) -> tuple[str, bytes]:
     """Trace CSV: metadata ending in chi and revival_time; t, columns, chi_t_over_pi."""
-    pairs = [*pairs, ("chi", config.chi), ("revival_time", period)]
-    columns = {"t": times, **columns, "chi_t_over_pi": config.chi * times / math.pi}
-    return f"revival_time = {_fmt(period)}", _csv(config.command, pairs, columns)
+    pairs = [*pairs, ("chi", args.chi), ("revival_time", period)]
+    columns = {"t": times, **columns, "chi_t_over_pi": args.chi * times / math.pi}
+    return f"revival_time = {_fmt(period)}", _csv(args.command, pairs, columns)
 
 
-def _run_autocorr(config: RunConfig) -> tuple[str, bytes | str]:
-    spectrum = _spectrum(config)
-    label = _label(config)
+def _run_autocorr(args: argparse.Namespace) -> tuple[str, bytes]:
+    spectrum = _spectrum(args)
+    label = _label(args)
     period = revival_time(spectrum)
-    times = _time_grid(config, period)
+    times = _time_grid(args, period)
     values = autocorrelation(label, spectrum, times)
     pairs = [("spectrum", spectrum.kind), ("p", label.p), ("q", label.q)]
     columns = {"re": values.real, "im": values.imag, "abs2": np.abs(values) ** 2}
-    return _trace(config, period, times, pairs, columns)
+    return _trace(args, period, times, pairs, columns)
 
 
-def _run_moment(config: RunConfig) -> tuple[str, bytes | str]:
-    label = _label(config)
-    r, s = config.params["r"], config.params["s"]
-    period = math.pi / config.chi
-    times = _time_grid(config, period)
+def _run_moment(args: argparse.Namespace) -> tuple[str, bytes]:
+    label = _label(args)
+    r, s = args.r, args.s
+    period = math.pi / args.chi
+    times = _time_grid(args, period)
     values = np.asarray(
-        ladder_moment(r, r + s, label, config.chi, times), dtype=np.complex128
+        ladder_moment(r, r + s, label, args.chi, times), dtype=np.complex128
     )
     pairs = [("r", r), ("s", s), ("p", label.p), ("q", label.q)]
-    return _trace(config, period, times, pairs, {"re": values.real, "im": values.imag})
+    return _trace(args, period, times, pairs, {"re": values.real, "im": values.imag})
 
 
 _OBSERVABLES: dict[str, Callable[[CoherentLabel, float, np.ndarray], np.ndarray]] = {
@@ -202,67 +145,61 @@ _OBSERVABLES: dict[str, Callable[[CoherentLabel, float, np.ndarray], np.ndarray]
 }
 
 
-def _run_xptrace(config: RunConfig) -> tuple[str, bytes | str]:
-    label = _label(config)
-    name = config.params["observable"]
-    period = math.pi / config.chi
-    times = _time_grid(config, period)
+def _run_xptrace(args: argparse.Namespace) -> tuple[str, bytes]:
+    label = _label(args)
+    name = args.observable
+    period = math.pi / args.chi
+    times = _time_grid(args, period)
     if name == "dxdp":
-        product, _ = uncertainty_trace(label, config.chi, times)
+        product, _ = uncertainty_trace(label, args.chi, times)
         values = product.values.real
-    elif name in _OBSERVABLES:
-        values = np.asarray(_OBSERVABLES[name](label, config.chi, times))
     else:
-        raise ValueError(f"unknown observable {name!r}")
+        values = np.asarray(_OBSERVABLES[name](label, args.chi, times))
     pairs = [("observable", name), ("p", label.p), ("q", label.q)]
-    return _trace(config, period, times, pairs, {"value": values})
+    return _trace(args, period, times, pairs, {"value": values})
 
 
-def _run_lx(config: RunConfig) -> tuple[str, bytes | str]:
-    params = config.params
+def _run_lx(args: argparse.Namespace) -> tuple[str, bytes]:
     label = TriModeLabel(
         CoherentLabel(0.0, 0.0),
-        CoherentLabel(params["p2"], params["q2"]),
-        CoherentLabel(params["p3"], params["q3"]),
+        CoherentLabel(args.p2, args.q2),
+        CoherentLabel(args.p3, args.q3),
     )
-    period = math.pi / config.chi
-    times = _time_grid(config, period)
-    values = np.asarray(lx_moment(params["n"], label, config.chi, times))
-    pairs = [(key, params[key]) for key in ("n", "p2", "q2", "p3", "q3")]
-    return _trace(config, period, times, pairs, {"value": values})
+    period = math.pi / args.chi
+    times = _time_grid(args, period)
+    values = np.asarray(lx_moment(args.n, label, args.chi, times))
+    pairs = [(key, getattr(args, key)) for key in ("n", "p2", "q2", "p3", "q3")]
+    return _trace(args, period, times, pairs, {"value": values})
 
 
-def _run_carpet(config: RunConfig) -> tuple[str, bytes | str]:
-    spectrum = _spectrum(config)
-    label = _label(config)
-    _check_truncation(config, label)
+def _run_carpet(args: argparse.Namespace) -> tuple[str, bytes]:
+    spectrum = _spectrum(args)
+    label = _label(args)
+    _check_truncation(args, label)
     period = revival_time(spectrum)
     grid = carpet(
         label,
         spectrum,
-        t_min=config.t_min,
-        t_max=config.t_max,
-        truncation=config.truncation,
-        **{key: config.params[key] for key in ("x_min", "x_max", "nx", "nt")},
+        t_min=args.t_min,
+        t_max=args.t_max,
+        truncation=args.truncation,
+        **{key: getattr(args, key) for key in ("x_min", "x_max", "nx", "nt")},
     )
     note = f"revival_time = {_fmt(period)}"
-    if config.fmt == "pgm":
+    if args.fmt == "pgm":
         return note, grid_to_pgm(grid)
     pairs = [("spectrum", spectrum.kind), ("p", label.p), ("q", label.q)]
-    pairs += [("chi", config.chi), ("revival_time", period)]
+    pairs += [("chi", args.chi), ("revival_time", period)]
     pairs += [("nx", grid.nx), ("nt", grid.nt)]
-    meta = "\n".join(_metadata("carpet", pairs))
-    return note, meta + "\n" + grid_to_csv(grid, config.chi)
+    return note, _metadata("carpet", pairs) + grid_to_csv(grid, args.chi)
 
 
-def _run_pendulum(config: RunConfig) -> tuple[str, bytes | str]:
-    params = dict(config.params)
-    at = params.pop("at")
-    array = PendulumArray(**params)
-    t = at * array.t_rev
+def _run_pendulum(args: argparse.Namespace) -> tuple[str, bytes]:
+    keys = ("count", "base_cycles", "t_rev", "amplitude")
+    array = PendulumArray(**{key: getattr(args, key) for key in keys})
+    t = args.at * array.t_rev
     waves, strength = wave_count(array, t)   # refuses t outside [0, t_rev]
     positions = pendulum_positions(array, t)
-    keys = ("count", "base_cycles", "t_rev", "amplitude")
     pairs = [(key, getattr(array, key)) for key in keys]
     pairs += [("t", t), ("waves", waves), ("strength", strength)]
     columns = {"j": np.arange(len(positions)), "x": positions}
@@ -270,9 +207,9 @@ def _run_pendulum(config: RunConfig) -> tuple[str, bytes | str]:
     return f"revival_time = {_fmt(array.t_rev)}", text
 
 
-def _run_talbot(config: RunConfig) -> tuple[str, bytes | str]:
-    wavelength = config.params["wavelength"]
-    grating = config.params["grating_period"]
+def _run_talbot(args: argparse.Namespace) -> tuple[str, bytes]:
+    wavelength = args.wavelength
+    grating = args.grating_period
     length = talbot_length(wavelength, grating)
     columns = {
         "wavelength": [wavelength],
@@ -283,14 +220,13 @@ def _run_talbot(config: RunConfig) -> tuple[str, bytes | str]:
     return f"talbot_length = {_fmt(length)}", _csv("talbot", [], columns)
 
 
-def _run_cat(config: RunConfig) -> tuple[str, bytes | str]:
-    label = _label(config)
-    _check_truncation(config, label)
-    m = config.params["m"]
-    spectrum = Spectrum.kerr(config.chi)
+def _run_cat(args: argparse.Namespace) -> tuple[str, bytes]:
+    label = _label(args)
+    _check_truncation(args, label)
+    spectrum = Spectrum.kerr(args.chi)
     period = revival_time(spectrum)
-    cat = decompose_fractional(label, m, spectrum, config.truncation)
-    pairs = [("p", label.p), ("q", label.q), ("chi", config.chi), ("m", cat.m)]
+    cat = decompose_fractional(label, args.m, spectrum, args.truncation)
+    pairs = [("p", label.p), ("q", label.q), ("chi", args.chi), ("m", cat.m)]
     pairs += [("time", cat.time), ("fidelity", cat.fidelity), ("revival_time", period)]
     columns = {
         "component": np.arange(cat.m),
@@ -314,16 +250,9 @@ def _opt(*flags: str, **kwargs: Any) -> _Option:
 class _Command(NamedTuple):
     """One subcommand: its handler, its help line and its options."""
 
-    run: Callable[[RunConfig], tuple[str, bytes | str]]
+    run: Callable[[argparse.Namespace], tuple[str, bytes]]
     help: str
     options: tuple[_Option, ...]
-
-    def dests(self) -> set[str]:
-        """The names the options parse into, derived as argparse derives them."""
-        return {
-            kwargs.get("dest", flags[-1].lstrip("-").replace("-", "_"))
-            for flags, kwargs in self.options
-        }
 
 
 _LABEL = (
@@ -402,28 +331,6 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured command: write its file, print its summary.
-
-    A file that cannot be opened or written is reported on stderr with exit 1.
-    """
-    note, payload = _COMMANDS[config.command].run(config)
-    path = config.output_path()
-    try:
-        if isinstance(payload, bytes):
-            with open(path, "wb") as handle:
-                handle.write(payload)
-        else:
-            with open(path, "w", newline="\n") as handle:
-                handle.write(payload)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    print(note)
-    print(f"wrote {path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revivals",
@@ -443,23 +350,49 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Translate parsed flags into a RunConfig: its own fields, the rest as params."""
-    params = dict(vars(args))
-    command = params.pop("command")
-    flags = {f.name: params.pop(f.name) for f in _FLAG_FIELDS if f.name in params}
-    return RunConfig(command=command, params=params, **flags)
+def _check_flags(args: argparse.Namespace) -> None:
+    """The checks on the shared flags that argparse does not make; main exits 1 on each."""
+    flags = vars(args)
+    if flags.get("samples", 2) < 2:
+        raise ValueError("samples must be at least 2")
+    chi = flags.get("chi", DEFAULT_CHI)
+    if not (math.isfinite(chi) and chi > 0):
+        raise ValueError(f"--chi must be finite and positive, got {chi:g}")
+    for flag, value in (("--t-min", flags.get("t_min")), ("--t-max", flags.get("t_max"))):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value:g}")
+    if flags.get("truncation") is not None and flags["truncation"] < 0:
+        raise ValueError("truncation must be >= 0")
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command from argv: write its file, print its summary.
+
+    Exit 1 on a numeric or domain error, an allocation that does not fit or
+    a file that cannot be written; argparse exits 2 on a usage error.
+    """
     args = _shared_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        _check_flags(args)
+        note, payload = _COMMANDS[args.command].run(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
     except MemoryError as exc:
         print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
-    return 1
+        return 1
+    path = args.output
+    if path is None:
+        path = f"{args.command}.{vars(args).get('fmt', 'csv')}"
+    try:
+        with open(path, "wb") as handle:
+            handle.write(payload)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    print(note)
+    print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":

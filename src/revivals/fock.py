@@ -45,6 +45,12 @@ class CoherentLabel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and math.isfinite(self.q)):
             raise ValueError("coherent label requires finite (p, q)")
+        p, q = float(self.p), float(self.q)   # Python floats overflow to inf without a warning
+        if not math.isfinite(p * p + q * q):
+            raise ValueError(
+                f"coherent label p = {p:g}, q = {q:g}: its mean photon number "
+                f"nu = (p^2 + q^2)/2 overflows float64"
+            )
 
     @classmethod
     def from_alpha(cls, alpha: complex) -> "CoherentLabel":
@@ -113,10 +119,9 @@ class FockVector:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense operator on the truncated space, tagged with a readable label."""
+    """Dense operator on the truncated space."""
 
     entries: np.ndarray
-    label: str
 
     def __post_init__(self) -> None:
         ent = np.asarray(self.entries, dtype=np.complex128).copy()
@@ -210,11 +215,11 @@ def ladder_matrix(kind: str, truncation: int) -> OperatorMatrix:
     dim = truncation + 1
     roots = np.sqrt(np.arange(1, dim, dtype=np.float64))
     if kind == "annihilation":
-        return OperatorMatrix(np.diag(roots, k=1), "a")
+        return OperatorMatrix(np.diag(roots, k=1))
     if kind == "creation":
-        return OperatorMatrix(np.diag(roots, k=-1), "a†")
+        return OperatorMatrix(np.diag(roots, k=-1))
     if kind == "number":
-        return OperatorMatrix(np.diag(np.arange(dim, dtype=np.float64)), "N")
+        return OperatorMatrix(np.diag(np.arange(dim, dtype=np.float64)))
     raise ValueError(f"unknown ladder kind {kind!r}")
 
 
@@ -237,7 +242,7 @@ def ladder_product_matrix(r: int, k: int, truncation: int) -> OperatorMatrix:
     out[n - k + r, n] = np.exp(
         0.5 * (log_fact[n] - base) + 0.5 * (log_fact[n - k + r] - base)
     )
-    return OperatorMatrix(out, f"a†^{r} a^{k}")
+    return OperatorMatrix(out)
 
 
 def inner_product(bra: FockVector, ket: FockVector) -> complex:

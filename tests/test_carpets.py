@@ -250,7 +250,7 @@ def test_csv_export_roundtrip():
     rng = np.random.default_rng(5)
     density = rng.uniform(0.0, 2.0, size=(3, 4))
     grid = CarpetGrid(-1.0, 1.0, 4, 0.0, 0.5, 3, density)
-    text = grid_to_csv(grid, chi=2.0)
+    text = grid_to_csv(grid, chi=2.0).decode("ascii")
     lines = text.strip().split("\n")
     header = lines[0].split(",")
     assert header[:2] == ["t", "chi_t_over_pi"]

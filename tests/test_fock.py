@@ -1,6 +1,7 @@
 """Fock-space primitive checks: amplitudes, operators, inner products."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,26 @@ def test_label_alpha_roundtrip():
 def test_label_rejects_nonfinite():
     with pytest.raises(ValueError):
         CoherentLabel(math.inf, 0.0)
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(1e200, 0.0), (0.0, -1e200), (1e154, 1e154), (np.float64(1e200), 1.0)],
+    ids=["p", "q", "sum", "numpy-scalar"],
+)
+def test_label_refuses_overflowing_mean_photon_number(p, q):
+    # Finite coordinates whose nu = (p^2 + q^2)/2 is not a float64; a NumPy
+    # scalar must reach the error without an overflow warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"coherent label p = .*, q = .*: .* overflows float64"):
+            CoherentLabel(p, q)
+    assert math.isfinite(CoherentLabel(1.3e154, 0.0).nu)   # just inside the range
+
+
+def test_label_from_alpha_refuses_overflowing_mean_photon_number():
+    with pytest.raises(ValueError, match="p = 1.41421e\\+200, q = 0: its mean photon number"):
+        CoherentLabel.from_alpha(1e200)
 
 
 def test_vacuum_amplitudes():
@@ -216,6 +237,6 @@ def test_fock_vector_truncation_is_derived_not_accepted():
 
 def test_operator_matrix_validation():
     with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((2, 3)), "bad")
-    op = OperatorMatrix(np.eye(4), "id")
+        OperatorMatrix(np.zeros((2, 3)))
+    op = OperatorMatrix(np.eye(4))
     assert op.truncation == 3

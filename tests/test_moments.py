@@ -102,10 +102,10 @@ def test_quadratures_against_oracle():
     adag = ladder_matrix("creation", n).entries
     from revivals.fock import OperatorMatrix
 
-    x_op = OperatorMatrix((a + adag) / math.sqrt(2.0), "x")
-    p_op = OperatorMatrix((a - adag) / (1j * math.sqrt(2.0)), "p")
-    x2_op = OperatorMatrix(x_op.entries @ x_op.entries, "x^2")
-    p2_op = OperatorMatrix(p_op.entries @ p_op.entries, "p^2")
+    x_op = OperatorMatrix((a + adag) / math.sqrt(2.0))
+    p_op = OperatorMatrix((a - adag) / (1j * math.sqrt(2.0)))
+    x2_op = OperatorMatrix(x_op.entries @ x_op.entries)
+    p2_op = OperatorMatrix(p_op.entries @ p_op.entries)
     spectrum = Spectrum.kerr(chi)
     for t in times:
         evolved = evolve(big, spectrum, float(t))
@@ -203,9 +203,7 @@ def test_x_cubed_against_oracle():
     adag = ladder_matrix("creation", n).entries
     from revivals.fock import OperatorMatrix
 
-    x3 = OperatorMatrix(
-        np.linalg.matrix_power((a + adag) / math.sqrt(2.0), 3), "x^3"
-    )
+    x3 = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), 3))
     spectrum = Spectrum.kerr(chi)
     for t in np.linspace(0.0, math.pi, 25):
         closed = expect_x_power(3, label, chi, float(t))
@@ -224,7 +222,7 @@ def test_x_powers_to_twenty_against_dense_matrix_power():
         big = state.padded(state.truncation + k)
         a = ladder_matrix("annihilation", big.truncation).entries
         adag = ladder_matrix("creation", big.truncation).entries
-        xk = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k), "x^k")
+        xk = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k))
         scale = 2.0 ** (-k / 2.0) * sum(
             abs(coeff) * label.radius ** (i + j) for (i, j), coeff in x_power_terms(k)
         )
@@ -246,7 +244,7 @@ def test_high_power_hermiticity_guard_scales_with_magnitude(k, nu):
     adag = ladder_matrix("creation", big.truncation).entries
     from revivals.fock import OperatorMatrix
 
-    xk = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k), "x^k")
+    xk = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k))
     spectrum = Spectrum.kerr(chi)
     times = np.array([0.0, 0.05, 0.3, 1.1])
     trace = expect_x_power(k, label, chi, times)
@@ -324,7 +322,7 @@ def test_numerical_expectation_examples():
 
     label = CoherentLabel(math.sqrt(10.0), math.sqrt(10.0))  # nu = 10
     state = coherent_amplitudes(label)
-    identity = OperatorMatrix(np.eye(state.truncation + 1), "1")
+    identity = OperatorMatrix(np.eye(state.truncation + 1))
     assert numerical_expectation(state, identity).real == pytest.approx(
         1.0, abs=1e-12
     )
@@ -332,7 +330,7 @@ def test_numerical_expectation_examples():
     assert numerical_expectation(state, number).real == pytest.approx(
         10.0, abs=1e-8
     )
-    small = OperatorMatrix(np.eye(3), "small")
+    small = OperatorMatrix(np.eye(3))
     with pytest.raises(ValueError):
         numerical_expectation(state, small)
     # a†² a³ dual path on the Kerr-evolved state.

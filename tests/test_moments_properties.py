@@ -70,7 +70,7 @@ def test_x_power_matches_dense_oracle(label, k, chi, revival):
     t = revival * math.pi / chi
     evolved = _evolved(label, chi, t, k)
     a = ladder_matrix("annihilation", evolved.truncation).entries
-    x = OperatorMatrix(np.linalg.matrix_power((a + a.T) / math.sqrt(2.0), k), f"x^{k}")
+    x = OperatorMatrix(np.linalg.matrix_power((a + a.T) / math.sqrt(2.0), k))
     dense = numerical_expectation(evolved, x).real
     scale = (1.0 + 2.0 * label.nu) ** (0.5 * k)
     limit = _limit(X_POWER_MARGIN, scale, chi, t, evolved.truncation)

@@ -27,20 +27,20 @@ SPECIAL = [
 
 
 def _per_cell(columns):
-    """Reference: format(float(v), ".17g") cell by cell."""
+    """Reference: format(float(v), ".17g") cell by cell, as ASCII bytes."""
     columns = [np.asarray(c, dtype=np.float64) for c in columns]
     lines = []
     for i in range(len(columns[0])):
         cells = [v for c in columns for v in np.atleast_1d(c[i])]
         lines.append(",".join(format(float(v), ".17g") for v in cells) + "\n")
-    return "".join(lines)
+    return "".join(lines).encode("ascii")
 
 
 def _assert_cells_match(values, width=3):
     """_table_text of the values laid out width to a row equals format() per cell."""
     values = np.asarray(values, dtype=np.float64).ravel()
     block = values[: values.size - values.size % width].reshape(-1, width)
-    lines = _table_text([block]).splitlines()
+    lines = _table_text([block]).decode("ascii").splitlines()
     assert len(lines) == block.shape[0]
     for line, row in zip(lines, block):
         assert line == ",".join(format(float(v), ".17g") for v in row), row.tolist()
@@ -69,7 +69,7 @@ def test_table_text_matches_per_cell_format_on_special_values():
     ]
     text = _table_text(columns)
     assert text == _per_cell(columns)
-    first = [line.split(",")[0] for line in text.splitlines()]
+    first = [line.split(",")[0] for line in text.decode("ascii").splitlines()]
     assert first[:9] == [
         "-0", "0", "nan", "inf", "-inf", "4.9406564584124654e-324",
         "1.7976931348623157e+308", "-1.7976931348623157e+308", "10000000000000000",
@@ -84,7 +84,7 @@ def test_table_text_integer_index_columns():
     columns = [index, values, values / 3.0]
     text = _table_text(columns)
     assert text == _per_cell(columns)
-    assert [line.split(",")[0] for line in text.splitlines()] == [
+    assert [line.split(",")[0] for line in text.decode("ascii").splitlines()] == [
         str(j) for j in range(values.size)
     ]
 
@@ -96,10 +96,10 @@ def test_table_text_two_dimensional_block_and_edge_shapes():
     columns = [t, 2.0 * t / math.pi, density]
     text = _table_text(columns)
     assert text == _per_cell(columns)
-    assert all(len(line.split(",")) == 7 for line in text.splitlines())
+    assert all(len(line.split(b",")) == 7 for line in text.splitlines())
     # One row of scalars (the talbot table) and a table with no rows.
-    assert _table_text([[0.6], [1.0], [1.0 / 3.0]]) == "0.59999999999999998,1,0.33333333333333331\n"
-    assert _table_text([np.empty(0), np.empty(0)]) == ""
+    assert _table_text([[0.6], [1.0], [1.0 / 3.0]]) == b"0.59999999999999998,1,0.33333333333333331\n"
+    assert _table_text([np.empty(0), np.empty(0)]) == b""
 
 
 @settings(max_examples=200, deadline=None)
@@ -167,14 +167,14 @@ def test_table_text_matches_format_on_integers_subnormals_and_specials():
     subnormals = np.concatenate([subnormal_bits.view(np.float64), [5e-324, -5e-324]])
     _assert_cells_match(subnormals, width=2)
     _assert_cells_match([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf], width=6)
-    assert _table_text([[-0.0], [0.0]]) == "-0,0\n"
+    assert _table_text([[-0.0], [0.0]]) == b"-0,0\n"
 
 
 def test_carpet_csv_header_prints_the_x_axis_at_17_digits():
     grid = CarpetGrid(
         x_min=-7.5, x_max=6.5, nx=60, t_min=0.1, t_max=1.3, nt=3, density=np.ones((3, 60))
     )
-    header = grid_to_csv(grid, chi=2.0).splitlines()[0]
+    header = grid_to_csv(grid, chi=2.0).decode("ascii").splitlines()[0]
     assert header == "t,chi_t_over_pi" + "".join(
         ",x=" + format(float(x), ".17g") for x in np.linspace(-7.5, 6.5, 60)
     )
