@@ -36,7 +36,6 @@ from .cli import main
 from .fock import (
     CoherentLabel,
     FockVector,
-    OperatorMatrix,
     auto_truncation,
     coherent_amplitudes,
     inner_product,
@@ -75,7 +74,6 @@ __all__ = [
     "CoherentLabel",
     "FockVector",
     "ObservableTrace",
-    "OperatorMatrix",
     "PendulumArray",
     "Spectrum",
     "TriModeLabel",

@@ -5,9 +5,9 @@ coherent label and evolve under independent Kerr phases. The quadratic
 combinations such as Lx = (b†c - c†b)/2i then have time-dependent moments
 that factorize over modes: expand Lx^n into per-mode normal-ordered terms
 once (n up to 40), evaluate each single-mode factor with the closed-form
-moment engine, and sum. An independent tensor-product oracle does the same
-computation with dense matrices on the truncated two-mode space and
-arbitrates any disagreement.
+moment engine, and sum. An independent oracle does the same computation
+on the truncated two-mode amplitude array, applying Lx as shifted slices,
+and arbitrates any disagreement.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import CoherentLabel, auto_truncation, coherent_amplitudes, ladder_matrix
+from .fock import CoherentLabel, auto_truncation, coherent_amplitudes
 from .moments import _hermitian_value, _term_sum
 from .ordering import interference_power_terms
 from .spectra import Spectrum, evolve
 
-#: Largest allowed two-mode dimension (N+1)^2 for the tensor oracle.
+#: Largest allowed size (N+1)^2 of the oracle's two-mode amplitude array.
 ORACLE_DIMENSION_LIMIT = 4_000_000
 
 #: Mode pair feeding the interference operator for each Cartesian axis.
@@ -81,10 +81,12 @@ def lx_moment_oracle(
 ):
     """<Lx^n> by brute force on the truncated two-mode space.
 
-    Builds the evolved product state as an (N+1) x (N+1) amplitude array and
-    applies Lx through per-mode ladder matrices on the reshaped state, which
-    realizes the (N+1)^2-dimensional operator without ever materializing it.
-    Knows nothing of the closed forms; this is the arbitration route.
+    Builds the evolved product state as an (N+1) x (N+1) amplitude array A,
+    rows indexed by the first mode, and applies Lx = (b†c - b c†)/2i as two
+    shifted slices: b†c sends A[i, j] to (√(i+1) A[i, j]) √j at [i+1, j-1],
+    b c† sends it to (√i A[i, j]) √(j+1) at [i-1, j+1]. That is the dense
+    ladder-matrix product without its exact zeros, bit for bit. Knows
+    nothing of the closed forms; this is the arbitration route.
     """
     if n < 1:
         raise ValueError(f"interference power must be at least 1, got {n}")
@@ -95,12 +97,11 @@ def lx_moment_oracle(
     dim = per_mode_truncation + 1
     if dim * dim > ORACLE_DIMENSION_LIMIT:
         raise ValueError(
-            f"two-mode dimension {dim * dim} exceeds the memory guard "
+            f"two-mode amplitude array of {dim * dim} entries exceeds the memory guard "
             f"{ORACLE_DIMENSION_LIMIT}"
         )
 
-    lower = ladder_matrix("annihilation", per_mode_truncation).entries
-    raise_ = ladder_matrix("creation", per_mode_truncation).entries
+    roots = np.sqrt(np.arange(1, dim, dtype=np.float64))[:, None]
     amp_first, amp_second = (
         evolve(coherent_amplitudes(mode, per_mode_truncation), spectrum, t).amplitudes
         for mode in (first, second)
@@ -109,8 +110,9 @@ def lx_moment_oracle(
 
     applied = state
     for _ in range(n):
-        # b†c moves one quantum from the second mode to the first; rows carry
-        # the first mode's index, so b acts from the left and c from the right.
-        applied = (raise_ @ applied @ lower.T - lower @ applied @ raise_.T) / 2j
+        shifted = np.zeros_like(applied)
+        shifted[1:, :-1] = roots * applied[:-1, 1:] * roots.T
+        shifted[:-1, 1:] -= roots * applied[1:, :-1] * roots.T
+        applied = shifted / 2j
     value = np.vdot(state, applied)
     return _hermitian_value(value, abs(value.real), f"oracle <Lx^{n}>")

@@ -16,6 +16,7 @@ so repeated calls slice it instead of recomputing every level.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,9 +106,6 @@ class FockVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
-
     def padded(self, truncation: int) -> "FockVector":
         """Zero-extend to a larger truncation (needed to match operator dims)."""
         if truncation < self.truncation:
@@ -115,24 +113,6 @@ class FockVector:
         amp = np.zeros(truncation + 1, dtype=np.complex128)
         amp[: self.truncation + 1] = self.amplitudes
         return FockVector(amp, tail_mass=self.tail_mass)
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense operator on the truncated space."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        ent = np.asarray(self.entries, dtype=np.complex128).copy()
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-            raise ValueError("operator entries must form a square matrix")
-        ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def truncation(self) -> int:
-        return self.entries.shape[0] - 1
 
 
 #: ln k! = math.lgamma(k + 1.0) for k = 0..size - 1; grown by _log_factorials only.
@@ -162,7 +142,17 @@ def _log_factorials(count: int) -> np.ndarray:
 
 
 def _log_amplitudes(nu: float, truncation: int) -> np.ndarray:
-    """ln of the Poisson amplitude magnitudes n*ln|alpha| - lnGamma(n+1)/2 - nu/2."""
+    """ln of the Poisson amplitude magnitudes n*ln|alpha| - lnGamma(n+1)/2 - nu/2.
+
+    Every amplitude and weight vector is sized here, so here a level count
+    that no array can hold is refused, before numpy tries to allocate it.
+    """
+    if 16 * (truncation + 1) > sys.maxsize:
+        from decimal import Decimal   # formats any int, even one past the largest float
+        raise ValueError(
+            f"N + 1 = {Decimal(truncation + 1):.4g} Fock levels at nu = {nu:.6g}: that many "
+            "complex128 amplitudes exceed sys.maxsize bytes, the largest array"
+        )
     n = np.arange(truncation + 1, dtype=np.float64)
     lgamma = _log_factorials(truncation + 1)
     if nu == 0.0:
@@ -194,18 +184,14 @@ def coherent_amplitudes(
     return FockVector(magnitudes * phases, tail_mass=tail)
 
 
-def number_distribution(
-    label: CoherentLabel, truncation: int | None = None
-) -> np.ndarray:
-    """Poisson weights e^{-nu} nu^n / n! for n = 0..N (mean and variance nu)."""
-    if truncation is None:
-        truncation = auto_truncation(label.nu)
-    logs = _log_amplitudes(label.nu, truncation)
+def number_distribution(label: CoherentLabel) -> np.ndarray:
+    """Poisson weights e^{-nu} nu^n / n! for n = 0..N at the auto-truncation N."""
+    logs = _log_amplitudes(label.nu, auto_truncation(label.nu))
     return np.exp(2.0 * logs)
 
 
-def ladder_matrix(kind: str, truncation: int) -> OperatorMatrix:
-    """Truncated annihilation, creation, or number matrix.
+def ladder_matrix(kind: str, truncation: int) -> np.ndarray:
+    """Truncated annihilation, creation, or number matrix, as a complex128 array.
 
     annihilation: superdiagonal sqrt(n) at column n; creation: its conjugate
     transpose; number: diag(0..N).
@@ -215,16 +201,16 @@ def ladder_matrix(kind: str, truncation: int) -> OperatorMatrix:
     dim = truncation + 1
     roots = np.sqrt(np.arange(1, dim, dtype=np.float64))
     if kind == "annihilation":
-        return OperatorMatrix(np.diag(roots, k=1))
+        return np.diag(roots, k=1).astype(np.complex128)
     if kind == "creation":
-        return OperatorMatrix(np.diag(roots, k=-1))
+        return np.diag(roots, k=-1).astype(np.complex128)
     if kind == "number":
-        return OperatorMatrix(np.diag(np.arange(dim, dtype=np.float64)))
+        return np.diag(np.arange(dim, dtype=np.complex128))
     raise ValueError(f"unknown ladder kind {kind!r}")
 
 
-def ladder_product_matrix(r: int, k: int, truncation: int) -> OperatorMatrix:
-    """Normal-ordered product (a†)^r a^k built entry by entry.
+def ladder_product_matrix(r: int, k: int, truncation: int) -> np.ndarray:
+    """Normal-ordered product (a†)^r a^k built entry by entry, as a complex128 array.
 
     Acting on |n> gives sqrt(n!/(n-k)!) * sqrt((n-k+r)!/(n-k)!) |n-k+r>,
     so the matrix has a single shifted diagonal, filled in one pass over
@@ -242,7 +228,7 @@ def ladder_product_matrix(r: int, k: int, truncation: int) -> OperatorMatrix:
     out[n - k + r, n] = np.exp(
         0.5 * (log_fact[n] - base) + 0.5 * (log_fact[n - k + r] - base)
     )
-    return OperatorMatrix(out)
+    return out
 
 
 def inner_product(bra: FockVector, ket: FockVector) -> complex:

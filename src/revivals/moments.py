@@ -11,7 +11,7 @@ such moments; the x/p means and second moments (x = √2 Re<a>, p = √2 Im<a>,
 x², p² = ½ + nu ± Re<a²>) combine the envelopes at s = 1 and 2 with alpha
 in real arithmetic. Every closed form can be checked against
 numerical_expectation, which knows nothing about the formulas: it just
-sandwiches a dense operator matrix between truncated state vectors.
+sandwiches a dense operator array between truncated state vectors.
 
 Time arguments accept scalars or arrays; arrays broadcast elementwise.
 
@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fock import CoherentLabel, FockVector, OperatorMatrix, number_distribution
+from .fock import CoherentLabel, FockVector, number_distribution
 from .ordering import x_power_terms
 from .spectra import Spectrum, _phase_factors
 
@@ -253,7 +253,8 @@ def _quadrature_moments(s: int, label: CoherentLabel, chi: float, t):
 
     The envelope turns 2^(s/2) alpha^s, which is p + iq or p² - q² + 2ipq,
     by e^{-i angle}. Real arithmetic keeps <x> at (q, -p) exactly equal to
-    <p> at (p, q); numpy's complex multiply would not.
+    <p> at (p, q); numpy's complex multiply would not. Adding exact halves
+    keeps <x²> and <p²> finite up to the largest nu.
     """
     damping, angle = _kerr_envelope(0, s, label.nu, chi, t)
     p, q = label.p, label.q
@@ -262,7 +263,7 @@ def _quadrature_moments(s: int, label: CoherentLabel, chi: float, t):
         return damping * (p * cos + q * sin), damping * (q * cos - p * sin)
     bracket = damping * ((p * p - q * q) * cos + 2.0 * p * q * sin)
     base = 1.0 + p * p + q * q
-    return 0.5 * (base + bracket), 0.5 * (base - bracket)
+    return 0.5 * base + 0.5 * bracket, 0.5 * base - 0.5 * bracket
 
 
 def expect_x(label: CoherentLabel, chi: float, t):
@@ -345,27 +346,33 @@ def uncertainty_trace(
 
     Returns two traces: Δx·Δp (real values), and the path with Δx + iΔp
     packed into complex values. The product stays at or above 1/2 up to
-    rounding because the state starts minimum-uncertainty.
+    rounding because the state starts minimum-uncertainty. A variance that is
+    not positive has lost every digit to cancellation and raises ArithmeticError.
     """
     times = np.asarray(times, dtype=np.float64)
     x, p = _quadrature_moments(1, label, chi, times)
     x2, p2 = _quadrature_moments(2, label, chi, times)
-    dx = np.sqrt(x2 - x**2)
-    dp = np.sqrt(p2 - p**2)
+    var_x, var_p = x2 - x**2, p2 - p**2
+    if not (np.all(var_x > 0.0) and np.all(var_p > 0.0)):
+        raise ArithmeticError(
+            f"uncertainty trace at nu = {label.nu:.6g}: <x^2> - <x>^2 or "
+            "<p^2> - <p>^2 is not positive, so the subtraction lost every digit"
+        )
+    dx = np.sqrt(var_x)
+    dp = np.sqrt(var_p)
     product = ObservableTrace(times, dx * dp, "Δx·Δp")
     path = ObservableTrace(times, dx + 1j * dp, "(Δx, Δp)")
     return product, path
 
 
-def numerical_expectation(state: FockVector, op: OperatorMatrix) -> complex:
+def numerical_expectation(state: FockVector, op: np.ndarray) -> complex:
     """<v|M|v> by dense matrix-vector product; the independent verification route.
 
-    The operator must be built on a truncation at least as large as the
-    state's maximum ladder excursion requires; pad the state to match.
+    op is an (N+1) x (N+1) array on the state's truncation N; any other shape
+    raises ValueError. Build it on a truncation as large as the state's maximum
+    ladder excursion requires, and pad the state to match.
     """
-    if op.truncation != state.truncation:
-        raise ValueError(
-            f"dimension mismatch: operator truncation {op.truncation}, "
-            f"state truncation {state.truncation}"
-        )
-    return complex(np.vdot(state.amplitudes, op.entries @ state.amplitudes))
+    dim = state.truncation + 1
+    if op.shape != (dim, dim):
+        raise ValueError(f"dimension mismatch: operator shape {op.shape}, state needs ({dim}, {dim})")
+    return complex(np.vdot(state.amplitudes, op @ state.amplitudes))

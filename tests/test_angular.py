@@ -13,9 +13,10 @@ from revivals.angular import (
     lx_moment,
     lx_moment_oracle,
 )
-from revivals.fock import CoherentLabel
+from revivals.fock import CoherentLabel, auto_truncation, coherent_amplitudes, ladder_matrix
 from revivals.moments import ladder_moment
 from revivals.ordering import interference_power_terms
+from revivals.spectra import Spectrum, evolve
 
 VACUUM = CoherentLabel(0.0, 0.0)
 
@@ -141,6 +142,53 @@ def test_high_orders_match_oracle_on_every_axis(axis):
             closed = angular_moment(axis, n, label, chi, t)
             oracle = lx_moment_oracle(n, as_x, chi, t)
             assert abs(closed - oracle) <= 1e-15 * scale
+
+
+#: Largest closed-form-vs-oracle error at per-mode nu = 100 and 200, relative
+#: to the magnitude bound; measured worst 6.5e-14, at nu = 200. The phase
+#: rounding both routes carry grows with nu, hence a margin of its own.
+LARGE_NU_MARGIN = 1e-13
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("nu", [100.0, 200.0])
+def test_high_orders_match_oracle_at_large_nu(nu, n):
+    first = CoherentLabel.from_alpha(math.sqrt(nu) * np.exp(0.3j))
+    second = CoherentLabel.from_alpha(math.sqrt(nu) * np.exp(-1.1j))
+    label = TriModeLabel(VACUUM, first, second)
+    scale = _magnitude_bound(n, first, second)
+    for t in (0.0, 0.37, 1.3, 2.9):
+        closed = lx_moment(n, label, 0.9, t)
+        oracle = lx_moment_oracle(n, label, 0.9, t)
+        assert abs(closed - oracle) <= LARGE_NU_MARGIN * scale
+
+
+def _dense_oracle(n, label, chi, t):
+    """<Lx^n> by dense per-mode ladder matrices acting on the two-mode amplitude array."""
+    truncation = auto_truncation(max(label.mode_b.nu, label.mode_c.nu))
+    lower = ladder_matrix("annihilation", truncation)
+    raise_ = ladder_matrix("creation", truncation)
+    state = np.outer(*(
+        evolve(coherent_amplitudes(mode, truncation), Spectrum.kerr(chi), t).amplitudes
+        for mode in (label.mode_b, label.mode_c)
+    ))
+    applied = state
+    for _ in range(n):
+        applied = (raise_ @ applied @ lower.T - lower @ applied @ raise_.T) / 2j
+    return np.vdot(state, applied).real
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracle_shifts_equal_dense_ladder_products(n):
+    # Each ladder matrix has one nonzero diagonal, so the dense products only
+    # add exact zeros to the shifted slices: the values must be bit-identical.
+    labels = (
+        TriModeLabel.from_alphas(0.0, 1.2 + 0.9j, -0.7 + 1.1j),
+        TriModeLabel.from_alphas(0.3j, 2.5 - 1.9j, 0.4 + 3.0j),
+    )
+    for label in labels:
+        for t in (0.0, 0.37, 1.3):
+            assert lx_moment_oracle(n, label, 0.9, t) == _dense_oracle(n, label, 0.9, t)
 
 
 def test_hermiticity_guard_scales_with_magnitude():

@@ -489,6 +489,42 @@ def test_overflowing_label_rejected(tmp_path, monkeypatch, capsys, argv, p, q):
     assert not list(tmp_path.iterdir())
 
 
+_TOO_MANY_LEVELS = (
+    "N + 1 = {} Fock levels at nu = {}: that many complex128 amplitudes exceed "
+    "sys.maxsize bytes, the largest array"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["autocorr", "--p", "1e150", "--samples", "3"], _TOO_MANY_LEVELS.format("5.000e+299", "5e+299")),
+        (["autocorr", "--p", "1e10", "--samples", "3"], _TOO_MANY_LEVELS.format("5.000e+19", "5e+19")),
+        (["carpet", "--p", "1e150", "--nx", "4", "--nt", "3"], _TOO_MANY_LEVELS.format("5.000e+299", "5e+299")),
+        (["cat", "--m", "2", "--p", "1e150"], _TOO_MANY_LEVELS.format("5.000e+299", "5e+299")),
+        (
+            ["carpet", "--truncation", "10000000000000000000", "--nx", "4", "--nt", "3"],
+            _TOO_MANY_LEVELS.format("1.000e+19", "1"),
+        ),
+        (
+            ["xptrace", "--observable", "dxdp", "--p", "1e154", "--samples", "3"],
+            "uncertainty trace at nu = 5e+307: <x^2> - <x>^2 or <p^2> - <p>^2 "
+            "is not positive, so the subtraction lost every digit",
+        ),
+    ],
+    ids=["autocorr-1e150", "autocorr-1e10", "carpet-1e150", "cat-1e150", "carpet-truncation", "dxdp-1e154"],
+)
+def test_huge_nu_refused_with_its_cause(tmp_path, monkeypatch, capsys, argv, message):
+    # Level counts no array can hold, and variances whose subtraction lost
+    # every digit, are named instead of failing inside numpy or writing nan.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("chi", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize(
     "argv",

@@ -1,6 +1,8 @@
 """Fock-space primitive checks: amplitudes, operators, inner products."""
 
 import math
+import re
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +12,6 @@ from revivals import fock
 from revivals.fock import (
     CoherentLabel,
     FockVector,
-    OperatorMatrix,
     auto_truncation,
     coherent_amplitudes,
     inner_product,
@@ -121,12 +122,12 @@ def test_ladder_matrices():
     a = ladder_matrix("annihilation", 9)
     adag = ladder_matrix("creation", 9)
     num = ladder_matrix("number", 9)
-    assert np.allclose(adag.entries, a.entries.conj().T)
-    sub = np.diagonal(adag.entries, offset=-1)
+    assert np.allclose(adag, a.conj().T)
+    sub = np.diagonal(adag, offset=-1)
     assert np.allclose(sub, np.sqrt(np.arange(1, 10)))
     # a†a matches the number matrix except at the truncation edge.
-    prod = adag.entries @ a.entries
-    assert np.allclose(prod, num.entries)
+    prod = adag @ a
+    assert np.allclose(prod, num)
     with pytest.raises(ValueError):
         ladder_matrix("annihilation", 0)
     with pytest.raises(ValueError):
@@ -135,10 +136,10 @@ def test_ladder_matrices():
 
 def test_ladder_product_matches_matrix_powers():
     n = 12
-    a = ladder_matrix("annihilation", n).entries
-    adag = ladder_matrix("creation", n).entries
+    a = ladder_matrix("annihilation", n)
+    adag = ladder_matrix("creation", n)
     for r, k in ((0, 1), (1, 0), (2, 3), (3, 2), (2, 2)):
-        direct = ladder_product_matrix(r, k, n).entries
+        direct = ladder_product_matrix(r, k, n)
         powered = np.linalg.matrix_power(adag, r) @ np.linalg.matrix_power(a, k)
         # Rows that would overflow the truncation are zero in the direct
         # build; compare only rows both constructions can represent.
@@ -186,7 +187,7 @@ def test_ladder_product_matches_entry_rule():
     for truncation in (0, 1, 3, 17, 60):
         for r in range(5):
             for k in range(5):
-                built = ladder_product_matrix(r, k, truncation).entries
+                built = ladder_product_matrix(r, k, truncation)
                 rule = _ladder_product_by_rule(r, k, truncation)
                 assert np.array_equal(built != 0, rule != 0), (r, k, truncation)
                 scale = np.where(rule != 0, np.abs(rule), 1.0)
@@ -235,8 +236,24 @@ def test_fock_vector_truncation_is_derived_not_accepted():
         vec.truncation = 5
 
 
-def test_operator_matrix_validation():
-    with pytest.raises(ValueError):
-        OperatorMatrix(np.zeros((2, 3)))
-    op = OperatorMatrix(np.eye(4))
-    assert op.truncation == 3
+@pytest.mark.parametrize(
+    "build, levels, nu",
+    [
+        (lambda: coherent_amplitudes(CoherentLabel(1e150, 1.0)), "5.000e+299", "5e+299"),
+        (lambda: number_distribution(CoherentLabel(1e10, 1.0)), "5.000e+19", "5e+19"),
+        (lambda: coherent_amplitudes(CoherentLabel(0.0, 0.0), 10**19), "1.000e+19", "0"),
+        (lambda: coherent_amplitudes(CoherentLabel(1.0, 1.0), 10**400), "1.000e+400", "1"),
+        # The smallest count refused: 16 (N + 1) bytes first exceed sys.maxsize.
+        (lambda: coherent_amplitudes(CoherentLabel(1.0, 1.0), sys.maxsize // 16), "5.765e+17", "1"),
+    ],
+    ids=["auto-huge-nu", "auto-weights", "vacuum", "past-float", "boundary"],
+)
+def test_level_count_no_array_can_hold_is_refused(build, levels, nu):
+    message = (
+        f"N + 1 = {levels} Fock levels at nu = {nu}: that many complex128 "
+        "amplitudes exceed sys.maxsize bytes, the largest array"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

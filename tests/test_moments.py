@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from revivals import moments
 from revivals.angular import TriModeLabel, angular_moment
 from revivals.fock import (
     CoherentLabel,
-    OperatorMatrix,
     coherent_amplitudes,
     ladder_matrix,
     ladder_product_matrix,
@@ -98,14 +98,12 @@ def test_quadratures_against_oracle():
     state = coherent_amplitudes(label)
     big = state.padded(state.truncation + 4)
     n = big.truncation
-    a = ladder_matrix("annihilation", n).entries
-    adag = ladder_matrix("creation", n).entries
-    from revivals.fock import OperatorMatrix
-
-    x_op = OperatorMatrix((a + adag) / math.sqrt(2.0))
-    p_op = OperatorMatrix((a - adag) / (1j * math.sqrt(2.0)))
-    x2_op = OperatorMatrix(x_op.entries @ x_op.entries)
-    p2_op = OperatorMatrix(p_op.entries @ p_op.entries)
+    a = ladder_matrix("annihilation", n)
+    adag = ladder_matrix("creation", n)
+    x_op = (a + adag) / math.sqrt(2.0)
+    p_op = (a - adag) / (1j * math.sqrt(2.0))
+    x2_op = x_op @ x_op
+    p2_op = p_op @ p_op
     spectrum = Spectrum.kerr(chi)
     for t in times:
         evolved = evolve(big, spectrum, float(t))
@@ -199,11 +197,9 @@ def test_x_cubed_against_oracle():
     state = coherent_amplitudes(label)
     big = state.padded(state.truncation + 6)
     n = big.truncation
-    a = ladder_matrix("annihilation", n).entries
-    adag = ladder_matrix("creation", n).entries
-    from revivals.fock import OperatorMatrix
-
-    x3 = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), 3))
+    a = ladder_matrix("annihilation", n)
+    adag = ladder_matrix("creation", n)
+    x3 = np.linalg.matrix_power((a + adag) / math.sqrt(2.0), 3)
     spectrum = Spectrum.kerr(chi)
     for t in np.linspace(0.0, math.pi, 25):
         closed = expect_x_power(3, label, chi, float(t))
@@ -220,9 +216,9 @@ def test_x_powers_to_twenty_against_dense_matrix_power():
     spectrum = Spectrum.kerr(chi)
     for k in range(1, 21):
         big = state.padded(state.truncation + k)
-        a = ladder_matrix("annihilation", big.truncation).entries
-        adag = ladder_matrix("creation", big.truncation).entries
-        xk = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k))
+        a = ladder_matrix("annihilation", big.truncation)
+        adag = ladder_matrix("creation", big.truncation)
+        xk = np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k)
         scale = 2.0 ** (-k / 2.0) * sum(
             abs(coeff) * label.radius ** (i + j) for (i, j), coeff in x_power_terms(k)
         )
@@ -240,11 +236,9 @@ def test_high_power_hermiticity_guard_scales_with_magnitude(k, nu):
     label = CoherentLabel.from_alpha(math.sqrt(nu) * np.exp(0.7j))
     big = coherent_amplitudes(label)
     big = big.padded(big.truncation + k)
-    a = ladder_matrix("annihilation", big.truncation).entries
-    adag = ladder_matrix("creation", big.truncation).entries
-    from revivals.fock import OperatorMatrix
-
-    xk = OperatorMatrix(np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k))
+    a = ladder_matrix("annihilation", big.truncation)
+    adag = ladder_matrix("creation", big.truncation)
+    xk = np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k)
     spectrum = Spectrum.kerr(chi)
     times = np.array([0.0, 0.05, 0.3, 1.1])
     trace = expect_x_power(k, label, chi, times)
@@ -318,11 +312,9 @@ def test_degenerate_vacuum_traces_are_flat():
 
 
 def test_numerical_expectation_examples():
-    from revivals.fock import OperatorMatrix
-
     label = CoherentLabel(math.sqrt(10.0), math.sqrt(10.0))  # nu = 10
     state = coherent_amplitudes(label)
-    identity = OperatorMatrix(np.eye(state.truncation + 1))
+    identity = np.eye(state.truncation + 1)
     assert numerical_expectation(state, identity).real == pytest.approx(
         1.0, abs=1e-12
     )
@@ -330,7 +322,7 @@ def test_numerical_expectation_examples():
     assert numerical_expectation(state, number).real == pytest.approx(
         10.0, abs=1e-8
     )
-    small = OperatorMatrix(np.eye(3))
+    small = np.eye(3)
     with pytest.raises(ValueError):
         numerical_expectation(state, small)
     # a†² a³ dual path on the Kerr-evolved state.
@@ -340,6 +332,41 @@ def test_numerical_expectation_examples():
     direct = numerical_expectation(evolved, op)
     closed = ladder_moment(2, 3, label, 1.0, 0.37)
     assert abs(direct - complex(closed)) < 1e-9 * (1.0 + abs(direct))
+
+
+def test_numerical_expectation_refuses_non_square_or_mismatched_array():
+    state = coherent_amplitudes(CoherentLabel(1.0, 0.5), truncation=3)
+    for shape in ((4, 5), (5, 4), (3, 3), (5, 5), (16,), (4, 4, 1)):
+        with pytest.raises(ValueError, match=r"dimension mismatch: operator shape .*needs \(4, 4\)"):
+            numerical_expectation(state, np.ones(shape))
+    assert numerical_expectation(state, np.eye(4)) == pytest.approx(state.norm_sq(), abs=1e-15)
+
+
+def test_second_quadrature_moments_finite_at_the_largest_nu():
+    # nu = 5e307: 1 + p^2 + q^2 plus the bracket used to overflow before halving.
+    huge = CoherentLabel(1e154, 1.0)
+    t = np.linspace(0.0, math.pi, 5)
+    x2, p2 = expect_x2(huge, 1.0, t), expect_p2(huge, 1.0, t)
+    assert np.isfinite(x2).all() and np.isfinite(p2).all()
+    assert expect_x2(huge, 1.0, 0.0) == huge.p * huge.p
+    # Halving is exact, so wherever the old sum was finite the bits agree.
+    rng = np.random.default_rng(5)
+    for p, q in rng.uniform(-30.0, 30.0, size=(20, 2)):
+        label = CoherentLabel(p, q)
+        damping, angle = moments._kerr_envelope(0, 2, label.nu, 1.0, t)
+        bracket = damping * ((p * p - q * q) * np.cos(angle) + 2.0 * p * q * np.sin(angle))
+        base = 1.0 + p * p + q * q
+        assert expect_x2(label, 1.0, t).tobytes() == (0.5 * (base + bracket)).tobytes()
+        assert expect_p2(label, 1.0, t).tobytes() == (0.5 * (base - bracket)).tobytes()
+
+
+def test_uncertainty_trace_refuses_a_cancelled_variance():
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^uncertainty trace at nu = 5e\+307: <x\^2> - <x>\^2 or <p\^2> - <p>\^2 "
+        r"is not positive, so the subtraction lost every digit$",
+    ):
+        uncertainty_trace(CoherentLabel(1e154, 1.0), 1.0, np.linspace(0.0, math.pi, 3))
 
 
 def test_observable_trace_validation():

@@ -25,8 +25,8 @@ def normal_order_word(word):
 
 def _word_matrix(word, truncation):
     """Multiply truncated ladder matrices left to right for the given word."""
-    a = ladder_matrix("annihilation", truncation).entries
-    adag = ladder_matrix("creation", truncation).entries
+    a = ladder_matrix("annihilation", truncation)
+    adag = ladder_matrix("creation", truncation)
     out = np.eye(truncation + 1, dtype=np.complex128)
     for creation in word:
         out = out @ (adag if creation else a)
@@ -36,7 +36,7 @@ def _word_matrix(word, truncation):
 def _terms_matrix(terms, truncation):
     out = np.zeros((truncation + 1, truncation + 1), dtype=np.complex128)
     for (i, j), coeff in terms.items():
-        out = out + coeff * ladder_product_matrix(i, j, truncation).entries
+        out = out + coeff * ladder_product_matrix(i, j, truncation)
     return out
 
 
@@ -75,8 +75,8 @@ def test_x_power_terms_low_orders():
 
 def test_x_power_terms_match_matrices():
     truncation = 20
-    a = ladder_matrix("annihilation", truncation).entries
-    adag = ladder_matrix("creation", truncation).entries
+    a = ladder_matrix("annihilation", truncation)
+    adag = ladder_matrix("creation", truncation)
     x_op = a + adag
     for k in range(1, 5):
         rebuilt = _terms_matrix(dict(x_power_terms(k)), truncation)
@@ -156,15 +156,15 @@ def test_interference_expansion_matches_tensor_matrices():
     # Rebuild L_x^n from the expansion as a two-mode matrix and compare
     # against the direct matrix power, away from the truncation edge.
     margin_truncation = 12
-    a = ladder_matrix("annihilation", margin_truncation).entries
-    adag = ladder_matrix("creation", margin_truncation).entries
+    a = ladder_matrix("annihilation", margin_truncation)
+    adag = ladder_matrix("creation", margin_truncation)
     lx = (np.kron(adag, a) - np.kron(a, adag)) / 2j
     for n in range(1, 5):
         direct = np.linalg.matrix_power(lx, n)
         rebuilt = np.zeros_like(direct)
         for (i1, j1, i2, j2), coeff in interference_power_terms(n):
-            mode_b = ladder_product_matrix(i1, j1, margin_truncation).entries
-            mode_c = ladder_product_matrix(i2, j2, margin_truncation).entries
+            mode_b = ladder_product_matrix(i1, j1, margin_truncation)
+            mode_c = ladder_product_matrix(i2, j2, margin_truncation)
             rebuilt = rebuilt + coeff * np.kron(mode_b, mode_c)
         # Interior comparison: keep rows/cols whose per-mode indices stay
         # clear of the cutoff by the word length.
