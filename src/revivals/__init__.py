@@ -45,7 +45,6 @@ from .fock import (
 )
 from .moments import (
     BurstReport,
-    ObservableTrace,
     autocorrelation,
     detect_bursts,
     expect_p,
@@ -73,7 +72,6 @@ __all__ = [
     "CatDecomposition",
     "CoherentLabel",
     "FockVector",
-    "ObservableTrace",
     "PendulumArray",
     "Spectrum",
     "TriModeLabel",

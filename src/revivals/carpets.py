@@ -62,30 +62,35 @@ def _check_extents(x_min: float, x_max: float, t_min: float, t_max: float) -> No
 
 @dataclass(frozen=True)
 class CarpetGrid:
-    """Space-time density grid: nt rows (time) by nx columns (position)."""
+    """Space-time density grid: nt rows (time) by nx columns (position).
+
+    The sizes nt and nx are the shape of density, which needs at least two
+    rows and two columns; the extents are checked as carpet checks them.
+    """
 
     x_min: float
     x_max: float
-    nx: int
     t_min: float
     t_max: float
-    nt: int
     density: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.nx < 2 or self.nt < 2:
+        dens = np.asarray(self.density, dtype=np.float64).copy()
+        if dens.ndim != 2 or min(dens.shape) < 2:
             raise ValueError("a carpet needs at least a 2 x 2 grid")
         _check_extents(self.x_min, self.x_max, self.t_min, self.t_max)
-        dens = np.asarray(self.density, dtype=np.float64).copy()
-        if dens.shape != (self.nt, self.nx):
-            raise ValueError(
-                f"density shape {dens.shape} does not match (nt, nx) = "
-                f"({self.nt}, {self.nx})"
-            )
         if np.any(dens < 0.0):
             raise ValueError("densities cannot be negative")
         dens.setflags(write=False)
         object.__setattr__(self, "density", dens)
+
+    @property
+    def nt(self) -> int:
+        return self.density.shape[0]
+
+    @property
+    def nx(self) -> int:
+        return self.density.shape[1]
 
     def x_axis(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.nx)
@@ -212,15 +217,7 @@ def carpet(
     psi = block.reshape(2 * nt, n_max + 1) @ table
     np.square(psi, out=psi)
     density = np.add(psi[:nt], psi[nt:], out=psi[:nt])
-    return CarpetGrid(
-        x_min=float(x_min),
-        x_max=float(x_max),
-        nx=nx,
-        t_min=float(t_min),
-        t_max=float(t_max),
-        nt=nt,
-        density=density,
-    )
+    return CarpetGrid(float(x_min), float(x_max), float(t_min), float(t_max), density)
 
 
 def count_lobes(row: np.ndarray, threshold: float = LOBE_THRESHOLD) -> int:

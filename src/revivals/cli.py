@@ -151,8 +151,8 @@ def _run_xptrace(args: argparse.Namespace) -> tuple[str, bytes]:
     period = math.pi / args.chi
     times = _time_grid(args, period)
     if name == "dxdp":
-        product, _ = uncertainty_trace(label, args.chi, times)
-        values = product.values.real
+        dx, dp = uncertainty_trace(label, args.chi, times)
+        values = dx * dp
     else:
         values = np.asarray(_OBSERVABLES[name](label, args.chi, times))
     pairs = [("observable", name), ("p", label.p), ("q", label.q)]

@@ -15,12 +15,13 @@ sandwiches a dense operator array between truncated state vectors.
 
 Time arguments accept scalars or arrays; arrays broadcast elementwise.
 
-The burst detector quantifies "a signature is visible at t = (j/k) T_rev":
-for every reduced fraction it compares the mean squared deviation from the
-global trace mean inside a narrow window around j/k T_rev against the same
-measure over the part of the trace belonging to no window. Flat traces
-report zero everywhere; a window counts as detected when its ratio reaches
-the threshold.
+The burst detector quantifies "a signature is visible at t = (j/k) T_rev"
+on a trace given as two plain arrays, times and values: for every reduced
+fraction it compares the mean squared deviation from the global trace mean
+inside a narrow window around j/k T_rev against the same measure over the
+part of the trace belonging to no window. Flat traces report zero
+everywhere; a window counts as detected when its ratio reaches the
+threshold. Its report maps each fraction to its ratio.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -47,66 +50,41 @@ DEFAULT_THRESHOLD = 10.0
 
 
 @dataclass(frozen=True)
-class ObservableTrace:
-    """A sampled observable: times, values, and a human-readable meaning tag."""
-
-    times: np.ndarray
-    values: np.ndarray
-    meaning: str
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=np.float64).copy()
-        values = np.asarray(self.values).copy()
-        if times.ndim != 1 or times.shape != values.shape:
-            raise ValueError("times and values must be 1-d and equal length")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class BurstReport:
-    """Variance ratios per fractional-revival window of one trace."""
+    """Variance ratio per fractional-revival window of one trace.
 
-    windows: tuple[tuple[float, float], ...]
+    ratios maps each reduced fraction j/k to the ratio of the window centered
+    at (j/k) * revival_time; it is read-only, and detect_bursts fills it in
+    increasing order of fraction.
+    """
+
+    ratios: Mapping[Fraction, float]
     threshold: float
-    fractions: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        if any(ratio < 0.0 for _, ratio in self.windows):
+        if any(ratio < 0.0 for ratio in self.ratios.values()):
             raise ValueError("variance ratios cannot be negative")
-        if self.fractions and len(self.fractions) != len(self.windows):
-            raise ValueError("fractions must align with windows")
+        object.__setattr__(self, "ratios", MappingProxyType(dict(self.ratios)))
 
-    def detected(self) -> tuple[float, ...]:
-        """Window centers whose ratio reaches the threshold."""
-        return tuple(c for c, r in self.windows if r >= self.threshold)
-
-    def detected_fractions(self) -> tuple[Fraction, ...]:
-        return tuple(
-            f
-            for f, (_, r) in zip(self.fractions, self.windows)
-            if r >= self.threshold
-        )
-
-    def ratio_at(self, fraction: Fraction) -> float:
-        for f, (_, ratio) in zip(self.fractions, self.windows):
-            if f == fraction:
-                return ratio
-        raise KeyError(f"no window at {fraction}")
+    def detected(self) -> tuple[Fraction, ...]:
+        """Fractions whose ratio reaches the threshold."""
+        return tuple(f for f, r in self.ratios.items() if r >= self.threshold)
 
 
 def detect_bursts(
-    trace: ObservableTrace,
+    times,
+    values,
     revival_time: float,
     k_max: int,
     window_frac: float = DEFAULT_WINDOW_FRAC,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> BurstReport:
-    """Score every reduced fraction j/k (k <= k_max) window of the trace.
+    """Score every reduced fraction j/k (k <= k_max) window of a sampled trace.
+
+    times and values are 1-d arrays of equal length, finite, with times
+    strictly increasing and covering [0, revival_time]; values may be real
+    or complex. The threshold must be finite and positive. Any other input
+    raises ValueError.
 
     The score of a window centered at (j/k) * revival_time is the mean
     squared deviation from the global trace mean inside the window divided
@@ -116,16 +94,24 @@ def detect_bursts(
     plateau, and that excursion must not be absorbed into a local mean.
     Ratio conventions: 0/0 -> 0 (flat trace), positive/0 -> inf.
     """
-    times = trace.times
-    values = trace.values
+    times = np.asarray(times, dtype=np.float64)
+    values = np.asarray(values)
+    if times.ndim != 1 or times.shape != values.shape:
+        raise ValueError("times and values must be 1-d and equal length")
     if times.size == 0:
         raise ValueError("empty trace")
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        raise ValueError("times and values must be finite")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("times must be strictly increasing")
     if not revival_time > 0:
         raise ValueError("revival_time must be positive")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if not (0.0 < window_frac < 1.0):
         raise ValueError("window_frac must lie in (0, 1)")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold:g}")
     span = 1e-9 * revival_time
     if times[0] > span or times[-1] < revival_time - span:
         raise ValueError("trace must cover [0, revival_time]")
@@ -138,26 +124,20 @@ def detect_bursts(
     in_any = np.zeros(times.shape, dtype=bool)
     masks = []
     for frac in fractions:
-        center = float(frac) * revival_time
-        mask = np.abs(times - center) <= half
+        mask = np.abs(times - float(frac) * revival_time) <= half
         masks.append(mask)
         in_any |= mask
     outside = ~in_any
     out_level = float(np.mean(deviations[outside])) if outside.any() else 0.0
 
-    windows = []
+    ratios = {}
     for frac, mask in zip(fractions, masks):
         in_level = float(np.mean(deviations[mask])) if mask.any() else 0.0
         if out_level > 0.0:
-            ratio = in_level / out_level
+            ratios[frac] = in_level / out_level
         else:
-            ratio = 0.0 if in_level == 0.0 else math.inf
-        windows.append((float(frac) * revival_time, ratio))
-    return BurstReport(
-        windows=tuple(windows),
-        threshold=threshold,
-        fractions=tuple(fractions),
-    )
+            ratios[frac] = 0.0 if in_level == 0.0 else math.inf
+    return BurstReport(ratios, threshold)
 
 
 def _kerr_envelope(r: int, s: int, nu: float, chi: float, t):
@@ -339,15 +319,12 @@ def expect_x_power(k: int, label: CoherentLabel, chi: float, t):
     return _hermitian_value(total * scale, scale * bound, f"<x^{k}>")
 
 
-def uncertainty_trace(
-    label: CoherentLabel, chi: float, times
-) -> tuple[ObservableTrace, ObservableTrace]:
-    """Uncertainty product trace and the (Δx, Δp) path over the given times.
+def uncertainty_trace(label: CoherentLabel, chi: float, times):
+    """The spreads (Δx, Δp) over the given times, as two real arrays.
 
-    Returns two traces: Δx·Δp (real values), and the path with Δx + iΔp
-    packed into complex values. The product stays at or above 1/2 up to
-    rounding because the state starts minimum-uncertainty. A variance that is
-    not positive has lost every digit to cancellation and raises ArithmeticError.
+    Their product Δx·Δp stays at or above 1/2 up to rounding because the
+    state starts minimum-uncertainty. A variance that is not positive has
+    lost every digit to cancellation and raises ArithmeticError.
     """
     times = np.asarray(times, dtype=np.float64)
     x, p = _quadrature_moments(1, label, chi, times)
@@ -358,11 +335,7 @@ def uncertainty_trace(
             f"uncertainty trace at nu = {label.nu:.6g}: <x^2> - <x>^2 or "
             "<p^2> - <p>^2 is not positive, so the subtraction lost every digit"
         )
-    dx = np.sqrt(var_x)
-    dp = np.sqrt(var_p)
-    product = ObservableTrace(times, dx * dp, "Δx·Δp")
-    path = ObservableTrace(times, dx + 1j * dp, "(Δx, Δp)")
-    return product, path
+    return np.sqrt(var_x), np.sqrt(var_p)
 
 
 def numerical_expectation(state: FockVector, op: np.ndarray) -> complex:

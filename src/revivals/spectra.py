@@ -11,7 +11,7 @@ recovers the cat coefficients and component labels exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -220,18 +220,29 @@ def fractional_revival_times(
 
 @dataclass(frozen=True)
 class CatDecomposition:
-    """Evolved state at t = T_rev/m written as m displaced coherent copies."""
+    """Evolved state at t = T_rev/m written as m displaced coherent copies.
 
-    m: int
+    The order m is len(coefficients), so it is not stored. The constructor
+    still takes it first, as the order the record was built for, and refuses
+    one that differs from the number of coefficients.
+    """
+
+    order: InitVar[int]
     coefficients: np.ndarray
     component_labels: tuple[CoherentLabel, ...]
     time: float
     fidelity: float
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, order: int) -> None:
         coeff = np.asarray(self.coefficients, dtype=np.complex128).copy()
+        if coeff.shape != (order,):
+            raise ValueError(f"order {order} needs {order} coefficients, got shape {coeff.shape}")
         coeff.setflags(write=False)
         object.__setattr__(self, "coefficients", coeff)
+
+    @property
+    def m(self) -> int:
+        return len(self.coefficients)
 
 
 def _quadratic_phase_split(m: int) -> tuple[np.ndarray, complex]:
@@ -291,10 +302,4 @@ def decompose_fractional(
             f"cat reconstruction fidelity {fidelity:.15f} below "
             f"{1.0 - FIDELITY_FLOOR:.9f}; increase the truncation"
         )
-    return CatDecomposition(
-        m=m,
-        coefficients=coefficients,
-        component_labels=labels,
-        time=t,
-        fidelity=fidelity,
-    )
+    return CatDecomposition(m, coefficients, labels, t, fidelity)

@@ -155,12 +155,15 @@ def test_carpet_guards():
 
 
 def test_grid_validation():
+    for small in (np.zeros((1, 4)), np.zeros((4, 1)), np.zeros(4)):
+        with pytest.raises(ValueError, match="at least a 2 x 2 grid"):
+            CarpetGrid(0.0, 1.0, 0.0, 1.0, small)
     with pytest.raises(ValueError):
-        CarpetGrid(0.0, 1.0, 4, 0.0, 1.0, 4, np.zeros((3, 4)))
+        CarpetGrid(0.0, 1.0, 0.0, 1.0, -np.ones((2, 4)))
     with pytest.raises(ValueError):
-        CarpetGrid(0.0, 1.0, 4, 0.0, 1.0, 2, -np.ones((2, 4)))
-    with pytest.raises(ValueError):
-        CarpetGrid(1.0, 0.0, 4, 0.0, 1.0, 2, np.zeros((2, 4)))
+        CarpetGrid(1.0, 0.0, 0.0, 1.0, np.zeros((2, 4)))
+    grid = CarpetGrid(0.0, 1.0, 0.0, 1.0, np.zeros((3, 4)))
+    assert (grid.nt, grid.nx) == (3, 4)
     for extents in (
         (0.0, 1.0, 0.0, math.inf),
         (0.0, 1.0, -math.inf, 1.0),
@@ -169,7 +172,7 @@ def test_grid_validation():
     ):
         x_min, x_max, t_min, t_max = extents
         with pytest.raises(ValueError, match="grid extents must be finite"):
-            CarpetGrid(x_min, x_max, 4, t_min, t_max, 2, np.zeros((2, 4)))
+            CarpetGrid(x_min, x_max, t_min, t_max, np.zeros((2, 4)))
 
 
 @pytest.mark.parametrize(
@@ -205,11 +208,11 @@ def test_carpet_rejects_overflowing_spans_before_computing(bounds):
             carpet(label, Spectrum.kerr(1.0), nx=4, nt=3, **bounds)
         extents = {"x_min": 0.0, "x_max": 1.0, "t_min": 0.0, "t_max": 1.0, **bounds}
         with pytest.raises(ValueError, match="spans .* must be finite"):
-            CarpetGrid(nx=4, nt=2, density=np.zeros((2, 4)), **extents)
+            CarpetGrid(density=np.zeros((2, 4)), **extents)
         # NumPy scalars take the same route without an overflow warning.
         numpy_extents = {key: np.float64(value) for key, value in extents.items()}
         with pytest.raises(ValueError, match="spans .* must be finite"):
-            CarpetGrid(nx=4, nt=2, density=np.zeros((2, 4)), **numpy_extents)
+            CarpetGrid(density=np.zeros((2, 4)), **numpy_extents)
 
 
 @pytest.mark.parametrize(
@@ -227,7 +230,7 @@ def test_carpet_rejects_x_extents_whose_square_overflows(bounds):
         with pytest.raises(ValueError, match="x extents must lie within"):
             carpet(label, Spectrum.kerr(1.0), nx=4, nt=3, **bounds)
         with pytest.raises(ValueError, match="x extents must lie within"):
-            CarpetGrid(nx=4, t_min=0.0, t_max=1.0, nt=2, density=np.zeros((2, 4)), **bounds)
+            CarpetGrid(t_min=0.0, t_max=1.0, density=np.zeros((2, 4)), **bounds)
         # The largest extent whose square is finite still runs without a warning.
         limit = math.sqrt(sys.float_info.max)
         grid = carpet(label, Spectrum.kerr(1.0), x_min=-limit, x_max=limit, nx=4, nt=3)
@@ -236,20 +239,20 @@ def test_carpet_rejects_x_extents_whose_square_overflows(bounds):
 
 def test_pgm_export_shape_and_normalization():
     density = np.array([[0.0, 1.0], [2.0, 4.0]])
-    grid = CarpetGrid(0.0, 1.0, 2, 0.0, 1.0, 2, density)
+    grid = CarpetGrid(0.0, 1.0, 0.0, 1.0, density)
     blob = grid_to_pgm(grid)
     assert blob.startswith(b"P5\n2 2\n255\n")
     pixels = np.frombuffer(blob[len(b"P5\n2 2\n255\n") :], dtype=np.uint8)
     assert pixels.tolist() == [0, 64, 128, 255]
     # All-dark grid stays all zeros rather than dividing by zero.
-    dark = CarpetGrid(0.0, 1.0, 2, 0.0, 1.0, 2, np.zeros((2, 2)))
+    dark = CarpetGrid(0.0, 1.0, 0.0, 1.0, np.zeros((2, 2)))
     assert grid_to_pgm(dark).endswith(bytes(4))
 
 
 def test_csv_export_roundtrip():
     rng = np.random.default_rng(5)
     density = rng.uniform(0.0, 2.0, size=(3, 4))
-    grid = CarpetGrid(-1.0, 1.0, 4, 0.0, 0.5, 3, density)
+    grid = CarpetGrid(-1.0, 1.0, 0.0, 0.5, density)
     text = grid_to_csv(grid, chi=2.0).decode("ascii")
     lines = text.strip().split("\n")
     header = lines[0].split(",")

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from revivals import BurstReport, ObservableTrace, detect_bursts
+from revivals import BurstReport, detect_bursts
 from revivals.cli import DEFAULT_CHI, build_parser, main
 
 
@@ -53,48 +53,52 @@ def test_argv_validation(tmp_path, monkeypatch, capsys):
 
 
 def test_burst_report_access():
-    report = BurstReport(
-        windows=((0.5, 12.0), (1.0, 3.0)),
-        threshold=10.0,
-        fractions=(Fraction(1, 2), Fraction(1, 1)),
-    )
-    assert report.detected() == (0.5,)
-    assert report.detected_fractions() == (Fraction(1, 2),)
-    assert report.ratio_at(Fraction(1, 1)) == 3.0
+    report = BurstReport({Fraction(1, 2): 12.0, Fraction(1, 1): 3.0}, threshold=10.0)
+    assert report.detected() == (Fraction(1, 2),)
+    assert report.ratios[Fraction(1, 1)] == 3.0
     with pytest.raises(KeyError):
-        report.ratio_at(Fraction(1, 3))
+        report.ratios[Fraction(1, 3)]
+    with pytest.raises(TypeError):
+        report.ratios[Fraction(1, 3)] = 1.0
     with pytest.raises(ValueError):
-        BurstReport(windows=((0.5, -1.0),), threshold=10.0)
-    with pytest.raises(ValueError):
-        BurstReport(
-            windows=((0.5, 1.0), (1.0, 1.0)),
-            threshold=10.0,
-            fractions=(Fraction(1, 2),),
-        )
+        BurstReport({Fraction(1, 2): -1.0}, threshold=10.0)
 
 
 def test_detect_bursts_guards():
     times = np.linspace(0.0, 1.0, 101)
-    trace = ObservableTrace(times, np.zeros(101), "flat")
+    flat = np.zeros(101)
     with pytest.raises(ValueError):
-        detect_bursts(ObservableTrace(np.array([]), np.array([]), "e"), 1.0, 2)
+        detect_bursts(np.array([]), np.array([]), 1.0, 2)
     with pytest.raises(ValueError):
-        detect_bursts(trace, 0.0, 2)
+        detect_bursts(times, flat, 0.0, 2)
     with pytest.raises(ValueError):
-        detect_bursts(trace, 1.0, 0)
+        detect_bursts(times, flat, 1.0, 0)
     with pytest.raises(ValueError):
-        detect_bursts(trace, 1.0, 2, window_frac=1.0)
-    short = ObservableTrace(times, np.zeros(101), "short")
+        detect_bursts(times, flat, 1.0, 2, window_frac=1.0)
     with pytest.raises(ValueError):
-        detect_bursts(short, 2.0, 2)
+        detect_bursts(times, flat, 2.0, 2)
+
+
+def test_detect_bursts_refuses_non_finite_input():
+    times = np.linspace(0.0, 1.0, 101)
+    values = np.sin(times)
+    values[5] = math.nan
+    with pytest.raises(ValueError, match="times and values must be finite"):
+        detect_bursts(times, values, 1.0, 2)
+    bad_times = times.copy()
+    bad_times[-1] = math.inf
+    with pytest.raises(ValueError, match="times and values must be finite"):
+        detect_bursts(bad_times, np.sin(times), 1.0, 2)
+    for threshold in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="threshold must be finite and positive"):
+            detect_bursts(times, np.sin(times), 1.0, 2, threshold=threshold)
 
 
 def test_detect_bursts_flat_trace_scores_zero():
     times = np.linspace(0.0, 1.0, 2001)
-    trace = ObservableTrace(times, np.full(2001, 0.7), "flat")
-    report = detect_bursts(trace, 1.0, 4)
+    report = detect_bursts(times, np.full(2001, 0.7), 1.0, 4)
     assert report.detected() == ()
-    assert all(ratio == 0.0 for _, ratio in report.windows)
+    assert all(ratio == 0.0 for ratio in report.ratios.values())
 
 
 def test_detect_bursts_synthetic_bump():
@@ -102,17 +106,15 @@ def test_detect_bursts_synthetic_bump():
     # trace should light up the 1/2 window and nothing else.
     times = np.linspace(0.0, 1.0, 4001)
     values = 1.0 + np.exp(-((times - 0.5) ** 2) / (2 * 0.004**2))
-    trace = ObservableTrace(times, values, "bump")
-    report = detect_bursts(trace, 1.0, 2, window_frac=0.02)
-    assert report.detected_fractions() == (Fraction(1, 2),)
-    assert report.ratio_at(Fraction(1, 2)) > 10.0
-    assert report.ratio_at(Fraction(1, 1)) < 1.0
+    report = detect_bursts(times, values, 1.0, 2, window_frac=0.02)
+    assert report.detected() == (Fraction(1, 2),)
+    assert report.ratios[Fraction(1, 2)] > 10.0
+    assert report.ratios[Fraction(1, 1)] < 1.0
 
 
 def test_detect_bursts_windows_are_sorted_reduced_fractions():
     times = np.linspace(0.0, 1.0, 501)
-    trace = ObservableTrace(times, np.sin(times), "s")
-    report = detect_bursts(trace, 1.0, 4)
+    report = detect_bursts(times, np.sin(times), 1.0, 4)
     expected = (
         Fraction(1, 4),
         Fraction(1, 3),
@@ -121,9 +123,7 @@ def test_detect_bursts_windows_are_sorted_reduced_fractions():
         Fraction(3, 4),
         Fraction(1, 1),
     )
-    assert report.fractions == expected
-    centers = [c for c, _ in report.windows]
-    assert centers == sorted(centers)
+    assert tuple(report.ratios) == expected
 
 
 def test_autocorr_output(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from revivals.fock import (
     ladder_product_matrix,
 )
 from revivals.moments import (
-    ObservableTrace,
     autocorrelation,
+    detect_bursts,
     expect_p,
     expect_p2,
     expect_x,
@@ -270,12 +271,12 @@ def test_moment_overflow_names_the_moment():
 def test_uncertainty_trace_floor_and_start():
     label = CoherentLabel(2.0, 2.0)
     times = np.linspace(0.0, math.pi, 200)
-    product, path = uncertainty_trace(label, 1.0, times)
-    assert product.values[0] == pytest.approx(0.5, abs=1e-12)
-    assert float(np.min(product.values.real)) >= 0.5 - 1e-9
-    assert np.allclose(path.values.real * path.values.imag, product.values.real)
-    assert product.meaning
-    assert path.meaning
+    dx, dp = uncertainty_trace(label, 1.0, times)
+    product = dx * dp
+    assert product[0] == pytest.approx(0.5, abs=1e-12)
+    assert float(np.min(product)) >= 0.5 - 1e-9
+    assert dx.dtype == dp.dtype == np.float64
+    assert dx.shape == dp.shape == times.shape
 
 
 def test_autocorrelation_bounds_and_revival():
@@ -369,11 +370,12 @@ def test_uncertainty_trace_refuses_a_cancelled_variance():
         uncertainty_trace(CoherentLabel(1e154, 1.0), 1.0, np.linspace(0.0, math.pi, 3))
 
 
-def test_observable_trace_validation():
-    with pytest.raises(ValueError):
-        ObservableTrace(np.array([0.0, 1.0]), np.array([1.0]), "ragged")
-    with pytest.raises(ValueError):
-        ObservableTrace(np.array([0.0, 0.0]), np.array([1.0, 2.0]), "stalled")
-    trace = ObservableTrace(np.array([0.0, 1.0]), np.array([1.0, 2.0]), "ok")
-    with pytest.raises(ValueError):
-        trace.values[0] = 9.9
+def test_detect_bursts_refuses_malformed_traces():
+    with pytest.raises(ValueError, match="1-d and equal length"):
+        detect_bursts(np.array([0.0, 1.0]), np.array([1.0]), 1.0, 1)
+    with pytest.raises(ValueError, match="1-d and equal length"):
+        detect_bursts(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        detect_bursts(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]), 1.0, 1)
+    report = detect_bursts(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 3.0]), 1.0, 1)
+    assert tuple(report.ratios) == (Fraction(1, 1),)

@@ -172,7 +172,7 @@ def test_table_text_matches_format_on_integers_subnormals_and_specials():
 
 def test_carpet_csv_header_prints_the_x_axis_at_17_digits():
     grid = CarpetGrid(
-        x_min=-7.5, x_max=6.5, nx=60, t_min=0.1, t_max=1.3, nt=3, density=np.ones((3, 60))
+        x_min=-7.5, x_max=6.5, t_min=0.1, t_max=1.3, density=np.ones((3, 60))
     )
     header = grid_to_csv(grid, chi=2.0).decode("ascii").splitlines()[0]
     assert header == "t,chi_t_over_pi" + "".join(
