@@ -2,7 +2,7 @@
 
 The workhorse is the normal-ordered moment
 
-    <a†^r a^(r+s)> = alpha^s nu^r e^{-nu(1-cos 2chi s t)}
+    <a†^r a^(r+s)> = alpha^s nu^r e^{-2nu sin²(chi s t)}
                      * e^{-i chi (s(s-1)+2rs) t - i nu sin(2chi s t)}.
 
 Its time dependence, a damping factor and an angle, is written once, in
@@ -141,7 +141,7 @@ def detect_bursts(
 
 
 def _kerr_envelope(r: int, s: int, nu: float, chi: float, t):
-    """Damping e^{-nu(1 - cos 2chi s t)} and angle chi(s(s-1) + 2rs)t + nu sin 2chi s t.
+    """Damping e^{-2nu sin²(chi s t)} and angle chi(s(s-1) + 2rs)t + nu sin 2chi s t.
 
     <a†^r a^(r+s)> = alpha^s nu^r damping e^{-i angle}; t may be a scalar or
     an array. A chi that is not finite and positive, or a time that is not
@@ -153,9 +153,10 @@ def _kerr_envelope(r: int, s: int, nu: float, chi: float, t):
     # One time is checked by math: a ufunc call would cost a third of the moment.
     if not (np.isfinite(t).all() if t.ndim else math.isfinite(t)):
         raise ValueError("time must be finite")
-    arg = 2.0 * chi * s * t
-    damping = np.exp(-nu * (1.0 - np.cos(arg)))
-    angle = chi * (s * (s - 1) + 2 * r * s) * t + nu * np.sin(arg)
+    half = chi * s * t
+    # 2 sin² rather than 1 - cos 2x, which rounds to 0 below x ~ 1e-8.
+    damping = np.exp(-2.0 * nu * np.sin(half) ** 2)
+    angle = chi * (s * (s - 1) + 2 * r * s) * t + nu * np.sin(2.0 * half)
     return damping, angle
 
 

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from revivals.fock import CoherentLabel, auto_truncation, number_distribution
-from revivals.moments import autocorrelation, ladder_moment
+from revivals import moments
+from revivals.moments import autocorrelation, ladder_moment, uncertainty_trace
 from revivals.spectra import Spectrum
 
 mpmath = pytest.importorskip("mpmath")
@@ -150,3 +151,47 @@ def test_ladder_moments_match_mpmath(nu):
                 scale = label.radius ** (i + j)
                 bound = 4 * EPS * nu * (1 + 2 * chi * abs(j - i) * t) * scale
                 assert abs(value - reference) <= bound, (t, i, j, value, reference)
+
+
+@pytest.mark.parametrize("angle", [1e-9, 1e-6, 1e-3])
+def test_kerr_damping_matches_mpmath_at_small_angles(angle):
+    # The s = 1 damping e^{-nu(1 - cos 2 chi s t)} at nu = 5e7. Written as
+    # 1 - cos, it rounds to 1 at chi s t = 1e-9 (exponent 1e-10) and loses
+    # about 5e-9 of itself at 1e-6 and 1e-3. The exponent E = 2 nu sin²(chi
+    # s t) is rounded a few times, so the relative error stays within
+    # 4 eps (1 + E). Measured: at most 0.04 of that bound.
+    nu = 5e7
+    damping, _ = moments._kerr_envelope(0, 1, nu, 1.0, angle)
+    with mpmath.workdps(40):
+        exponent = 2 * mpmath.mpf(nu) * mpmath.sin(mpmath.mpf(angle)) ** 2
+        reference = mpmath.exp(-exponent)
+        error = abs((mpmath.mpf(float(damping)) - reference) / reference)
+    assert float(error) <= 4 * EPS * (1 + float(exponent)), (damping, reference)
+
+
+def test_uncertainty_product_at_nu_5e7_matches_mpmath():
+    # p = 1e4, q = 1 (nu = 5e7 + 1/2) at chi t = 1e-9 x 10/pi: the product
+    # the xptrace command writes at its default chi. The variances are
+    # differences of moments of size nu, so they keep about eps nu / Δx² of
+    # relative accuracy, about 1e-7 here. Measured: 1.1e-8.
+    label = CoherentLabel(1e4, 1.0)
+    chi, t = 10.0 / math.pi, 1e-9
+    dx, dp = uncertainty_trace(label, chi, np.array([t]))
+    product = float(dx[0] * dp[0])
+    with mpmath.workdps(40):
+        p, q, rate = mpmath.mpf(label.p), mpmath.mpf(label.q), mpmath.mpf(chi) * mpmath.mpf(t)
+        nu = (p * p + q * q) / 2
+        alpha = mpmath.mpc(p, q) / mpmath.sqrt(2)
+
+        def moment(s):   # <a^s>, the closed form at r = 0
+            damping = mpmath.exp(-2 * nu * mpmath.sin(s * rate) ** 2)
+            angle = s * (s - 1) * rate + nu * mpmath.sin(2 * s * rate)
+            return alpha**s * damping * mpmath.expj(-angle)
+
+        a1, a2 = moment(1), moment(2)
+        mean_x, mean_p = mpmath.sqrt(2) * a1.real, mpmath.sqrt(2) * a1.imag
+        var_x = mpmath.mpf(0.5) + nu + a2.real - mean_x**2
+        var_p = mpmath.mpf(0.5) + nu - a2.real - mean_p**2
+        reference = float(mpmath.sqrt(var_x * var_p))
+    assert product >= 0.5
+    assert abs(product - reference) <= 1e-6 * reference, (product, reference)

@@ -17,7 +17,7 @@ when that hash differs from the one given, so a byte-identity check is one
 command:
 
     python tools/cli_outputs.py src /tmp/out \
-        --expect ee0234f3bfb6cc5767765a1bad02640bcff1802fb310f8a34708f2c047094438
+        --expect d708e4d0b2545e131d83d6f70fc0f5af3baf3ed7930ca27ba6030d9671fc6b86
 
 To see which files moved, write both trees and compare them:
 
