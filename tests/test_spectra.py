@@ -1,5 +1,6 @@
 """Spectrum arithmetic, evolution, revival times, cat decompositions."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -193,3 +194,14 @@ def test_cat_decomposition_guards():
     # against numerical corruption, not a truncation detector.
     starved = decompose_fractional(label, 2, Spectrum.kerr(1.0), truncation=3)
     assert starved.fidelity == pytest.approx(1.0, abs=1e-12)
+    # The order is read from the coefficients; a constructor order that
+    # disagrees with them is refused, and it is not stored.
+    cat = decompose_fractional(label, 3, Spectrum.kerr(1.0))
+    assert cat.m == 3
+    rebuilt = type(cat)(3, cat.coefficients, cat.component_labels, cat.time, cat.fidelity)
+    assert rebuilt.m == 3 and np.array_equal(rebuilt.coefficients, cat.coefficients)
+    with pytest.raises(ValueError, match="order 4 needs 4 coefficients"):
+        type(cat)(4, cat.coefficients, cat.component_labels, cat.time, cat.fidelity)
+    assert [f.name for f in dataclasses.fields(cat)] == [
+        "coefficients", "component_labels", "time", "fidelity"
+    ]
