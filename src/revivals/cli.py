@@ -9,6 +9,11 @@ returns a one-line summary and the file's bytes; ``main`` writes them in
 one binary write. A command declares exactly the flags its handler reads,
 and defaults live only in the parser.
 
+The four time traces share one handler, ``_run_trace``, bound to a function
+returning the command's value columns. Its period is ``revival_time``, and
+its metadata lists the command's own flags (those outside ``_TRACE``) in
+declared order, then chi and revival_time.
+
 A file is a CSV table (a '#'-prefixed metadata block, a header row, then
 ``%.17g`` fields from ``carpets._table_text``) or, for carpets, a binary
 PGM image. Nothing in any output depends on wall clock, environment, or
@@ -18,9 +23,9 @@ randomness, so the same argv always writes the same bytes.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
+from functools import cache, partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -81,11 +86,9 @@ def _time_grid(args: argparse.Namespace, period: float) -> np.ndarray:
     return np.linspace(args.t_min, t_max, args.samples)
 
 
-_SPECTRA = ("kerr", "harmonic", "square_well")
-
-
 def _spectrum(args: argparse.Namespace) -> Spectrum:
-    return getattr(Spectrum, args.spectrum)(args.chi)
+    """The --spectrum kind at rate --chi; Kerr for a command without --spectrum."""
+    return getattr(Spectrum, vars(args).get("spectrum", "kerr"))(args.chi)
 
 
 def _label(args: argparse.Namespace) -> CoherentLabel:
@@ -105,36 +108,14 @@ def _check_truncation(args: argparse.Namespace, label: CoherentLabel) -> None:
         )
 
 
-def _trace(
-    args: argparse.Namespace, period: float, times: np.ndarray, pairs: list, columns: dict
-) -> tuple[str, bytes]:
-    """Trace CSV: metadata ending in chi and revival_time; t, columns, chi_t_over_pi."""
-    pairs = [*pairs, ("chi", args.chi), ("revival_time", period)]
-    columns = {"t": times, **columns, "chi_t_over_pi": args.chi * times / math.pi}
-    return f"revival_time = {_fmt(period)}", _csv(args.command, pairs, columns)
+def _autocorr_values(args: argparse.Namespace, spectrum: Spectrum, times: np.ndarray) -> dict:
+    values = autocorrelation(_label(args), spectrum, times)
+    return {"re": values.real, "im": values.imag, "abs2": np.abs(values) ** 2}
 
 
-def _run_autocorr(args: argparse.Namespace) -> tuple[str, bytes]:
-    spectrum = _spectrum(args)
-    label = _label(args)
-    period = revival_time(spectrum)
-    times = _time_grid(args, period)
-    values = autocorrelation(label, spectrum, times)
-    pairs = [("spectrum", spectrum.kind), ("p", label.p), ("q", label.q)]
-    columns = {"re": values.real, "im": values.imag, "abs2": np.abs(values) ** 2}
-    return _trace(args, period, times, pairs, columns)
-
-
-def _run_moment(args: argparse.Namespace) -> tuple[str, bytes]:
-    label = _label(args)
-    r, s = args.r, args.s
-    period = math.pi / args.chi
-    times = _time_grid(args, period)
-    values = np.asarray(
-        ladder_moment(r, r + s, label, args.chi, times), dtype=np.complex128
-    )
-    pairs = [("r", r), ("s", s), ("p", label.p), ("q", label.q)]
-    return _trace(args, period, times, pairs, {"re": values.real, "im": values.imag})
+def _moment_values(args: argparse.Namespace, spectrum: Spectrum, times: np.ndarray) -> dict:
+    values = ladder_moment(args.r, args.r + args.s, _label(args), args.chi, times)
+    return {"re": values.real, "im": values.imag}
 
 
 _OBSERVABLES: dict[str, Callable[[CoherentLabel, float, np.ndarray], np.ndarray]] = {
@@ -145,31 +126,35 @@ _OBSERVABLES: dict[str, Callable[[CoherentLabel, float, np.ndarray], np.ndarray]
 }
 
 
-def _run_xptrace(args: argparse.Namespace) -> tuple[str, bytes]:
+def _xptrace_values(args: argparse.Namespace, spectrum: Spectrum, times: np.ndarray) -> dict:
     label = _label(args)
-    name = args.observable
-    period = math.pi / args.chi
-    times = _time_grid(args, period)
-    if name == "dxdp":
+    if args.observable == "dxdp":
         dx, dp = uncertainty_trace(label, args.chi, times)
-        values = dx * dp
-    else:
-        values = np.asarray(_OBSERVABLES[name](label, args.chi, times))
-    pairs = [("observable", name), ("p", label.p), ("q", label.q)]
-    return _trace(args, period, times, pairs, {"value": values})
+        return {"value": dx * dp}
+    return {"value": _OBSERVABLES[args.observable](label, args.chi, times)}
 
 
-def _run_lx(args: argparse.Namespace) -> tuple[str, bytes]:
+def _lx_values(args: argparse.Namespace, spectrum: Spectrum, times: np.ndarray) -> dict:
     label = TriModeLabel(
         CoherentLabel(0.0, 0.0),
         CoherentLabel(args.p2, args.q2),
         CoherentLabel(args.p3, args.q3),
     )
-    period = math.pi / args.chi
+    return {"value": lx_moment(args.n, label, args.chi, times)}
+
+
+def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[str, bytes]:
+    """Trace CSV: the command's own flags, chi and revival_time; t, values, chi_t_over_pi."""
+    spectrum = _spectrum(args)
+    period = revival_time(spectrum)
     times = _time_grid(args, period)
-    values = np.asarray(lx_moment(args.n, label, args.chi, times))
-    pairs = [(key, getattr(args, key)) for key in ("n", "p2", "q2", "p3", "q3")]
-    return _trace(args, period, times, pairs, {"value": values})
+    own = [option for option in _COMMANDS[args.command].options if option not in _TRACE]
+    keys = [flags[-1][2:].replace("-", "_") for flags, _ in own]
+    pairs = [(key, getattr(args, key)) for key in keys]
+    pairs += [("chi", args.chi), ("revival_time", period)]
+    columns = {"t": times, **values(args, spectrum, times)}
+    columns["chi_t_over_pi"] = args.chi * times / math.pi
+    return f"revival_time = {_fmt(period)}", _csv(args.command, pairs, columns)
 
 
 def _run_carpet(args: argparse.Namespace) -> tuple[str, bytes]:
@@ -265,7 +250,7 @@ _TIMES = (
     _opt("--t-max", type=float, default=None, help="default: one revival period"),
 )
 _SAMPLES = (_opt("--samples", type=int, default=1001),)
-_SPECTRUM = (_opt("--spectrum", choices=_SPECTRA, default="kerr"),)
+_SPECTRUM = (_opt("--spectrum", choices=("kerr", "harmonic", "square_well"), default="kerr"),)
 _TRUNCATION = (
     _opt("--truncation", type=int, default=None, help="Fock cutoff N (default: auto)"),
 )
@@ -274,23 +259,23 @@ _OUTPUT = (_opt("-o", "--output", default=None),)
 _TRACE = _CHI + _TIMES + _SAMPLES + _OUTPUT
 
 _COMMANDS: dict[str, _Command] = {
-    "autocorr": _Command(_run_autocorr, "autocorrelation trace", (
+    "autocorr": _Command(partial(_run_trace, _autocorr_values), "autocorrelation trace", (
+        *_SPECTRUM,
         *_LABEL,
         *_TRACE,
-        *_SPECTRUM,
     )),
-    "moment": _Command(_run_moment, "normal-ordered ladder moment trace", (
+    "moment": _Command(partial(_run_trace, _moment_values), "normal-ordered ladder moment trace", (
         _opt("--r", type=int, required=True),
         _opt("--s", type=int, required=True),
         *_LABEL,
         *_TRACE,
     )),
-    "xptrace": _Command(_run_xptrace, "quadrature moment trace", (
+    "xptrace": _Command(partial(_run_trace, _xptrace_values), "quadrature moment trace", (
         _opt("--observable", choices=(*_OBSERVABLES, "dxdp"), default="x"),
         *_LABEL,
         *_TRACE,
     )),
-    "lx": _Command(_run_lx, "angular-momentum moment trace", (
+    "lx": _Command(partial(_run_trace, _lx_values), "angular-momentum moment trace", (
         _opt("--n", type=int, default=1, help="power of Lx, 1..40"),
         *(_opt(f"--{key}", type=float, default=1.0) for key in ("p2", "q2", "p3", "q3")),
         *_TRACE,
@@ -331,7 +316,9 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; built once per process, as parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="revivals",
         description="Coherent-state revival traces, carpets, and analogs.",
@@ -342,12 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         for flags, kwargs in command.options:
             subparser.add_argument(*flags, **kwargs)
     return parser
-
-
-@functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser main() uses; built once per process, since parsing leaves it unchanged."""
-    return build_parser()
 
 
 def _check_flags(args: argparse.Namespace) -> None:
@@ -361,8 +342,6 @@ def _check_flags(args: argparse.Namespace) -> None:
     for flag, value in (("--t-min", flags.get("t_min")), ("--t-max", flags.get("t_max"))):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value:g}")
-    if flags.get("truncation") is not None and flags["truncation"] < 0:
-        raise ValueError("truncation must be >= 0")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -371,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     Exit 1 on a numeric or domain error, an allocation that does not fit or
     a file that cannot be written; argparse exits 2 on a usage error.
     """
-    args = _shared_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
         note, payload = _COMMANDS[args.command].run(args)
