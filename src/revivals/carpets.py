@@ -174,7 +174,8 @@ def carpet(
 
     t_max defaults to one revival period; an aperiodic custom spectrum has
     none, so it must be given explicitly there. Extents must be finite and
-    increasing; they are checked before any work is done.
+    increasing, and nx and nt at least 2; both are checked before any work
+    is done.
 
     Besides the Hermite table, the work needs one 2 nt x (N + 1) real block
     and one 2 nt x nx product buffer, in which |psi|^2 is squared and summed
@@ -193,6 +194,8 @@ def carpet(
             )
         t_max = period
     _check_extents(x_min, x_max, t_min, t_max)
+    if nx < 2 or nt < 2:
+        raise ValueError(f"a carpet needs nx >= 2 and nt >= 2, got nx = {nx}, nt = {nt}")
     times = np.linspace(t_min, t_max, nt)
     grid = np.linspace(x_min, x_max, nx)
     state = coherent_amplitudes(label, truncation)

@@ -83,8 +83,8 @@ def detect_bursts(
 
     times and values are 1-d arrays of equal length, finite, with times
     strictly increasing and covering [0, revival_time]; values may be real
-    or complex. The threshold must be finite and positive. Any other input
-    raises ValueError.
+    or complex. revival_time and the threshold must be finite and positive.
+    Any other input raises ValueError.
 
     The score of a window centered at (j/k) * revival_time is the mean
     squared deviation from the global trace mean inside the window divided
@@ -104,8 +104,8 @@ def detect_bursts(
         raise ValueError("times and values must be finite")
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
-    if not revival_time > 0:
-        raise ValueError("revival_time must be positive")
+    if not (math.isfinite(revival_time) and revival_time > 0):
+        raise ValueError(f"revival_time must be finite and positive, got {revival_time:g}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     if not (0.0 < window_frac < 1.0):

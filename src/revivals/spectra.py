@@ -146,18 +146,19 @@ def _phase_factors(
     return giant, baby
 
 
-def _float_gcd(values: np.ndarray) -> float:
-    """Euclidean gcd of floats, each taken as exact to eps of its size.
+def _float_gcd(values: np.ndarray, errors: np.ndarray) -> float:
+    """Euclidean gcd of floats, each exact up to its error in errors.
 
     fmod is exact, so a remainder a - k b of inputs off by da and db is off
     by at most da + k db; a remainder within four times that bound counts as
     zero. The result thus depends neither on the units the values are
-    written in nor on how widely they spread. 0 means no nonzero input.
+    written in nor on how widely they spread. A gcd of 0 means no input
+    above four times its error.
     """
     g = g_err = 0.0
-    for v in np.abs(values):
+    for v, err in zip(np.abs(values), errors):
         a, a_err = g, g_err
-        b, b_err = float(v), _EPS * float(v)
+        b, b_err = float(v), float(err)
         while b > 4.0 * b_err:
             a, a_err, b, b_err = b, b_err, math.fmod(a, b), a_err + (a // b) * b_err
         g, g_err = a, a_err
@@ -165,34 +166,46 @@ def _float_gcd(values: np.ndarray) -> float:
 
 
 def revival_time(spectrum: Spectrum) -> float | None:
-    """Smallest T > 0 with every phase chi*E(n)*T a multiple of 2*pi.
+    """Smallest T > 0 with every phase difference chi*(E(n) - E(0))*T a multiple of 2*pi.
 
-    Closed answers for the named kinds; custom spectra are probed over
-    n <= PERIOD_PROBE_LIMIT and None is returned when no common period
-    exists there (an aperiodic spectrum). Levels below LEVEL_ZERO_REL
-    max|E_n| count as zero and every other tolerance is relative too, so
-    scaling every level by s scales the period by 1/s.
+    A constant offset of the levels is a global phase, so it leaves the
+    period unchanged. Closed answers for the named kinds; custom spectra are
+    probed over n <= PERIOD_PROBE_LIMIT and None is returned when no common
+    period exists there (an aperiodic spectrum, or one whose probed levels
+    are all equal). Each difference E_n - E_0 is taken as exact to
+    eps (|E_n| + |E_0|), the rounding of its two levels, and counts as zero
+    within four times that or below LEVEL_ZERO_REL of the largest; every
+    tolerance is relative, so scaling every level by s scales the period by
+    1/s. Once the rounding of E_0 reaches the level spacing (an offset near
+    1e15 over unit spacings) the differences no longer hold the period, and
+    the answer means nothing.
     """
     if spectrum.kind == "kerr":
         return math.pi / spectrum.chi
     if spectrum.kind in ("harmonic", "square_well"):
         return 2.0 * math.pi / spectrum.chi
     energies = spectrum.energies(PERIOD_PROBE_LIMIT)
-    nonzero = energies[np.abs(energies) > LEVEL_ZERO_REL * np.max(np.abs(energies))]
-    if nonzero.size == 0:
+    diffs = energies[1:] - energies[0]
+    errors = _EPS * (np.abs(energies[1:]) + abs(energies[0]))
+    keep = np.abs(diffs) > np.maximum(4.0 * errors, LEVEL_ZERO_REL * np.max(np.abs(diffs)))
+    diffs, errors = diffs[keep], errors[keep]
+    g = _float_gcd(diffs, errors)
+    if g == 0.0:
         return None
-    g = _float_gcd(nonzero)
-    # Euclid leaves g off by up to about eps max|E_n|. A least-squares fit of
-    # g to the levels brings that to about eps g: first over the levels
-    # within 2^20 of the smallest, whose multiples k round safely, then over
-    # all of them.
-    smallest = np.min(np.abs(nonzero))
-    for cut in (2.0**20 * smallest, math.inf):
-        levels = nonzero[np.abs(nonzero) <= cut]
-        k = np.round(levels / g)
-        g = float(k @ levels) / float(k @ k)
-    ratios = nonzero / g
-    if np.any(np.abs(ratios - np.round(ratios)) > 1e-6 + 64.0 * _EPS * np.abs(ratios)):
+    # Euclid leaves g off by far more than eps g when the differences spread
+    # widely or carry a large offset's rounding. A least-squares fit of g to
+    # the differences within 2^10 of the smallest, whose multiples k round
+    # safely, brings that to about eps g; each further fit takes in 2^10
+    # times larger ones, until the last takes in all of them.
+    sizes = np.abs(diffs)
+    cut = np.min(sizes)
+    while cut < np.max(sizes):
+        cut *= 2.0**10
+        near = diffs[sizes <= cut]
+        k = np.round(near / g)
+        g = float(k @ near) / float(k @ k)
+    ratios = diffs / g
+    if np.any(np.abs(ratios - np.round(ratios)) > 1e-6 + 64.0 * errors / g):
         return None
     return 2.0 * math.pi / (spectrum.chi * g)
 

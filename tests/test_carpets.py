@@ -154,6 +154,19 @@ def test_carpet_guards():
     assert grid.density.shape == (8, 16)
 
 
+@pytest.mark.parametrize("flag", ["nx", "nt"])
+@pytest.mark.parametrize("size", [-5, 0, 1])
+def test_carpet_refuses_small_sizes_before_computing(monkeypatch, flag, size):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hermite_functions called for a grid carpet refuses")
+
+    monkeypatch.setattr("revivals.carpets.hermite_functions", refuse)
+    sizes = {"nx": 4, "nt": 3, flag: size}
+    message = f"a carpet needs nx >= 2 and nt >= 2, got nx = {sizes['nx']}, nt = {sizes['nt']}"
+    with pytest.raises(ValueError, match=message):
+        carpet(CoherentLabel(1.0, 1.0), Spectrum.kerr(1.0), **sizes)
+
+
 def test_grid_validation():
     for small in (np.zeros((1, 4)), np.zeros((4, 1)), np.zeros(4)):
         with pytest.raises(ValueError, match="at least a 2 x 2 grid"):

@@ -318,6 +318,29 @@ def test_unwritable_output_reported_without_traceback(tmp_path, monkeypatch, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir"]
 
 
+@pytest.mark.parametrize(
+    "argv, keys, header",
+    [
+        (["autocorr"], "spectrum p q", "re im abs2"),
+        (["moment", "--r", "1", "--s", "2"], "r s p q", "re im"),
+        (["xptrace"], "observable p q", "value"),
+        (["lx"], "n p2 q2 p3 q3", "value"),
+    ],
+    ids=["autocorr", "moment", "xptrace", "lx"],
+)
+def test_trace_metadata_lists_own_flags_then_chi_and_period(
+    tmp_path, monkeypatch, argv, keys, header
+):
+    # A trace's metadata names the command, then its own flags in declared
+    # order, then chi and revival_time; its columns wrap the values in t and chi t / pi.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--samples", "3", "-o", "out.csv"]) == 0
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    meta = [line[2:].partition(" = ")[0] for line in lines if line.startswith("# ")]
+    assert meta == ["command", *keys.split(), "chi", "revival_time"]
+    assert lines[len(meta)].split(",") == ["t", *header.split(), "chi_t_over_pi"]
+
+
 def test_trace_rows_time_column_formatting(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     chi = 2.0
@@ -368,6 +391,17 @@ def test_time_grid_flags_refused_where_unused(tmp_path, monkeypatch, capsys, arg
         main(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: --{field.replace('_', '-')}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--nx", "--nt"])
+@pytest.mark.parametrize("size", ["-5", "0", "1"])
+def test_carpet_sizes_below_two_rejected(tmp_path, monkeypatch, capsys, flag, size):
+    monkeypatch.chdir(tmp_path)
+    sizes = {"--nx": "4", "--nt": "3", flag: size}
+    assert main(["carpet", "--nx", sizes["--nx"], "--nt", sizes["--nt"]]) == 1
+    message = f"a carpet needs nx >= 2 and nt >= 2, got nx = {sizes['--nx']}, nt = {sizes['--nt']}"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -377,5 +377,9 @@ def test_detect_bursts_refuses_malformed_traces():
         detect_bursts(np.zeros((2, 2)), np.zeros((2, 2)), 1.0, 1)
     with pytest.raises(ValueError, match="strictly increasing"):
         detect_bursts(np.array([0.0, 0.0, 1.0]), np.array([1.0, 2.0, 3.0]), 1.0, 1)
+    times = np.linspace(0.0, 1.0, 101)
+    for period in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="revival_time must be finite and positive"):
+            detect_bursts(times, np.sin(7 * times), period, 3)
     report = detect_bursts(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 3.0]), 1.0, 1)
     assert tuple(report.ratios) == (Fraction(1, 1),)

@@ -83,6 +83,30 @@ def test_revival_time_custom_spectrum():
     assert revival_time(half_kerr) == pytest.approx(2.0 * math.pi, rel=1e-9)
     aperiodic = Spectrum.custom(lambda n: n + math.sqrt(2) * n * n, 1.0)
     assert revival_time(aperiodic) is None
+    # The harmonic levels written out: the same period as the named kind.
+    harmonic = Spectrum.custom(lambda n: n + 0.5, 1.0)
+    assert revival_time(harmonic) == pytest.approx(revival_time(Spectrum.harmonic(1.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("offset", [0.3, 0.5, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize(
+    "level, period",
+    [
+        (lambda n: n * (n - 1.0), math.pi),
+        (lambda n: float(n), 2.0 * math.pi),
+        (lambda n: math.sqrt(2) * n, math.sqrt(2) * math.pi),
+        (lambda n: n + math.sqrt(2) * n * n, None),
+    ],
+    ids=["kerr", "linear", "sqrt2-linear", "incommensurate"],
+)
+def test_revival_time_ignores_a_constant_offset(level, period, offset):
+    # A constant added to every level is a global phase: only the phase
+    # differences set the period, and an aperiodic spectrum stays aperiodic.
+    got = revival_time(Spectrum.custom(lambda n: level(n) + offset, 1.0))
+    if period is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(period, rel=1e-9)
 
 
 @pytest.mark.parametrize(
