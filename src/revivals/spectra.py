@@ -25,7 +25,7 @@ FIDELITY_FLOOR = 1e-9
 #: Highest level probed when searching a custom spectrum for a common period.
 PERIOD_PROBE_LIMIT = 100
 
-#: Custom levels below this fraction of max|E_n| count as zero there.
+#: Custom level differences below this fraction of max|E_n - E_0| count as zero there.
 LEVEL_ZERO_REL = 1e-12
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -151,9 +151,9 @@ def _float_gcd(values: np.ndarray, errors: np.ndarray) -> float:
 
     fmod is exact, so a remainder a - k b of inputs off by da and db is off
     by at most da + k db; a remainder within four times that bound counts as
-    zero. The result thus depends neither on the units the values are
-    written in nor on how widely they spread. A gcd of 0 means no input
-    above four times its error.
+    zero, and so does an input within four times its own error. The result
+    thus depends neither on the units the values are written in nor on how
+    widely they spread. 0 means no input above that.
     """
     g = g_err = 0.0
     for v, err in zip(np.abs(values), errors):
@@ -168,17 +168,17 @@ def _float_gcd(values: np.ndarray, errors: np.ndarray) -> float:
 def revival_time(spectrum: Spectrum) -> float | None:
     """Smallest T > 0 with every phase difference chi*(E(n) - E(0))*T a multiple of 2*pi.
 
-    A constant offset of the levels is a global phase, so it leaves the
-    period unchanged. Closed answers for the named kinds; custom spectra are
-    probed over n <= PERIOD_PROBE_LIMIT and None is returned when no common
-    period exists there (an aperiodic spectrum, or one whose probed levels
-    are all equal). Each difference E_n - E_0 is taken as exact to
+    Only phase differences are observable, so a constant offset of the
+    levels leaves the period unchanged. Closed answers for the named kinds;
+    custom spectra are probed over n <= PERIOD_PROBE_LIMIT and None is
+    returned when no common period exists there (an aperiodic spectrum, or
+    equal probed levels). Each difference E_n - E_0 is taken as exact to
     eps (|E_n| + |E_0|), the rounding of its two levels, and counts as zero
-    within four times that or below LEVEL_ZERO_REL of the largest; every
-    tolerance is relative, so scaling every level by s scales the period by
-    1/s. Once the rounding of E_0 reaches the level spacing (an offset near
-    1e15 over unit spacings) the differences no longer hold the period, and
-    the answer means nothing.
+    within four times that or below LEVEL_ZERO_REL of the largest; all
+    tolerances are relative, so scaling every level by s scales the period
+    by 1/s. Where the rounding of E_0 reaches the level spacing (an offset
+    near 1e15 over unit spacings) the differences no longer hold the
+    period, and neither this rule nor one on the raw levels can decide it.
     """
     if spectrum.kind == "kerr":
         return math.pi / spectrum.chi
@@ -189,9 +189,9 @@ def revival_time(spectrum: Spectrum) -> float | None:
     errors = _EPS * (np.abs(energies[1:]) + abs(energies[0]))
     keep = np.abs(diffs) > np.maximum(4.0 * errors, LEVEL_ZERO_REL * np.max(np.abs(diffs)))
     diffs, errors = diffs[keep], errors[keep]
-    g = _float_gcd(diffs, errors)
-    if g == 0.0:
+    if diffs.size == 0:
         return None
+    g = _float_gcd(diffs, errors)
     # Euclid leaves g off by far more than eps g when the differences spread
     # widely or carry a large offset's rounding. A least-squares fit of g to
     # the differences within 2^10 of the smallest, whose multiples k round
