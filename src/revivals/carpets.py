@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import CoherentLabel, coherent_amplitudes
-from .spectra import Spectrum, _phase_factors, evolve, revival_time
+from .spectra import Spectrum, _check_phases, _phase_factors, evolve, revival_time
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
 LOBE_THRESHOLD = 0.1
@@ -172,10 +172,10 @@ def carpet(
 ) -> CarpetGrid:
     """The |psi(x, t)|^2 grid on nt evenly spaced times and nx positions.
 
-    t_max defaults to one revival period; an aperiodic custom spectrum has
-    none, so it must be given explicitly there. Extents must be finite and
-    increasing, and nx and nt at least 2; both are checked before any work
-    is done.
+    t_max defaults to one revival period. Extents must be finite and
+    increasing, nx and nt at least 2, and the phases chi E_n t over the kept
+    levels must not overflow float64; all are checked before any grid is
+    built.
 
     Besides the Hermite table, the work needs one 2 nt x (N + 1) real block
     and one 2 nt x nx product buffer, in which |psi|^2 is squared and summed
@@ -187,19 +187,15 @@ def carpet(
         x_min = lo if x_min is None else x_min
         x_max = hi if x_max is None else x_max
     if t_max is None:
-        period = revival_time(spectrum)
-        if period is None:
-            raise ValueError(
-                "aperiodic spectrum: pass t_max explicitly"
-            )
-        t_max = period
+        t_max = revival_time(spectrum)
     _check_extents(x_min, x_max, t_min, t_max)
     if nx < 2 or nt < 2:
         raise ValueError(f"a carpet needs nx >= 2 and nt >= 2, got nx = {nx}, nt = {nt}")
-    times = np.linspace(t_min, t_max, nt)
-    grid = np.linspace(x_min, x_max, nx)
     state = coherent_amplitudes(label, truncation)
     n_max = state.truncation
+    _check_phases(spectrum, n_max, t_min, t_max)
+    times = np.linspace(t_min, t_max, nt)
+    grid = np.linspace(x_min, x_max, nx)
     table = hermite_functions(grid, n_max)
     energies = spectrum.energies(n_max)
     giant, baby = _phase_factors(spectrum, energies, times, -1.0)

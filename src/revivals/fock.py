@@ -28,9 +28,21 @@ DEFAULT_TOLERANCE = 1e-10
 def auto_truncation(nu: float) -> int:
     """Truncation that keeps the Poisson tail of a coherent state below ~1e-12.
 
-    Mean + 10 standard deviations + 20 covers every nu up to about 1e4.
+    Mean + 10 standard deviations + 20 covers every nu up to about 1e4. A
+    level count that no array can hold is refused here already.
     """
-    return math.ceil(nu + 10.0 * math.sqrt(nu) + 20.0)
+    return _check_level_count(nu, math.ceil(nu + 10.0 * math.sqrt(nu) + 20.0))
+
+
+def _check_level_count(nu: float, truncation: int) -> int:
+    """The truncation N, after refusing N + 1 levels whose complex128 amplitudes no array holds."""
+    if 16 * (truncation + 1) > sys.maxsize:
+        from decimal import Decimal   # formats any int, even one past the largest float
+        raise ValueError(
+            f"N + 1 = {Decimal(truncation + 1):.4g} Fock levels at nu = {nu:.6g}: that many "
+            "complex128 amplitudes exceed sys.maxsize bytes, the largest array"
+        )
+    return truncation
 
 
 @dataclass(frozen=True)
@@ -147,12 +159,7 @@ def _log_amplitudes(nu: float, truncation: int) -> np.ndarray:
     Every amplitude and weight vector is sized here, so here a level count
     that no array can hold is refused, before numpy tries to allocate it.
     """
-    if 16 * (truncation + 1) > sys.maxsize:
-        from decimal import Decimal   # formats any int, even one past the largest float
-        raise ValueError(
-            f"N + 1 = {Decimal(truncation + 1):.4g} Fock levels at nu = {nu:.6g}: that many "
-            "complex128 amplitudes exceed sys.maxsize bytes, the largest array"
-        )
+    _check_level_count(nu, truncation)
     n = np.arange(truncation + 1, dtype=np.float64)
     lgamma = _log_factorials(truncation + 1)
     if nu == 0.0:

@@ -193,7 +193,7 @@ def autocorrelation(label: CoherentLabel, spectrum: Spectrum, t):
     """Overlap of the evolved state with itself at t = 0.
 
     A(t) = e^{-nu} sum_n (nu^n/n!) e^{+i chi E(n) t}, summed to the
-    auto-truncation. |A| <= 1 always; |A(T_rev)| = 1 for periodic spectra.
+    auto-truncation. |A| <= 1 always, and |A(T_rev)| = 1 for every spectrum.
     Accepts scalar or array t; a non-finite time raises ValueError, as in
     evolve. An evenly spaced grid is contracted through giant-step x
     baby-step phase factors (spectra._phase_factors), so three rows of N

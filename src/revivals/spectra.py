@@ -1,19 +1,22 @@
 """Number-diagonal Hamiltonians and their revival structure.
 
-A spectrum is a map n -> E_n in units of hbar*chi together with the rate
-chi itself, so H = chi * E(N̂) and evolution is pure phase multiplication
-c_n -> c_n e^{-i chi E(n) t}. The quadratic Kerr spectrum n(n-1) drives
-full revivals at pi/chi and m-component cat states at the fractions
-(l/m) of that period; the Fourier split of the quadratic phase sequence
-recovers the cat coefficients and component labels exactly.
+A spectrum is a polynomial E(n) = sum_k c_k n^k with exact rational
+coefficients, in units of hbar*chi, and the rate chi itself, so H = chi E(N̂)
+and evolution is pure phase multiplication c_n -> c_n e^{-i chi E(n) t}.
+Rational levels make the phases commensurate, so every spectrum revives. The
+quadratic Kerr spectrum n(n-1) drives full revivals at pi/chi and
+m-component cat states at the fractions (l/m) of that period; the Fourier
+split of the quadratic phase sequence recovers the cat coefficients and
+component labels exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,75 +25,105 @@ from .fock import CoherentLabel, FockVector, coherent_amplitudes, inner_product
 #: Reconstruction fidelity floor for fractional-revival decompositions.
 FIDELITY_FLOOR = 1e-9
 
-#: Highest level probed when searching a custom spectrum for a common period.
-PERIOD_PROBE_LIMIT = 100
-
-#: Custom level differences below this fraction of max|E_n - E_0| count as zero there.
-LEVEL_ZERO_REL = 1e-12
-
 _EPS = float(np.finfo(np.float64).eps)
 
-
-def _harmonic_level(n):
-    return n + 0.5
-
-
-def _kerr_level(n):
-    return n * (n - 1.0)
+#: The named kinds by their coefficients c_0, c_1, ...; the square well puts
+#: level 0 at 0, as an offset is only a global phase.
+_KINDS = {"kerr": (0, -1, 1), "harmonic": (Fraction(1, 2), 1), "square_well": (0, 0, 1)}
 
 
-def _square_well_level(n):
-    # Level 0 is assigned energy 0; the well proper starts at n = 1 and a
-    # constant offset would be an unobservable global phase anyway.
-    return n * n
+class _Form(NamedTuple):
+    coefficients: tuple[int | Fraction, ...]   # without trailing zeros
+    kind: str
+    lead: float                 # the Horner codes: the leading one,
+    lower: tuple[float, ...]    # then the rest, highest power first
+    divisor: int                # the Horner sum's divisor
+    cycles: float               # q/g rounded once: chi T_rev / (2 pi)
 
 
-#: Level functions of the named kinds; each also takes a float array of levels.
-_ARRAY_LEVELS = frozenset((_harmonic_level, _kerr_level, _square_well_level))
+@functools.lru_cache(maxsize=256)
+def _exact_form(coefficients: tuple[int | Fraction, ...]) -> _Form:
+    """The _Form of exact coefficients, cached for the 256 tuples last used.
+
+    With q the least common denominator the codes q c_k are integers, and g
+    is the gcd of q(E(n) - E(0)) over n = 1..degree: every q(E(n) - E(0)) is
+    an integer combination of the finite differences of qE at 0, which are
+    integer combinations of those. When q is a power of two the c_k are
+    exact floats, so they are the codes and nothing is divided.
+    """
+    while coefficients and not coefficients[-1]:
+        coefficients = coefficients[:-1]
+    q = math.lcm(*(Fraction(c).denominator for c in coefficients))
+    codes = [int(c * q) for c in coefficients]
+    g = math.gcd(*(sum(c * n**k for k, c in enumerate(codes)) - codes[0] for n in range(1, len(codes))))
+    if not g:
+        raise ValueError("a spectrum needs levels that depend on n; constant levels are one global phase")
+    kind = next((name for name, known in _KINDS.items() if known == coefficients), "custom")
+    divisor = 1 if q & (q - 1) == 0 else q
+    lead, *lower = (code * divisor / q for code in reversed(codes))
+    return _Form(coefficients, kind, lead, tuple(lower), divisor, q / g)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Diagonal Hamiltonian: kind tag, dimensionless level function, rate chi."""
+    """Diagonal Hamiltonian chi E(N̂), E(n) = sum_k coefficients[k] n^k.
 
-    kind: str
-    energy: Callable[[int], float]
-    chi: float
+    Coefficients are int or Fraction, kept without trailing zeros, so that
+    the period is exact; an irrational factor common to all levels goes in chi.
+    """
+
+    coefficients: tuple[int | Fraction, ...]
+    chi: float = 1.0
+    _form: _Form = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.chi) and self.chi > 0):
             raise ValueError(f"chi must be finite and positive, got {self.chi:g}")
+        coefficients = tuple(self.coefficients)
+        for c in coefficients:   # before the cache, where 0.5 and Fraction(1, 2) are one key
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(
+                    f"spectrum coefficients must be int or Fraction, got {c!r}; "
+                    f"write an irrational factor common to all levels into chi"
+                )
+        form = _exact_form(coefficients)
+        if form.coefficients is not self.coefficients:
+            object.__setattr__(self, "coefficients", form.coefficients)
+        object.__setattr__(self, "_form", form)
 
     @classmethod
     def harmonic(cls, chi: float = 1.0) -> "Spectrum":
-        return cls("harmonic", _harmonic_level, chi)
+        return cls(_KINDS["harmonic"], chi)
 
     @classmethod
     def kerr(cls, chi: float = 1.0) -> "Spectrum":
-        return cls("kerr", _kerr_level, chi)
+        return cls(_KINDS["kerr"], chi)
 
     @classmethod
     def square_well(cls, chi: float = 1.0) -> "Spectrum":
-        return cls("square_well", _square_well_level, chi)
+        return cls(_KINDS["square_well"], chi)
 
-    @classmethod
-    def custom(cls, energy: Callable[[int], float], chi: float = 1.0) -> "Spectrum":
-        return cls("custom", energy, chi)
+    @property
+    def kind(self) -> str:
+        """The named kind with these coefficients, or "custom"."""
+        return self._form.kind
 
     def energies(self, truncation: int) -> np.ndarray:
         """E_n for n = 0..truncation as a float vector.
 
-        The named kinds evaluate their level function once on the float
-        array 0..truncation, which rounds exactly as one call per level
-        does; a custom level function is called once per level.
+        Horner's rule over the codes, skipping zero codes and a leading 1,
+        then one division: Kerr is (n - 1) n, the square well n n and the
+        harmonic n + 1/2, each exact while the levels fit in 53 bits.
         """
-        if self.energy in _ARRAY_LEVELS:
-            return self.energy(np.arange(truncation + 1, dtype=np.float64))
-        return np.fromiter(
-            (float(self.energy(n)) for n in range(truncation + 1)),
-            dtype=np.float64,
-            count=truncation + 1,
-        )
+        form = self._form
+        n = np.arange(truncation + 1, dtype=np.float64)
+        levels = n if form.lead == 1.0 else form.lead * n
+        for k, code in enumerate(form.lower):
+            if k:
+                levels = levels * n
+            if code:
+                levels = levels + code
+        return levels / form.divisor if form.divisor > 1 else levels
 
 
 def evolve(state: FockVector, spectrum: Spectrum, t: float) -> FockVector:
@@ -146,68 +179,34 @@ def _phase_factors(
     return giant, baby
 
 
-def _float_gcd(values: np.ndarray, errors: np.ndarray) -> float:
-    """Euclidean gcd of floats, each exact up to its error in errors.
+def _check_phases(spectrum: Spectrum, level: int, t_min: float, t_max: float) -> None:
+    """Refuse times at which a phase chi E t of levels n <= level overflows float64.
 
-    fmod is exact, so a remainder a - k b of inputs off by da and db is off
-    by at most da + k db; a remainder within four times that bound counts as
-    zero, and so does an input within four times its own error. The result
-    thus depends neither on the units the values are written in nor on how
-    widely they spread. 0 means no input above that.
+    sum_k |c_k level^k| bounds E_n and the Kerr differences the closed forms
+    use; grid steps reach twice max|t|, and chi E t is formed in either order.
     """
-    g = g_err = 0.0
-    for v, err in zip(np.abs(values), errors):
-        a, a_err = g, g_err
-        b, b_err = float(v), float(err)
-        while b > 4.0 * b_err:
-            a, a_err, b, b_err = b, b_err, math.fmod(a, b), a_err + (a // b) * b_err
-        g, g_err = a, a_err
-    return g
+    try:
+        bound = float(sum(abs(c * level**k) for k, c in enumerate(spectrum.coefficients)))
+    except OverflowError:
+        bound = math.inf
+    # Python floats, which overflow to inf without a warning.
+    span = 2.0 * max(abs(float(t_min)), abs(float(t_max)))
+    if not (math.isfinite(float(spectrum.chi) * bound * span) and math.isfinite(bound * span)):
+        raise ValueError(
+            f"phases chi E t overflow float64 at chi = {spectrum.chi:g}, |E| up to {bound:g} "
+            f"and |t| up to {span / 2.0:g}; lower --chi, --t-min or --t-max"
+        )
 
 
-def revival_time(spectrum: Spectrum) -> float | None:
+def revival_time(spectrum: Spectrum) -> float:
     """Smallest T > 0 with every phase difference chi*(E(n) - E(0))*T a multiple of 2*pi.
 
-    Only phase differences are observable, so a constant offset of the
-    levels leaves the period unchanged. Closed answers for the named kinds;
-    custom spectra are probed over n <= PERIOD_PROBE_LIMIT and None is
-    returned when no common period exists there (an aperiodic spectrum, or
-    equal probed levels). Each difference E_n - E_0 is taken as exact to
-    eps (|E_n| + |E_0|), the rounding of its two levels, and counts as zero
-    within four times that or below LEVEL_ZERO_REL of the largest; all
-    tolerances are relative, so scaling every level by s scales the period
-    by 1/s. Where the rounding of E_0 reaches the level spacing (an offset
-    near 1e15 over unit spacings) the differences no longer hold the
-    period, and neither this rule nor one on the raw levels can decide it.
+    That is 2 pi q / (chi g), with q and g as in _exact_form, so an offset
+    (a global phase) leaves it alone. The exact q/g is rounded once, then
+    scaled, so Kerr gives pi/chi and the harmonic and square well 2 pi/chi
+    bit for bit at every chi.
     """
-    if spectrum.kind == "kerr":
-        return math.pi / spectrum.chi
-    if spectrum.kind in ("harmonic", "square_well"):
-        return 2.0 * math.pi / spectrum.chi
-    energies = spectrum.energies(PERIOD_PROBE_LIMIT)
-    diffs = energies[1:] - energies[0]
-    errors = _EPS * (np.abs(energies[1:]) + abs(energies[0]))
-    keep = np.abs(diffs) > np.maximum(4.0 * errors, LEVEL_ZERO_REL * np.max(np.abs(diffs)))
-    diffs, errors = diffs[keep], errors[keep]
-    if diffs.size == 0:
-        return None
-    g = _float_gcd(diffs, errors)
-    # Euclid leaves g off by far more than eps g when the differences spread
-    # widely or carry a large offset's rounding. A least-squares fit of g to
-    # the differences within 2^10 of the smallest, whose multiples k round
-    # safely, brings that to about eps g; each further fit takes in 2^10
-    # times larger ones, until the last takes in all of them.
-    sizes = np.abs(diffs)
-    cut = np.min(sizes)
-    while cut < np.max(sizes):
-        cut *= 2.0**10
-        near = diffs[sizes <= cut]
-        k = np.round(near / g)
-        g = float(k @ near) / float(k @ k)
-    ratios = diffs / g
-    if np.any(np.abs(ratios - np.round(ratios)) > 1e-6 + 64.0 * errors / g):
-        return None
-    return 2.0 * math.pi / (spectrum.chi * g)
+    return 2.0 * math.pi * spectrum._form.cycles / spectrum.chi
 
 
 def fractional_revival_times(
@@ -215,13 +214,12 @@ def fractional_revival_times(
 ) -> list[tuple[int, int, float]]:
     """All reduced fractions l/m (2 <= m <= m_max) as (l, m, t) sorted by t.
 
-    t = (l/m) * revival_time; for the Kerr spectrum that is pi*l/(m*chi).
+    t = (l/m) * revival_time, which every spectrum has; for the Kerr
+    spectrum that is pi*l/(m*chi).
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")
     period = revival_time(spectrum)
-    if period is None:
-        raise ValueError("spectrum has no revival time; no fractions to report")
     out = []
     for m in range(2, m_max + 1):
         for l in range(1, m):

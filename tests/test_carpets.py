@@ -3,6 +3,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -146,12 +147,17 @@ def test_count_lobes_synthetic_rows():
 
 
 def test_carpet_guards():
+    # A custom spectrum's carpet spans one revival period by default; times
+    # whose phases overflow are refused before any grid is built.
     label = CoherentLabel(1.0, 0.0)
-    aperiodic = Spectrum.custom(lambda n: n + math.sqrt(2) * n * n, 1.0)
-    with pytest.raises(ValueError):
-        carpet(label, aperiodic)
-    grid = carpet(label, aperiodic, t_max=1.0, nx=16, nt=8, truncation=30)
+    custom = Spectrum((0, Fraction(7, 5), Fraction(3, 11)), 1.0)
+    grid = carpet(label, custom, nx=16, nt=8, truncation=30)
     assert grid.density.shape == (8, 16)
+    assert grid.t_max == revival_time(custom) == 55.0 * math.pi
+    grid = carpet(label, custom, t_max=1.0, nx=16, nt=8, truncation=30)
+    assert grid.t_max == 1.0
+    with pytest.raises(ValueError, match="phases chi E t overflow float64"):
+        carpet(label, Spectrum.kerr(1e200), t_max=1e200, nx=16, nt=8)
 
 
 @pytest.mark.parametrize("flag", ["nx", "nt"])

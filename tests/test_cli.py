@@ -602,6 +602,31 @@ def test_overflowing_spans_rejected(tmp_path, monkeypatch, capsys, argv, message
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # chi s overflows in the Kerr envelope although chi t stays near pi.
+        ["xptrace", "--observable", "p2", "--chi", "1.7e308", "--samples", "3"],
+        ["moment", "--r", "3", "--s", "2", "--chi", "1.7e308", "--samples", "3"],
+        ["lx", "--n", "2", "--chi", "1.7e308", "--samples", "3"],
+        # chi t itself overflows.
+        ["autocorr", "--chi", "1e200", "--t-max", "1e200"],
+        ["carpet", "--p", "3", "--chi", "1e200", "--t-max", "1e200"],
+    ],
+    ids=["xptrace-p2", "moment", "lx", "autocorr", "carpet"],
+)
+def test_overflowing_phases_rejected(tmp_path, monkeypatch, capsys, argv):
+    # Refused with the flags to change, before numpy warns or writes nan.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: phases chi E t overflow float64")
+    assert "lower --chi, --t-min or --t-max" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_in_process_runs_match_fresh_subprocesses(tmp_path, monkeypatch, cli_env, capsys):
     # main() reuses one parser per process; a parse error in between must
     # leave no trace on the commands that follow.

@@ -36,7 +36,7 @@ def test_spectrum_requires_positive_chi():
         with pytest.raises(ValueError, match="chi must be finite and positive"):
             Spectrum.kerr(chi)
         with pytest.raises(ValueError, match="chi must be finite and positive"):
-            Spectrum.custom(lambda n: n, chi)
+            Spectrum((0, 1), chi)
 
 
 @pytest.mark.parametrize(
@@ -50,26 +50,32 @@ def test_spectrum_requires_positive_chi():
 )
 def test_named_energies_bit_identical_to_per_level_calls(factory, level):
     spectrum = factory(0.7)
-    for truncation in (0, 1, 59, 220, 3020):
+    for truncation in (0, 1, 59, 220, 3020, 200_000):
         expected = [float(level(n)) for n in range(truncation + 1)]
         values = spectrum.energies(truncation)
         assert values.dtype == np.float64
         assert values.tolist() == expected
-        # The stored level function agrees with the array on single levels.
-        for n in {0, truncation // 2, truncation}:
-            assert float(spectrum.energy(n)) == expected[n]
 
 
-def test_custom_energies_called_per_level():
-    calls = []
+def test_custom_energies_match_exact_levels():
+    # (3 + 7 n/5 + 3 n^2/11 - n^3/2): Horner over the codes q c_k, one division by q.
+    coefficients = (3, Fraction(7, 5), Fraction(3, 11), Fraction(-1, 2))
+    values = Spectrum(coefficients).energies(300)
+    exact = [sum(c * n**k for k, c in enumerate(coefficients)) for n in range(301)]
+    assert values.tolist() == pytest.approx([float(e) for e in exact], rel=4 * np.finfo(float).eps)
 
-    def level(n):
-        calls.append(n)
-        return math.sqrt(n)
 
-    values = Spectrum.custom(level).energies(4)
-    assert calls == [0, 1, 2, 3, 4]
-    assert values.tolist() == [math.sqrt(n) for n in range(5)]
+def test_coefficients_are_exact_and_canonical():
+    assert Spectrum((0, -1, 1, 0, 0)).coefficients == (0, -1, 1)
+    assert Spectrum([0, -1, 1], 2.0) == Spectrum.kerr(2.0)
+    assert Spectrum((Fraction(1, 2), Fraction(2, 2))).kind == "harmonic"
+    assert Spectrum((5, Fraction(7, 5), Fraction(3, 11))).kind == "custom"
+    for bad in ((0, 0.5), (0, 1, math.sqrt(2)), (np.float64(1.0), 1)):
+        with pytest.raises(ValueError, match="int or Fraction.*into chi"):
+            Spectrum(bad)
+    for constant in ((), (0,), (7, 0, 0), (Fraction(1, 3),)):
+        with pytest.raises(ValueError, match="constant levels"):
+            Spectrum(constant)
 
 
 def test_revival_times_named():
@@ -79,50 +85,53 @@ def test_revival_times_named():
 
 
 def test_revival_time_custom_spectrum():
-    half_kerr = Spectrum.custom(lambda n: 0.5 * n * (n - 1), 1.0)
-    assert revival_time(half_kerr) == pytest.approx(2.0 * math.pi, rel=1e-9)
-    aperiodic = Spectrum.custom(lambda n: n + math.sqrt(2) * n * n, 1.0)
-    assert revival_time(aperiodic) is None
-    # The harmonic levels written out: the same period as the named kind.
-    harmonic = Spectrum.custom(lambda n: n + 0.5, 1.0)
-    assert revival_time(harmonic) == pytest.approx(revival_time(Spectrum.harmonic(1.0)), rel=1e-12)
+    half_kerr = Spectrum((0, Fraction(-1, 2), Fraction(1, 2)), 1.0)
+    assert revival_time(half_kerr) == 2.0 * math.pi
+    # The harmonic levels written out are the named kind, with its period.
+    harmonic = Spectrum((Fraction(1, 2), 1), 1.0)
+    assert harmonic.kind == "harmonic"
+    assert revival_time(harmonic) == revival_time(Spectrum.harmonic(1.0))
 
 
 @pytest.mark.parametrize("offset", [0.3, 0.5, 1e3, 1e6, 1e9])
 @pytest.mark.parametrize(
-    "level, period",
+    "coefficients, chi, period",
     [
-        (lambda n: n * (n - 1.0), math.pi),
-        (lambda n: float(n), 2.0 * math.pi),
-        (lambda n: math.sqrt(2) * n, math.sqrt(2) * math.pi),
-        (lambda n: n + math.sqrt(2) * n * n, None),
+        ((0, -1, 1), 1.0, math.pi),
+        ((0, 1), 1.0, 2.0 * math.pi),
+        ((0, 1), math.sqrt(2), math.sqrt(2) * math.pi),
+        ((0, 1, math.sqrt(2)), 1.0, None),
     ],
     ids=["kerr", "linear", "sqrt2-linear", "incommensurate"],
 )
-def test_revival_time_ignores_a_constant_offset(level, period, offset):
+def test_revival_time_ignores_a_constant_offset(coefficients, chi, period, offset):
     # A constant added to every level is a global phase: only the phase
-    # differences set the period, and an aperiodic spectrum stays aperiodic.
-    got = revival_time(Spectrum.custom(lambda n: level(n) + offset, 1.0))
+    # differences set the period. sqrt(2) n is n at chi = sqrt(2); n + sqrt(2) n^2
+    # has no exact form and no period, and is refused.
+    shifted = (Fraction(str(offset)) + coefficients[0], *coefficients[1:])
     if period is None:
-        assert got is None
-    else:
-        assert got == pytest.approx(period, rel=1e-9)
+        with pytest.raises(ValueError, match="int or Fraction"):
+            Spectrum(shifted, chi)
+        return
+    got = revival_time(Spectrum(shifted, chi))
+    assert got == revival_time(Spectrum(coefficients, chi))
+    assert got == pytest.approx(period, rel=1e-15)
 
 
 @pytest.mark.parametrize(
-    "level, period",
+    "coefficients, period",
     [
-        (lambda n: 1e-10 * n, 2.0 * math.pi / 1e-10),
-        (lambda n: 1e-13 * n * n, 2.0 * math.pi / 1e-13),
-        (lambda n: n**5, 2.0 * math.pi),
-        (lambda n: float(n) ** 7, 2.0 * math.pi),
-        (lambda n: 0.1 * n**5, 20.0 * math.pi),
+        ((0, Fraction(1, 10**10)), 2.0 * math.pi * 1e10),
+        ((0, 0, Fraction(1, 10**13)), 2.0 * math.pi * 1e13),
+        ((0, 0, 0, 0, 0, 1), 2.0 * math.pi),
+        ((0, 0, 0, 0, 0, 0, 0, 1), 2.0 * math.pi),
+        ((0, 0, 0, 0, 0, Fraction(1, 10)), 20.0 * math.pi),
     ],
     ids=["linear-1e-10", "square-1e-13", "quintic", "septic", "quintic-0.1"],
 )
-def test_revival_time_of_tiny_and_wide_spectra(level, period):
-    # Tiny levels, and levels spread up to 1e14 times their gcd.
-    assert revival_time(Spectrum.custom(level, 1.0)) == pytest.approx(period, rel=1e-9)
+def test_revival_time_of_tiny_and_wide_spectra(coefficients, period):
+    # Tiny levels, and levels spread up to 1e14 times their gcd: exact either way.
+    assert revival_time(Spectrum(coefficients, 1.0)) == period
 
 
 def test_evolution_preserves_norm_and_revives():
@@ -159,10 +168,13 @@ def test_fractional_revival_times_listing():
         fractional_revival_times(spectrum, 1)
 
 
-def test_fractional_times_require_periodic_spectrum():
-    aperiodic = Spectrum.custom(lambda n: n + math.sqrt(2) * n * n, 1.0)
-    with pytest.raises(ValueError):
-        fractional_revival_times(aperiodic, 3)
+def test_fractional_times_of_a_custom_spectrum():
+    # Every exact spectrum revives, so every one has fractional times.
+    half_kerr = Spectrum((0, Fraction(-1, 2), Fraction(1, 2)), 2.0)
+    listed = fractional_revival_times(half_kerr, 3)
+    assert [(l, m) for l, m, _ in listed] == [(1, 3), (1, 2), (2, 3)]
+    for l, m, t in listed:
+        assert t == (l / m) * math.pi
 
 
 def _reconstruct(cat, truncation):

@@ -1,42 +1,79 @@
-"""Property tests of revival_time over rational custom spectra."""
+"""Property tests of revival_time over exact rational polynomial spectra."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from revivals.spectra import PERIOD_PROBE_LIMIT, Spectrum, revival_time
+from revivals.spectra import Spectrum, revival_time
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 
-@settings(max_examples=120, deadline=None)
-@given(
-    d=st.integers(0, 8),
-    c=st.integers(0, 8),
-    a=st.integers(0, 8),
-    b=st.integers(-8, 8),
-    e=st.integers(-10**6, 10**6),
-    q=st.integers(1, 12),
-    power=st.integers(-40, 40),
-    chi=st.floats(0.1, 10.0),
-)
-def test_revival_time_of_rational_polynomial_spectra(d, c, a, b, e, q, power, chi):
-    # E_n = s (d n^5 + c n^3 + a n^2 + b n + e) / q has common period
-    # 2 pi / (chi g), with g the exact gcd of the probed level differences:
-    # s gcd(...) / q. The constant e is a global phase and leaves g as it is.
-    # A quintic term spreads the levels up to about 1e10 times g.
-    assume(d or c or a or b)
-    scale = 2.0**power
+def _quintic(d, c, a, b, e, q):
+    """Coefficients of (d n^5 + c n^3 + a n^2 + b n + e) / q, lowest power first."""
+    return tuple(Fraction(k, q) for k in (e, b, a, c, 0, d))
 
+
+def _exact_period(d, c, a, b, e, q, chi):
+    """2 pi q / (chi g), with g the gcd of the integer level differences over n <= 100."""
     def poly(n):
         return d * n**5 + c * n**3 + a * n * n + b * n
 
-    spectrum = Spectrum.custom(lambda n: scale * (poly(n) + e) / q, chi)
-    levels = range(PERIOD_PROBE_LIMIT + 1)
-    g = Fraction(scale) * Fraction(math.gcd(*(poly(n) for n in levels)), q)
-    assert revival_time(spectrum) == pytest.approx(2.0 * math.pi / (chi * float(g)), rel=1e-9)
+    g = math.gcd(*(poly(n) for n in range(101)))
+    # q / g is rounded once, as revival_time rounds its exact ratio.
+    return 2.0 * math.pi * (q / g) / chi
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    d=st.integers(-9, 9),
+    c=st.integers(-9, 9),
+    a=st.integers(-9, 9),
+    b=st.integers(-9, 9),
+    e=st.integers(-10**9, 10**9),
+    q=st.integers(1, 12),
+    chi=st.floats(0.1, 10.0),
+)
+def test_revival_time_of_rational_polynomial_spectra(d, c, a, b, e, q, chi):
+    # E_n = (d n^5 + c n^3 + a n^2 + b n + e) / q has common period
+    # 2 pi q / (chi g), g the gcd of the integer differences; the constant e
+    # is a global phase and leaves g as it is. The quintic term spreads the
+    # levels up to about 1e10 times g, and e offsets them by up to 1e9.
+    assume(d or c or a or b)
+    spectrum = Spectrum(_quintic(d, c, a, b, e, q), chi)
+    assert revival_time(spectrum) == _exact_period(d, c, a, b, e, q, chi)
+
+
+def test_revival_time_of_random_rational_quintics():
+    # 3000 quintics with |d|, |c|, |a|, |b| <= 9, |e| <= 1e9 and q <= 12, each
+    # against the exact rule; a float search over sampled levels missed some.
+    rng = random.Random(7)
+    for _ in range(3000):
+        d, c, a, b = (rng.randint(-9, 9) for _ in range(4))
+        e, q = rng.randint(-10**9, 10**9), rng.randint(1, 12)
+        if not (d or c or a or b):
+            continue
+        spectrum = Spectrum(_quintic(d, c, a, b, e, q), 1.0)
+        assert revival_time(spectrum) == _exact_period(d, c, a, b, e, q, 1.0), (d, c, a, b, e, q)
+
+
+def test_revival_time_of_a_widely_spread_offset_quintic():
+    # (4 n^5 + 6 n^3 + 2 n^2 + 3 n + 770600743) / 9: levels spread over about
+    # 1e10 and offset by about 1e8, where the float period search returned None.
+    spectrum = Spectrum(_quintic(4, 6, 2, 3, 770600743, 9), 1.0)
+    assert revival_time(spectrum) == _exact_period(4, 6, 2, 3, 770600743, 9, 1.0)
+    assert revival_time(spectrum) == 18.0 * math.pi
+
+
+@settings(max_examples=200, deadline=None)
+@given(chi=st.floats(1e-300, 1e300))
+def test_named_periods_are_pi_and_two_pi_over_chi_bitwise(chi):
+    assert revival_time(Spectrum.kerr(chi)) == math.pi / chi
+    assert revival_time(Spectrum.harmonic(chi)) == 2 * math.pi / chi
+    assert revival_time(Spectrum.square_well(chi)) == 2 * math.pi / chi
 
 
 @settings(max_examples=120, deadline=None)
@@ -45,11 +82,12 @@ def test_revival_time_of_rational_polynomial_spectra(d, c, a, b, e, q, power, ch
     irrational=st.sampled_from([math.sqrt(2), math.sqrt(3), math.pi, math.e, math.log(2)]),
     multiple=st.integers(1, 9),
     powers=st.permutations([1, 2, 3, 4, 5]),
-    power=st.integers(-40, 40),
 )
-def test_revival_time_of_incommensurate_spectra_is_none(rational, irrational, multiple, powers, power):
-    # Two monomials with an irrational coefficient ratio share no period.
-    scale = 2.0**power
-    p1, p2 = powers[:2]
-    spectrum = Spectrum.custom(lambda n: scale * (rational * n**p1 + multiple * irrational * n**p2), 1.0)
-    assert revival_time(spectrum) is None
+def test_incommensurate_coefficients_are_refused(rational, irrational, multiple, powers):
+    # Two monomials with an irrational coefficient ratio share no period and
+    # have no exact form; the refusal says where an irrational scale belongs.
+    coefficients = [0] * 6
+    coefficients[powers[0]] = rational
+    coefficients[powers[1]] = multiple * irrational
+    with pytest.raises(ValueError, match="must be int or Fraction.*into chi"):
+        Spectrum(tuple(coefficients), 1.0)

@@ -11,6 +11,7 @@ plus the chain lengths and the summation of N terms.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,10 +31,9 @@ SPECTRA = {
     "kerr": Spectrum.kerr,
     "harmonic": Spectrum.harmonic,
     "square_well": Spectrum.square_well,
-    # Irrational level spacings: no revival time, no integer structure.
-    "irrational": lambda chi: Spectrum.custom(
-        lambda n: math.sqrt(2.0) * n + n * n / math.pi, chi
-    ),
+    # Non-integer levels 7n/5 + 3n^2/11 at sqrt(2) times the rate: spacings
+    # that are irrational multiples of chi, with no integer structure.
+    "irrational": lambda chi: Spectrum((0, Fraction(7, 5), Fraction(3, 11)), math.sqrt(2.0) * chi),
 }
 
 
