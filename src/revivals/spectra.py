@@ -41,9 +41,12 @@ class _Form(NamedTuple):
     cycles: float               # q/g rounded once: chi T_rev / (2 pi)
 
 
-@functools.lru_cache(maxsize=256)
-def _exact_form(coefficients: tuple[int | Fraction, ...]) -> _Form:
+@functools.lru_cache(maxsize=256, typed=True)
+def _exact_form(*coefficients: int | Fraction) -> _Form:
     """The _Form of exact coefficients, cached for the 256 tuples last used.
+
+    The cache is typed, so 0.5 and Fraction(1, 2) are different keys and the
+    types of each tuple are checked when it is first seen.
 
     With q the least common denominator the codes q c_k are integers, and g
     is the gcd of q(E(n) - E(0)) over n = 1..degree: every q(E(n) - E(0)) is
@@ -51,6 +54,12 @@ def _exact_form(coefficients: tuple[int | Fraction, ...]) -> _Form:
     integer combinations of those. When q is a power of two the c_k are
     exact floats, so they are the codes and nothing is divided.
     """
+    for c in coefficients:
+        if not isinstance(c, (int, Fraction)):
+            raise ValueError(
+                f"spectrum coefficients must be int or Fraction, got {c!r}; "
+                f"write an irrational factor common to all levels into chi"
+            )
     while coefficients and not coefficients[-1]:
         coefficients = coefficients[:-1]
     q = math.lcm(*(Fraction(c).denominator for c in coefficients))
@@ -79,16 +88,8 @@ class Spectrum:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.chi) and self.chi > 0):
             raise ValueError(f"chi must be finite and positive, got {self.chi:g}")
-        coefficients = tuple(self.coefficients)
-        for c in coefficients:   # before the cache, where 0.5 and Fraction(1, 2) are one key
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError(
-                    f"spectrum coefficients must be int or Fraction, got {c!r}; "
-                    f"write an irrational factor common to all levels into chi"
-                )
-        form = _exact_form(coefficients)
-        if form.coefficients is not self.coefficients:
-            object.__setattr__(self, "coefficients", form.coefficients)
+        form = _exact_form(*self.coefficients)
+        object.__setattr__(self, "coefficients", form.coefficients)
         object.__setattr__(self, "_form", form)
 
     @classmethod
@@ -214,8 +215,7 @@ def fractional_revival_times(
 ) -> list[tuple[int, int, float]]:
     """All reduced fractions l/m (2 <= m <= m_max) as (l, m, t) sorted by t.
 
-    t = (l/m) * revival_time, which every spectrum has; for the Kerr
-    spectrum that is pi*l/(m*chi).
+    t = (l/m) * revival_time, which every spectrum has; for Kerr that is pi*l/(m*chi).
     """
     if m_max < 2:
         raise ValueError("m_max must be >= 2")

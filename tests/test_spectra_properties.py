@@ -12,19 +12,19 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 
-def _quintic(d, c, a, b, e, q):
-    """Coefficients of (d n^5 + c n^3 + a n^2 + b n + e) / q, lowest power first."""
-    return tuple(Fraction(k, q) for k in (e, b, a, c, 0, d))
+def _quintic(d, c, a, b, e, q, scale=1):
+    """Coefficients of scale (d n^5 + c n^3 + a n^2 + b n + e) / q, lowest power first."""
+    return tuple(scale * Fraction(k, q) for k in (e, b, a, c, 0, d))
 
 
-def _exact_period(d, c, a, b, e, q, chi):
-    """2 pi q / (chi g), with g the gcd of the integer level differences over n <= 100."""
+def _exact_period(d, c, a, b, e, q, chi, scale=1):
+    """2 pi q / (chi scale g), with g the gcd of the integer level differences over n <= 100."""
     def poly(n):
         return d * n**5 + c * n**3 + a * n * n + b * n
 
     g = math.gcd(*(poly(n) for n in range(101)))
-    # q / g is rounded once, as revival_time rounds its exact ratio.
-    return 2.0 * math.pi * (q / g) / chi
+    # The exact ratio is rounded once, as revival_time rounds its q / g.
+    return 2.0 * math.pi * float(Fraction(q, g) / scale) / chi
 
 
 @settings(max_examples=120, deadline=None)
@@ -35,16 +35,19 @@ def _exact_period(d, c, a, b, e, q, chi):
     b=st.integers(-9, 9),
     e=st.integers(-10**9, 10**9),
     q=st.integers(1, 12),
+    power=st.integers(-40, 40),
     chi=st.floats(0.1, 10.0),
 )
-def test_revival_time_of_rational_polynomial_spectra(d, c, a, b, e, q, chi):
-    # E_n = (d n^5 + c n^3 + a n^2 + b n + e) / q has common period
-    # 2 pi q / (chi g), g the gcd of the integer differences; the constant e
-    # is a global phase and leaves g as it is. The quintic term spreads the
-    # levels up to about 1e10 times g, and e offsets them by up to 1e9.
+def test_revival_time_of_rational_polynomial_spectra(d, c, a, b, e, q, power, chi):
+    # E_n = s (d n^5 + c n^3 + a n^2 + b n + e) / q with s = 2^power has
+    # common period 2 pi q / (chi s g), g the gcd of the integer differences;
+    # the constant e is a global phase and leaves g as it is. The quintic
+    # term spreads the levels up to about 1e10 times g, and e offsets them
+    # by up to 1e9.
     assume(d or c or a or b)
-    spectrum = Spectrum(_quintic(d, c, a, b, e, q), chi)
-    assert revival_time(spectrum) == _exact_period(d, c, a, b, e, q, chi)
+    scale = Fraction(2) ** power
+    spectrum = Spectrum(_quintic(d, c, a, b, e, q, scale), chi)
+    assert revival_time(spectrum) == _exact_period(d, c, a, b, e, q, chi, scale)
 
 
 def test_revival_time_of_random_rational_quintics():
