@@ -202,10 +202,10 @@ def _check_phases(spectrum: Spectrum, level: int, t_min: float, t_max: float) ->
 def revival_time(spectrum: Spectrum) -> float:
     """Smallest T > 0 with every phase difference chi*(E(n) - E(0))*T a multiple of 2*pi.
 
-    That is 2 pi q / (chi g), with q and g as in _exact_form, so an offset
-    (a global phase) leaves it alone. The exact q/g is rounded once, then
-    scaled, so Kerr gives pi/chi and the harmonic and square well 2 pi/chi
-    bit for bit at every chi.
+    That is 2 pi q / (chi g), q the coefficients' common denominator and g the
+    gcd of the integers q(E(n) - E(0)), so an offset (a global phase) leaves it
+    alone. The exact q/g is rounded once, then scaled, so Kerr gives pi/chi and
+    the harmonic and square well 2 pi/chi bit for bit at every chi.
     """
     return 2.0 * math.pi * spectrum._form.cycles / spectrum.chi
 
