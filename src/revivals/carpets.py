@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import CoherentLabel, coherent_amplitudes
-from .spectra import Spectrum, _check_phases, _phase_factors, evolve, revival_time
+from .spectra import Spectrum, _phase_factors, evolve, revival_time
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
 LOBE_THRESHOLD = 0.1
@@ -173,9 +173,8 @@ def carpet(
     """The |psi(x, t)|^2 grid on nt evenly spaced times and nx positions.
 
     t_max defaults to one revival period. Extents must be finite and
-    increasing, nx and nt at least 2, and the phases chi E_n t over the kept
-    levels must not overflow float64; all are checked before any grid is
-    built.
+    increasing and nx and nt at least 2, checked before any grid is built;
+    phases chi E_n t that overflow float64 are refused before the Hermite table.
 
     Besides the Hermite table, the work needs one 2 nt x (N + 1) real block
     and one 2 nt x nx product buffer, in which |psi|^2 is squared and summed
@@ -193,13 +192,9 @@ def carpet(
         raise ValueError(f"a carpet needs nx >= 2 and nt >= 2, got nx = {nx}, nt = {nt}")
     state = coherent_amplitudes(label, truncation)
     n_max = state.truncation
-    _check_phases(spectrum, n_max, t_min, t_max)
-    times = np.linspace(t_min, t_max, nt)
-    grid = np.linspace(x_min, x_max, nx)
-    table = hermite_functions(grid, n_max)
-    energies = spectrum.energies(n_max)
-    giant, baby = _phase_factors(spectrum, energies, times, -1.0)
+    giant, baby = _phase_factors(spectrum, n_max, np.linspace(t_min, t_max, nt), -1.0)
     giant *= state.amplitudes
+    table = hermite_functions(np.linspace(x_min, x_max, nx), n_max)
     # Coefficients c_n e^{-i chi E_n t_k} for time k = b B + j are giant[b] *
     # baby[j]; they go straight into one real block, Re above Im, one giant
     # row (B times) at a time.

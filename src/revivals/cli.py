@@ -9,11 +9,11 @@ returns a one-line summary and the file's bytes; ``main`` writes them in
 one binary write. A command declares exactly the flags its handler reads,
 and defaults live only in the parser.
 
-The four time traces share one handler, ``_run_trace``, bound to functions
-giving the command's value columns and the top Fock level of its phases,
-which must not overflow. Its period is ``revival_time``, and its metadata
-lists the command's own flags (those outside ``_TRACE``) in declared order,
-then chi and revival_time.
+The four time traces share one handler, ``_run_trace``, bound to a function
+giving the command's value columns. Its period is ``revival_time``, and its
+metadata lists the command's own flags (those outside ``_TRACE``) in
+declared order, then chi and revival_time. Phases chi E t that overflow
+float64 are refused by the library (``spectra._phase_angles``).
 
 A file is a CSV table (a '#'-prefixed metadata block, a header row, then
 ``%.17g`` fields from ``carpets._table_text``) or, for carpets, a binary
@@ -40,7 +40,7 @@ from .classical import (
     talbot_length,
     wave_count,
 )
-from .fock import DEFAULT_TOLERANCE, CoherentLabel, auto_truncation, coherent_amplitudes
+from .fock import DEFAULT_TOLERANCE, CoherentLabel, coherent_amplitudes
 from .moments import (
     autocorrelation,
     expect_p,
@@ -50,7 +50,7 @@ from .moments import (
     ladder_moment,
     uncertainty_trace,
 )
-from .spectra import _KINDS, Spectrum, _check_phases, decompose_fractional, revival_time
+from .spectra import _KINDS, Spectrum, decompose_fractional, revival_time
 
 #: Default Kerr strength; makes the default revival time pi^2/10.
 DEFAULT_CHI = 10.0 / math.pi
@@ -132,7 +132,7 @@ def _lx_values(args: argparse.Namespace, spectrum: Spectrum, times: np.ndarray) 
     return {"value": lx_moment(args.n, label, args.chi, times)}
 
 
-def _run_trace(values: Callable[..., dict], level: Callable, args: argparse.Namespace) -> tuple[str, bytes]:
+def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[str, bytes]:
     """Trace CSV: the command's own flags, chi and revival_time; t, values, chi_t_over_pi."""
     spectrum = _spectrum(args)
     period = revival_time(spectrum)
@@ -141,7 +141,6 @@ def _run_trace(values: Callable[..., dict], level: Callable, args: argparse.Name
         raise ValueError("t_max must exceed t_min")
     if not math.isfinite(float(t_max) - float(args.t_min)):
         raise ValueError(f"the span --t-max - --t-min overflows float64 ({t_max:g} - {args.t_min:g})")
-    _check_phases(spectrum, level(args), args.t_min, t_max)
     times = np.linspace(args.t_min, t_max, args.samples)
     own = [option for option in _COMMANDS[args.command].options if option not in _TRACE]
     keys = [flags[-1][2:].replace("-", "_") for flags, _ in own]
@@ -254,25 +253,23 @@ _OUTPUT = (_opt("-o", "--output", default=None),)
 _TRACE = _CHI + _TIMES + _SAMPLES + _OUTPUT
 
 _COMMANDS: dict[str, _Command] = {
-    "autocorr": _Command(partial(_run_trace, _autocorr_values, lambda args: auto_truncation(_label(args).nu)),
-                         "autocorrelation trace", (
+    "autocorr": _Command(partial(_run_trace, _autocorr_values), "autocorrelation trace", (
         *_SPECTRUM,
         *_LABEL,
         *_TRACE,
     )),
-    "moment": _Command(partial(_run_trace, _moment_values, lambda args: max(args.r, args.r + args.s)),
-                       "normal-ordered ladder moment trace", (
+    "moment": _Command(partial(_run_trace, _moment_values), "normal-ordered ladder moment trace", (
         _opt("--r", type=int, required=True),
         _opt("--s", type=int, required=True),
         *_LABEL,
         *_TRACE,
     )),
-    "xptrace": _Command(partial(_run_trace, _xptrace_values, lambda args: 2), "quadrature moment trace", (
+    "xptrace": _Command(partial(_run_trace, _xptrace_values), "quadrature moment trace", (
         _opt("--observable", choices=(*_OBSERVABLES, "dxdp"), default="x"),
         *_LABEL,
         *_TRACE,
     )),
-    "lx": _Command(partial(_run_trace, _lx_values, lambda args: args.n), "angular-momentum moment trace", (
+    "lx": _Command(partial(_run_trace, _lx_values), "angular-momentum moment trace", (
         _opt("--n", type=int, default=1, help="power of Lx, 1..40"),
         *(_opt(f"--{key}", type=float, default=1.0) for key in ("p2", "q2", "p3", "q3")),
         *_TRACE,

@@ -6,7 +6,7 @@ The workhorse is the normal-ordered moment
                      * e^{-i chi (s(s-1)+2rs) t - i nu sin(2chi s t)}.
 
 Its time dependence, a damping factor and an angle, is written once, in
-_kerr_envelope, which also refuses a bad chi or time. <x^k> and <L^n> sum
+_kerr_envelope, from angles of spectra._phase_angles. <x^k> and <L^n> sum
 such moments; the x/p means and second moments (x = √2 Re<a>, p = √2 Im<a>,
 x², p² = ½ + nu ± Re<a²>) combine the envelopes at s = 1 and 2 with alpha
 in real arithmetic. Every closed form can be checked against
@@ -37,7 +37,7 @@ import numpy as np
 
 from .fock import CoherentLabel, FockVector, number_distribution
 from .ordering import x_power_terms
-from .spectra import Spectrum, _phase_factors
+from .spectra import Spectrum, _phase_angles, _phase_factors
 
 #: Imaginary residue of a Hermitian moment, relative to the bound on its
 #: magnitude (at least 1), above which the residue is treated as a bug.
@@ -144,19 +144,14 @@ def _kerr_envelope(r: int, s: int, nu: float, chi: float, t):
     """Damping e^{-2nu sin²(chi s t)} and angle chi(s(s-1) + 2rs)t + nu sin 2chi s t.
 
     <a†^r a^(r+s)> = alpha^s nu^r damping e^{-i angle}; t may be a scalar or
-    an array. A chi that is not finite and positive, or a time that is not
-    finite, raises ValueError before any numpy warning.
+    an array. The angles chi (2s) t and chi (s(s-1) + 2rs) t come from
+    spectra._phase_angles, so a bad chi or t raises before any numpy warning.
     """
-    if not (math.isfinite(chi) and chi > 0):
-        raise ValueError(f"chi must be finite and positive, got {chi:g}")
-    t = np.asarray(t, dtype=np.float64)
-    # One time is checked by math: a ufunc call would cost a third of the moment.
-    if not (np.isfinite(t).all() if t.ndim else math.isfinite(t)):
-        raise ValueError("time must be finite")
-    half = chi * s * t
+    t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=np.float64)
+    double = _phase_angles(chi, 2 * s, t)
     # 2 sin² rather than 1 - cos 2x, which rounds to 0 below x ~ 1e-8.
-    damping = np.exp(-2.0 * nu * np.sin(half) ** 2)
-    angle = chi * (s * (s - 1) + 2 * r * s) * t + nu * np.sin(2.0 * half)
+    damping = np.exp(-2.0 * nu * np.sin(0.5 * double) ** 2)
+    angle = _phase_angles(chi, s * (s - 1) + 2 * r * s, t) + nu * np.sin(double)
     return damping, angle
 
 
@@ -194,30 +189,27 @@ def autocorrelation(label: CoherentLabel, spectrum: Spectrum, t):
 
     A(t) = e^{-nu} sum_n (nu^n/n!) e^{+i chi E(n) t}, summed to the
     auto-truncation. |A| <= 1 always, and |A(T_rev)| = 1 for every spectrum.
-    Accepts scalar or array t; a non-finite time raises ValueError, as in
-    evolve. An evenly spaced grid is contracted through giant-step x
-    baby-step phase factors (spectra._phase_factors), so three rows of N
-    exponentials and about 2 sqrt(M) N complex products serve M times; other
-    arrays take one exponential per cell. Times go in blocks of at most
-    2_000_000 // N, which bounds the memory.
+    Accepts scalar or array t, refused as evolve refuses it. An evenly spaced
+    grid is contracted through giant-step x baby-step phase factors
+    (spectra._phase_factors), so three rows of N exponentials and about
+    2 sqrt(M) N complex products serve M times; other arrays take one
+    exponential per cell. Times go in blocks of at most 2_000_000 // N,
+    which bounds the memory.
     """
     weights = number_distribution(label)
-    energies = spectrum.energies(weights.size - 1)
+    energies, level_max = spectrum._levels(weights.size - 1)
     t_arr = np.asarray(t, dtype=np.float64)
     if t_arr.ndim == 0:
-        if not math.isfinite(t_arr):
-            raise ValueError("time must be finite")
         # One time: building and contracting phase tables costs more than
         # this sum, and scalar calls are the oracle checks' hot path.
-        return complex(np.sum(weights * np.exp(1j * spectrum.chi * energies * t_arr)))
-    if not np.isfinite(t_arr).all():
-        raise ValueError("time must be finite")
+        angles = _phase_angles(spectrum.chi, energies, float(t_arr), level_max)
+        return complex(np.sum(weights * np.exp(1j * angles)))
     flat = t_arr.ravel()
     out = np.empty(flat.size, dtype=np.complex128)
     block = max(1, 2_000_000 // weights.size)
     for start in range(0, flat.size, block):
         times = flat[start : start + block]
-        giant, baby = _phase_factors(spectrum, energies, times, 1.0)
+        giant, baby = _phase_factors(spectrum, weights.size - 1, times, 1.0)
         # In place: a fresh product table would cost a page fault per 4 KiB.
         giant *= weights
         values = giant @ baby.T

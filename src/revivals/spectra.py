@@ -110,35 +110,69 @@ class Spectrum:
         return self._form.kind
 
     def energies(self, truncation: int) -> np.ndarray:
-        """E_n for n = 0..truncation as a float vector.
+        """E_n for n = 0..truncation as a float vector, read-only and shared between calls.
 
         Horner's rule over the codes, skipping zero codes and a leading 1,
         then one division: Kerr is (n - 1) n, the square well n n and the
         harmonic n + 1/2, each exact while the levels fit in 53 bits.
         """
+        return self._levels(truncation)[0]
+
+    def _levels(self, truncation: int) -> tuple[np.ndarray, float]:
+        """energies(truncation) and its max |E_n|, cached for the 256 last used."""
         form = self._form
-        n = np.arange(truncation + 1, dtype=np.float64)
-        levels = n if form.lead == 1.0 else form.lead * n
-        for k, code in enumerate(form.lower):
-            if k:
-                levels = levels * n
-            if code:
-                levels = levels + code
-        return levels / form.divisor if form.divisor > 1 else levels
+        return _horner_levels(form.lead, form.lower, form.divisor, truncation)
+
+
+@functools.lru_cache(maxsize=256)
+def _horner_levels(lead: float, lower: tuple, divisor: int, truncation: int) -> tuple[np.ndarray, float]:
+    n = np.arange(truncation + 1, dtype=np.float64)
+    levels = n if lead == 1.0 else lead * n
+    for k, code in enumerate(lower):
+        if k:
+            levels = levels * n
+        if code:
+            levels = levels + code
+    levels = levels / divisor
+    levels.setflags(write=False)
+    return levels, float(np.abs(levels).max())
+
+
+def _phase_angles(chi: float, levels, t, level_max: float | None = None):
+    """The phase angles chi * (t * levels); t * levels must pair every time with every level.
+
+    A chi that is not finite and positive, a time that is not finite or an
+    overflow raises ValueError before NumPy forms anything. The overflow
+    check is exact, as rounding is monotone: the largest products are
+    max|t| max|level| (level_max, if given) and chi times it, formed here in
+    Python floats, which overflow without a warning.
+    """
+    if not (math.isfinite(chi) and chi > 0):
+        raise ValueError(f"chi must be finite and positive, got {chi:g}")
+    top = float(np.abs(t).max(initial=0.0)) if isinstance(t, np.ndarray) else abs(float(t))
+    if not math.isfinite(top):
+        raise ValueError("time must be finite")
+    if level_max is None:
+        level_max = float(np.abs(levels).max()) if isinstance(levels, np.ndarray) else abs(float(levels))
+    if not math.isfinite(float(chi) * (top * level_max)):
+        raise ValueError(
+            f"phases chi E t overflow float64 at chi = {chi:g}, |E| up to {level_max:g} "
+            f"and |t| up to {top:g}; lower --chi, --t-min or --t-max"
+        )
+    return chi * (t * levels)
 
 
 def evolve(state: FockVector, spectrum: Spectrum, t: float) -> FockVector:
-    """Apply the diagonal phases e^{-i chi E(n) t}; norm is preserved exactly."""
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    phases = np.exp(-1j * spectrum.chi * t * spectrum.energies(state.truncation))
-    return FockVector(state.amplitudes * phases, tail_mass=state.tail_mass)
+    """Multiply by the phases e^{-i chi E(n) t} of _phase_angles; norm is preserved exactly."""
+    levels, level_max = spectrum._levels(state.truncation)
+    angles = _phase_angles(spectrum.chi, levels, t, level_max)
+    return FockVector(state.amplitudes * np.exp(-1j * angles), tail_mass=state.tail_mass)
 
 
 def _phase_factors(
-    spectrum: Spectrum, energies: np.ndarray, t: np.ndarray, sign: float
+    spectrum: Spectrum, truncation: int, t: np.ndarray, sign: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Giant and baby rows of the phases e^{sign i chi E_n t_k} over 1-d float times t.
+    """Giant and baby rows of the phases e^{sign i chi E_n t_k}, n <= truncation, at 1-d times t.
 
     On an evenly spaced grid t_k = t_0 + k dt the phase splits exactly: with
     B = isqrt(M - 1) + 1, row k = bB + j is giant[b] * baby[j], where giant
@@ -154,49 +188,31 @@ def _phase_factors(
     satisfy. One or two times (where factoring saves nothing) or times not
     evenly spaced get B = 1: every time is a giant row of its own
     exponentials and the single baby row is all ones, which is the dense
-    one-exponential-per-cell route.
+    one-exponential-per-cell route. _phase_angles guards the whole grid.
     """
+    energies, level_max = spectrum._levels(truncation)
     m = t.size
-    rate = sign * 1j * spectrum.chi
+    top = np.abs(t).max(initial=0.0)
+    _phase_angles(spectrum.chi, energies, top, level_max)   # refuses the grid before t is used
     even = False
     if m > 2:
         dt = (t[-1] - t[0]) / (m - 1)
         drift = np.max(np.abs(t - (t[0] + dt * np.arange(m))))
-        even = drift <= 4.0 * _EPS * np.max(np.abs(t))
+        even = drift <= 4.0 * _EPS * top
     if not even:
-        giant = np.exp(rate * (t[:, None] * energies))
+        giant = np.exp(sign * 1j * _phase_angles(spectrum.chi, energies, t[:, None], level_max))
         return giant, np.ones((1, energies.size), dtype=np.complex128)
     step = math.isqrt(m - 1) + 1
     giant = np.empty((-(-m // step), energies.size), dtype=np.complex128)
     baby = np.empty((step, energies.size), dtype=np.complex128)
-    giant[0] = np.exp(rate * (t[0] * energies))
+    seeds = np.array([t[0], dt, step * dt])[:, None]
+    giant[0], baby[1], stride = np.exp(sign * 1j * _phase_angles(spectrum.chi, energies, seeds, level_max))
     baby[0] = 1.0
-    baby[1] = np.exp(rate * (dt * energies))
-    stride = np.exp(rate * ((step * dt) * energies))
     for b in range(1, giant.shape[0]):
         np.multiply(giant[b - 1], stride, out=giant[b])
     for j in range(2, step):
         np.multiply(baby[j - 1], baby[1], out=baby[j])
     return giant, baby
-
-
-def _check_phases(spectrum: Spectrum, level: int, t_min: float, t_max: float) -> None:
-    """Refuse times at which a phase chi E t of levels n <= level overflows float64.
-
-    sum_k |c_k level^k| bounds E_n and the Kerr differences the closed forms
-    use; grid steps reach twice max|t|, and chi E t is formed in either order.
-    """
-    try:
-        bound = float(sum(abs(c * level**k) for k, c in enumerate(spectrum.coefficients)))
-    except OverflowError:
-        bound = math.inf
-    # Python floats, which overflow to inf without a warning.
-    span = 2.0 * max(abs(float(t_min)), abs(float(t_max)))
-    if not (math.isfinite(float(spectrum.chi) * bound * span) and math.isfinite(bound * span)):
-        raise ValueError(
-            f"phases chi E t overflow float64 at chi = {spectrum.chi:g}, |E| up to {bound:g} "
-            f"and |t| up to {span / 2.0:g}; lower --chi, --t-min or --t-max"
-        )
 
 
 def revival_time(spectrum: Spectrum) -> float:

@@ -31,7 +31,7 @@ def _density_out_of_place(label, spectrum, nx, nt):
     state = coherent_amplitudes(label)
     n_max = state.truncation
     table = hermite_functions(np.linspace(x_min, x_max, nx), n_max)
-    giant, baby = _phase_factors(spectrum, spectrum.energies(n_max), times, -1.0)
+    giant, baby = _phase_factors(spectrum, n_max, times, -1.0)
     giant = giant * state.amplitudes
     coeffs = (giant[:, None] * baby[None]).reshape(-1, n_max + 1)[:nt]
     psi = np.concatenate((coeffs.real, coeffs.imag)) @ table
@@ -158,6 +158,15 @@ def test_carpet_guards():
     assert grid.t_max == 1.0
     with pytest.raises(ValueError, match="phases chi E t overflow float64"):
         carpet(label, Spectrum.kerr(1e200), t_max=1e200, nx=16, nt=8)
+
+
+def test_carpet_refuses_overflowing_phases_before_the_hermite_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hermite_functions called for a carpet whose phases overflow")
+
+    monkeypatch.setattr("revivals.carpets.hermite_functions", refuse)
+    with pytest.raises(ValueError, match="phases chi E t overflow float64"):
+        carpet(CoherentLabel(3.0, 0.0), Spectrum.kerr(1e200), t_max=1e200, nx=16, nt=8)
 
 
 @pytest.mark.parametrize("flag", ["nx", "nt"])

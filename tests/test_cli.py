@@ -605,10 +605,10 @@ def test_overflowing_spans_rejected(tmp_path, monkeypatch, capsys, argv, message
 @pytest.mark.parametrize(
     "argv",
     [
-        # chi s overflows in the Kerr envelope although chi t stays near pi.
-        ["xptrace", "--observable", "p2", "--chi", "1.7e308", "--samples", "3"],
-        ["moment", "--r", "3", "--s", "2", "--chi", "1.7e308", "--samples", "3"],
-        ["lx", "--n", "2", "--chi", "1.7e308", "--samples", "3"],
+        # chi (2s) t overflows in the Kerr envelope.
+        ["xptrace", "--observable", "p2", "--chi", "1.7e308", "--t-max", "1", "--samples", "3"],
+        ["moment", "--r", "3", "--s", "2", "--chi", "1.7e308", "--t-max", "1", "--samples", "3"],
+        ["lx", "--n", "2", "--chi", "1.7e308", "--t-max", "1", "--samples", "3"],
         # chi t itself overflows.
         ["autocorr", "--chi", "1e200", "--t-max", "1e200"],
         ["carpet", "--p", "3", "--chi", "1e200", "--t-max", "1e200"],
@@ -625,6 +625,29 @@ def test_overflowing_phases_rejected(tmp_path, monkeypatch, capsys, argv):
     assert err.startswith("error: phases chi E t overflow float64")
     assert "lower --chi, --t-min or --t-max" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["xptrace", "--observable", "p2", "--chi", "1.7e308", "--samples", "3"],
+        ["xptrace", "--observable", "x", "--chi", "1.7e308", "--samples", "3"],
+        ["moment", "--r", "3", "--s", "2", "--chi", "1.7e308", "--samples", "3"],
+        ["lx", "--n", "2", "--chi", "1.7e308", "--samples", "3"],
+    ],
+    ids=["xptrace-p2", "xptrace-x", "moment", "lx"],
+)
+def test_huge_chi_over_one_period_runs(tmp_path, monkeypatch, capsys, argv):
+    # Over one period t <= pi/chi, so every phase stays finite: the guard
+    # checks the products themselves, not a bound on them.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / f"{argv[0]}.csv").read_text().splitlines()
+    cells = np.array([row.split(",") for row in lines if not row.startswith("#")][1:], dtype=float)
+    assert cells.shape[0] == 3 and np.isfinite(cells).all()
 
 
 def test_in_process_runs_match_fresh_subprocesses(tmp_path, monkeypatch, cli_env, capsys):

@@ -29,5 +29,5 @@ def test_expect_sets_the_exit_status_from_the_manifest_hash(tmp_path, capsys, cl
 def test_every_cli_output_is_byte_identical_to_the_manifest(tmp_path, capsys, cli_outputs):
     # All 130 files of every command and flag, against the recorded manifest
     # hash; a change that moves an output on purpose updates the hash.
-    expected = "d708e4d0b2545e131d83d6f70fc0f5af3baf3ed7930ca27ba6030d9671fc6b86"
+    expected = "c935629361f69a0bbe3bcdaccf88e6a76f1245d5c9241c5b81a7b08a5c3dbf32"
     assert cli_outputs.main([str(ROOT / "src"), str(tmp_path), "--expect", expected]) == 0

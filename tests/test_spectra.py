@@ -2,12 +2,16 @@
 
 import dataclasses
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from revivals.angular import TriModeLabel, angular_moment, lx_moment_oracle
+from revivals.carpets import position_wavefunction
 from revivals.fock import CoherentLabel, coherent_amplitudes, inner_product
+from revivals.moments import autocorrelation, expect_x2, ladder_moment
 from revivals.spectra import (
     Spectrum,
     decompose_fractional,
@@ -25,6 +29,10 @@ def test_named_spectra_energies():
     assert np.allclose(kerr.energies(5), n * (n - 1))
     assert np.allclose(harm.energies(5), n + 0.5)
     assert np.allclose(well.energies(5), n * n)
+    # Level vectors are cached read-only, each with its max |E_n|.
+    levels, level_max = kerr._levels(5)
+    assert levels is kerr.energies(5) and not levels.flags.writeable
+    assert level_max == 20.0
 
 
 def test_spectrum_requires_positive_chi():
@@ -241,3 +249,34 @@ def test_cat_decomposition_guards():
     assert [f.name for f in dataclasses.fields(cat)] == [
         "coefficients", "component_labels", "time", "fidelity"
     ]
+
+
+_LABEL = CoherentLabel(1.0, 1.0)
+_MODES = TriModeLabel.from_alphas(0.5, 1.0 - 0.5j, -0.7 + 1.2j)
+
+#: Library calls whose phases chi E t overflow float64: chi t itself for the
+#: spectra, chi (2s) t of the Kerr envelope for the closed forms.
+_OVERFLOWING_CALLS = {
+    "autocorrelation-scalar": lambda: autocorrelation(_LABEL, Spectrum.kerr(1e200), 1e200),
+    "autocorrelation-array": lambda: autocorrelation(
+        _LABEL, Spectrum.kerr(1e200), np.array([0.0, 0.5e200, 1e200])
+    ),
+    "evolve": lambda: evolve(coherent_amplitudes(_LABEL), Spectrum.kerr(1e200), 1e200),
+    "position_wavefunction": lambda: position_wavefunction(
+        _LABEL, np.linspace(-3.0, 3.0, 5), 1e200, Spectrum.kerr(1e200)
+    ),
+    "ladder_moment": lambda: ladder_moment(1, 2, _LABEL, 1.7e308, 1.0),
+    "expect_x2": lambda: expect_x2(_LABEL, 1.7e308, np.array([0.0, 1.0])),
+    "angular_moment": lambda: angular_moment("y", 2, _MODES, 1.7e308, 1.0),
+    "lx_moment_oracle": lambda: lx_moment_oracle(2, _MODES, 1e200, 1e200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWING_CALLS))
+def test_library_calls_refuse_overflowing_phases(name):
+    # The guard sits in the one phase kernel, so library calls are refused
+    # as the CLI's are, before numpy warns or writes nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phases chi E t overflow float64"):
+            _OVERFLOWING_CALLS[name]()

@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from revivals.spectra import Spectrum, revival_time
+from revivals.spectra import Spectrum, _phase_angles, revival_time
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
@@ -94,3 +95,38 @@ def test_incommensurate_coefficients_are_refused(rational, irrational, multiple,
     coefficients[powers[1]] = multiple * irrational
     with pytest.raises(ValueError, match="must be int or Fraction.*into chi"):
         Spectrum(tuple(coefficients), 1.0)
+
+
+_MANTISSAS = st.floats(0.5, 1.0, exclude_max=True)
+
+
+def _wide():
+    """Floats +-m 2^e with m in [0.5, 1) and e in [-1021, 1024]: every normal magnitude."""
+    magnitude = st.builds(math.ldexp, _MANTISSAS, st.integers(-1021, 1024))
+    return st.builds(lambda m, negative: -m if negative else m, magnitude, st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    levels=st.lists(_wide(), min_size=1, max_size=4),
+    times=st.lists(_wide(), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_phase_guard_is_exact(levels, times, data):
+    # The guard raises exactly when some chi * (t * level) is not finite, for
+    # one time and level as Python floats and for arrays paired by
+    # broadcasting. Half the rates put the largest product within a factor
+    # of 8 of the float64 limit, where a guard off by one rounding or one
+    # factor of two would show.
+    edge = 1024 - math.frexp(max(map(abs, times)))[1] - math.frexp(max(map(abs, levels)))[1]
+    exponent = data.draw(st.one_of(st.integers(-1021, 1024), st.integers(edge - 1, edge + 2)))
+    chi = math.ldexp(data.draw(_MANTISSAS), min(1024, max(-1021, exponent)))
+    pairs = ((times[0], levels[0]), (np.array(times)[:, None], np.array(levels)))
+    for t, level in pairs:
+        with np.errstate(over="ignore"):
+            expected = chi * (t * level)
+        if np.isfinite(expected).all():
+            assert np.array_equal(_phase_angles(chi, level, t), expected)
+        else:
+            with pytest.raises(ValueError, match="phases chi E t overflow float64"):
+                _phase_angles(chi, level, t)

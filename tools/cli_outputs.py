@@ -17,7 +17,7 @@ when that hash differs from the one given, so a byte-identity check is one
 command:
 
     python tools/cli_outputs.py src /tmp/out \
-        --expect d708e4d0b2545e131d83d6f70fc0f5af3baf3ed7930ca27ba6030d9671fc6b86
+        --expect c935629361f69a0bbe3bcdaccf88e6a76f1245d5c9241c5b81a7b08a5c3dbf32
 
 To see which files moved, write both trees and compare them:
 
