@@ -15,13 +15,19 @@ Hermite table in one real matrix product. Helper
 exports render it as CSV or as an 8-bit PGM image normalized over the
 whole grid (fractional-revival rows come out dimmer, as they should).
 
-Memory: a carpet holds the (N + 1) x nx Hermite table, one stacked real
-coefficient block of 2 nt x (N + 1) (Re above Im, filled from the phase
-factors one giant row at a time, with no complex table of its own) and
-the 2 nt x nx output of the product, which is squared and summed in place;
-the grid then copies its nt x nx half. Every other temporary is one Hermite
-row or one giant row of phases. A fresh multi-megabyte temporary costs a page fault per 4 KiB
-page on first touch; for 600 x 600 carpets that is as much as the arithmetic.
+Memory: a carpet's working arrays are the (N + 1) x nx Hermite table, one
+stacked real coefficient block of 2 nt x (N + 1) (Re above Im, filled from
+the phase factors one giant row at a time, with no complex table of its own)
+and the 2 nt x nx output of the product, which is squared in place. They
+are views of one float64 workspace per thread, kept between calls and grown
+to the largest carpet seen, up to _WORKSPACE_CAP bytes; a carpet that needs
+more gets a workspace of its own, dropped when it returns. The density sum of
+the two halves is the only fresh nt x nx array, and the grid adopts it
+without a copy. grid_to_pgm quantises in row chunks of about _PGM_CHUNK_CELLS
+cells through the same workspace. Every other temporary is one Hermite row
+or one giant row of phases. A fresh multi-megabyte temporary costs a page
+fault per 4 KiB page on first touch; for 600 x 600 carpets that is as much
+as the arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+import threading
+from dataclasses import InitVar, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,6 +49,36 @@ LOBE_THRESHOLD = 0.1
 
 #: Largest |x| whose square is a finite float64; hermite_functions needs x * x.
 _X_LIMIT = math.sqrt(sys.float_info.max)
+
+#: Largest workspace, in bytes, that a thread keeps between carpets.
+_WORKSPACE_CAP = 64 << 20
+
+#: Cells per grid_to_pgm chunk: a chunk of float64 stays in the L2 cache.
+_PGM_CHUNK_CELLS = 8192
+
+_local = threading.local()
+
+
+def _workspace(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Disjoint float64 arrays of the given shapes, uninitialised, as views of
+    this thread's workspace.
+
+    The workspace grows to the largest total asked for and is kept up to
+    _WORKSPACE_CAP bytes; a larger request gets a buffer of its own, and the
+    kept one stays as it was. The views are valid until the thread's next call.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    total = sum(sizes)
+    buffer = getattr(_local, "buffer", None)
+    if buffer is None or buffer.size < total:
+        buffer = np.empty(total)
+        if buffer.nbytes <= _WORKSPACE_CAP:
+            _local.buffer = buffer
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(buffer[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 def _check_extents(x_min: float, x_max: float, t_min: float, t_max: float) -> None:
@@ -65,7 +102,9 @@ class CarpetGrid:
     """Space-time density grid: nt rows (time) by nx columns (position).
 
     The sizes nt and nx are the shape of density, which needs at least two
-    rows and two columns; the extents are checked as carpet checks them.
+    rows and two columns; the extents are checked as carpet checks them. The
+    grid holds its own read-only copy of density, except that carpet hands
+    over (_adopt=True) the sum of squares it has just made, which is kept as is.
     """
 
     x_min: float
@@ -73,13 +112,14 @@ class CarpetGrid:
     t_min: float
     t_max: float
     density: np.ndarray
+    _adopt: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        dens = np.asarray(self.density, dtype=np.float64).copy()
+    def __post_init__(self, _adopt: bool) -> None:
+        dens = self.density if _adopt else np.asarray(self.density, dtype=np.float64).copy()
         if dens.ndim != 2 or min(dens.shape) < 2:
             raise ValueError("a carpet needs at least a 2 x 2 grid")
         _check_extents(self.x_min, self.x_max, self.t_min, self.t_max)
-        if np.any(dens < 0.0):
+        if not _adopt and np.any(dens < 0.0):
             raise ValueError("densities cannot be negative")
         dens.setflags(write=False)
         object.__setattr__(self, "density", dens)
@@ -110,14 +150,19 @@ class CarpetGrid:
         return int(np.argmin(np.abs(self.t_axis() - t)))
 
 
-def hermite_functions(x: np.ndarray, n_max: int) -> np.ndarray:
+def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized oscillator eigenfunctions phi_0..phi_{n_max} on the grid x.
 
-    Returns shape (n_max + 1, len(x)). phi_0 = pi^{-1/4} e^{-x^2/2}; the
-    two-term recurrence above fills the rest.
+    Returns shape (n_max + 1, len(x)), written into out if given (a float64
+    array of that shape, every cell overwritten). phi_0 = pi^{-1/4}
+    e^{-x^2/2}; the two-term recurrence above fills the rest.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.zeros((n_max + 1, x.size), dtype=np.float64)
+    shape = (n_max + 1, x.size)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * x * out[0]
@@ -176,10 +221,12 @@ def carpet(
     increasing and nx and nt at least 2, checked before any grid is built;
     phases chi E_n t that overflow float64 are refused before the Hermite table.
 
-    Besides the Hermite table, the work needs one 2 nt x (N + 1) real block
-    and one 2 nt x nx product buffer, in which |psi|^2 is squared and summed
-    in place; nothing is kept between calls, and the returned grid holds its
-    own read-only copy.
+    The Hermite table, the 2 nt x (N + 1) real coefficient block and the
+    2 nt x nx product buffer, in which the squares of Re psi and Im psi are
+    formed in place, are views of this thread's workspace (see the module
+    docstring), kept for the next call up to _WORKSPACE_CAP bytes. Only the
+    returned grid's density, the sum of the two squared halves, is fresh;
+    the grid holds it read-only, without a copy.
     """
     if x_min is None or x_max is None:
         lo, hi = default_window(label)
@@ -194,12 +241,12 @@ def carpet(
     n_max = state.truncation
     giant, baby = _phase_factors(spectrum, n_max, np.linspace(t_min, t_max, nt), -1.0)
     giant *= state.amplitudes
-    table = hermite_functions(np.linspace(x_min, x_max, nx), n_max)
+    table, block, psi = _workspace((n_max + 1, nx), (2, nt, n_max + 1), (2 * nt, nx))
+    hermite_functions(np.linspace(x_min, x_max, nx), n_max, out=table)
     # Coefficients c_n e^{-i chi E_n t_k} for time k = b B + j are giant[b] *
     # baby[j]; they go straight into one real block, Re above Im, one giant
     # row (B times) at a time.
     step = baby.shape[0]
-    block = np.empty((2, nt, n_max + 1))
     for b in range(giant.shape[0]):
         start = b * step
         stop = min(start + step, nt)
@@ -207,11 +254,10 @@ def carpet(
         block[0, start:stop] = prod.real[: stop - start]
         block[1, start:stop] = prod.imag[: stop - start]
     # One real product for both parts: rows [:nt] give Re psi, [nt:] Im psi.
-    # |psi|^2 is formed in that product's buffer, the sum landing in [:nt].
-    psi = block.reshape(2 * nt, n_max + 1) @ table
+    np.matmul(block.reshape(2 * nt, n_max + 1), table, out=psi)
     np.square(psi, out=psi)
-    density = np.add(psi[:nt], psi[nt:], out=psi[:nt])
-    return CarpetGrid(float(x_min), float(x_max), float(t_min), float(t_max), density)
+    density = np.add(psi[:nt], psi[nt:])
+    return CarpetGrid(float(x_min), float(x_max), float(t_min), float(t_max), density, _adopt=True)
 
 
 def count_lobes(row: np.ndarray, threshold: float = LOBE_THRESHOLD) -> int:
@@ -478,13 +524,18 @@ def grid_to_pgm(grid: CarpetGrid) -> bytes:
     """8-bit binary PGM (P5), normalized to 0..255 over the whole grid.
 
     Whole-grid normalization (not per row) keeps fractional-revival rows
-    dimmer than the full revivals.
+    dimmer than the full revivals. Rows are scaled and rounded in chunks of
+    about _PGM_CHUNK_CELLS cells in the thread's workspace; only the levels
+    and the returned bytes are fresh.
     """
     peak = float(grid.density.max(initial=0.0))
-    if peak <= 0.0:
-        levels = np.zeros_like(grid.density, dtype=np.uint8)
-    else:
-        scaled = np.multiply(grid.density, 255.0 / peak)
-        levels = np.rint(scaled, out=scaled).astype(np.uint8)
+    scale = 255.0 / peak if peak > 0.0 else 0.0   # an all-zero grid stays 0
+    levels = np.empty(grid.density.shape, dtype=np.uint8)
+    rows = max(1, _PGM_CHUNK_CELLS // grid.nx)
+    (chunk,) = _workspace((min(rows, grid.nt), grid.nx))
+    for r in range(0, grid.nt, rows):
+        part = grid.density[r : r + rows]
+        scaled = np.multiply(part, scale, out=chunk[: part.shape[0]])
+        levels[r : r + rows] = np.rint(scaled, out=scaled)
     header = f"P5\n{grid.nx} {grid.nt}\n255\n".encode("ascii")
     return header + levels.tobytes()

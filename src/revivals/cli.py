@@ -13,7 +13,8 @@ The four time traces share one handler, ``_run_trace``, bound to a function
 giving the command's value columns. Its period is ``revival_time``, and its
 metadata lists the command's own flags (those outside ``_TRACE``) in
 declared order, then chi and revival_time. Phases chi E t that overflow
-float64 are refused by the library (``spectra._phase_angles``).
+float64 are refused by the library (``spectra._phase_angles``), and so is
+a chi t column that would, before any column is built.
 
 A file is a CSV table (a '#'-prefixed metadata block, a header row, then
 ``%.17g`` fields from ``carpets._table_text``) or, for carpets, a binary
@@ -50,7 +51,7 @@ from .moments import (
     ladder_moment,
     uncertainty_trace,
 )
-from .spectra import _KINDS, Spectrum, decompose_fractional, revival_time
+from .spectra import _KINDS, Spectrum, _phase_angles, decompose_fractional, revival_time
 
 #: Default Kerr strength; makes the default revival time pi^2/10.
 DEFAULT_CHI = 10.0 / math.pi
@@ -142,12 +143,13 @@ def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[s
     if not math.isfinite(float(t_max) - float(args.t_min)):
         raise ValueError(f"the span --t-max - --t-min overflows float64 ({t_max:g} - {args.t_min:g})")
     times = np.linspace(args.t_min, t_max, args.samples)
+    chi_t = _phase_angles(args.chi, 1.0, times)   # refused before any column if chi t overflows
     own = [option for option in _COMMANDS[args.command].options if option not in _TRACE]
     keys = [flags[-1][2:].replace("-", "_") for flags, _ in own]
     pairs = [(key, getattr(args, key)) for key in keys]
     pairs += [("chi", args.chi), ("revival_time", period)]
     columns = {"t": times, **values(args, spectrum, times)}
-    columns["chi_t_over_pi"] = args.chi * times / math.pi
+    columns["chi_t_over_pi"] = chi_t / math.pi
     return f"revival_time = {_fmt(period)}", _csv(args.command, pairs, columns)
 
 

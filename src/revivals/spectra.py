@@ -185,9 +185,10 @@ def _phase_factors(
     is of the same size as the rounding of chi E t_k itself. A grid counts
     as evenly spaced when no time is farther than 4 eps max|t| from
     t_0 + k dt, with dt = (t_{M-1} - t_0)/(M - 1), which np.linspace grids
-    satisfy. One or two times (where factoring saves nothing) or times not
-    evenly spaced get B = 1: every time is a giant row of its own
-    exponentials and the single baby row is all ones, which is the dense
+    satisfy. One or two times (where factoring saves nothing), times not
+    evenly spaced, or a grid whose stride seed chi E B dt alone overflows
+    float64 get B = 1: every time is a giant row of its own exponentials and
+    the single baby row is all ones, which is the dense
     one-exponential-per-cell route. _phase_angles guards the whole grid.
     """
     energies, level_max = spectrum._levels(truncation)
@@ -196,13 +197,15 @@ def _phase_factors(
     _phase_angles(spectrum.chi, energies, top, level_max)   # refuses the grid before t is used
     even = False
     if m > 2:
-        dt = (t[-1] - t[0]) / (m - 1)
-        drift = np.max(np.abs(t - (t[0] + dt * np.arange(m))))
-        even = drift <= 4.0 * _EPS * top
+        step = math.isqrt(m - 1) + 1
+        # Python floats: a span or stride seed beyond float64 is inf, not a warning.
+        dt = (float(t[-1]) - float(t[0])) / (m - 1)
+        if math.isfinite(float(spectrum.chi) * (abs(step * dt) * level_max)):
+            drift = np.max(np.abs(t - (t[0] + dt * np.arange(m))))
+            even = drift <= 4.0 * _EPS * top
     if not even:
         giant = np.exp(sign * 1j * _phase_angles(spectrum.chi, energies, t[:, None], level_max))
         return giant, np.ones((1, energies.size), dtype=np.complex128)
-    step = math.isqrt(m - 1) + 1
     giant = np.empty((-(-m // step), energies.size), dtype=np.complex128)
     baby = np.empty((step, energies.size), dtype=np.complex128)
     seeds = np.array([t[0], dt, step * dt])[:, None]

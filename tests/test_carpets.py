@@ -2,12 +2,14 @@
 
 import math
 import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from revivals import carpets
 from revivals.carpets import (
     CarpetGrid,
     carpet,
@@ -309,6 +311,101 @@ def test_pgm_matches_out_of_place_quantization_bits():
     grid = carpet(CoherentLabel(3.0, 2.0), Spectrum.kerr(1.0), nx=97, nt=61)
     levels = np.rint(grid.density * (255.0 / grid.density.max())).astype(np.uint8)
     assert grid_to_pgm(grid) == b"P5\n97 61\n255\n" + levels.tobytes()
+
+
+def test_hermite_functions_fill_a_callers_table():
+    x = np.linspace(-4.0, 4.0, 33)
+    out = np.full((8, 33), np.nan)
+    assert hermite_functions(x, 7, out=out) is out
+    assert out.tobytes() == hermite_functions(x, 7).tobytes()
+    for bad in (np.empty((7, 33)), np.empty((8, 33), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            hermite_functions(x, 7, out=bad)
+
+
+def test_grid_of_a_callers_array_is_a_private_read_only_copy():
+    density = np.ones((3, 4))
+    grid = CarpetGrid(0.0, 1.0, 0.0, 1.0, density)
+    density[0, 0] = 5.0
+    assert not np.shares_memory(grid.density, density)
+    assert not grid.density.flags.writeable
+    assert np.array_equal(grid.density, np.ones((3, 4)))
+
+
+# Label, spectrum, nx, nt: a carpet that grows the workspace, one that fits
+# in it, and the first again.
+WORKSPACE_SEQUENCE = (
+    (CoherentLabel(7.0, -5.5), SPECTRA[0], 301, 203),
+    (CoherentLabel(1.0, 0.5), SPECTRA[1], 17, 5),
+    (CoherentLabel(7.0, -5.5), SPECTRA[0], 301, 203),
+)
+
+
+def test_workspace_reuse_keeps_every_carpet_exact():
+    grids = []
+    for label, spectrum, nx, nt in WORKSPACE_SEQUENCE:
+        grid = carpet(label, spectrum, nx=nx, nt=nt)
+        expected = _density_out_of_place(label, spectrum, nx, nt)
+        assert grid.density.tobytes() == expected.tobytes()
+        assert not np.shares_memory(grid.density, carpets._local.buffer)
+        grids.append((grid, grid.density.tobytes()))
+    # Later calls reuse the workspace; no earlier grid sees it.
+    carpet(CoherentLabel(-2.0, 4.0), SPECTRA[2], nx=257, nt=311)
+    for grid, kept in grids:
+        assert grid.density.tobytes() == kept
+
+
+def test_threads_each_get_their_own_workspace():
+    # More threads than cores, switching often, each with its own carpet size.
+    jobs = [
+        (CoherentLabel(7.0, -5.5), SPECTRA[0], 211, 157),
+        (CoherentLabel(-3.0, 2.0), SPECTRA[2], 157, 211),
+        (CoherentLabel(1.0, 4.0), SPECTRA[1], 97, 61),
+    ]
+    expected = [_density_out_of_place(*job).tobytes() for job in jobs]
+    start = threading.Barrier(len(jobs), timeout=30)
+    results: list[list[bytes]] = [[] for _ in jobs]
+
+    def work(index: int) -> None:
+        label, spectrum, nx, nt = jobs[index]
+        start.wait()
+        for _ in range(5):
+            results[index].append(carpet(label, spectrum, nx=nx, nt=nt).density.tobytes())
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[e] * 5 for e in expected]
+
+
+def test_carpet_above_the_cap_keeps_the_workspace_size(monkeypatch):
+    monkeypatch.setattr(carpets, "_local", threading.local())
+    small = WORKSPACE_SEQUENCE[1]
+    carpet(small[0], small[1], nx=small[2], nt=small[3])
+    kept = carpets._local.buffer
+    monkeypatch.setattr(carpets, "_WORKSPACE_CAP", 4 * kept.nbytes)
+    label, spectrum, nx, nt = WORKSPACE_SEQUENCE[0]
+    grid = carpet(label, spectrum, nx=nx, nt=nt)
+    assert grid.density.tobytes() == _density_out_of_place(label, spectrum, nx, nt).tobytes()
+    assert carpets._local.buffer is kept
+
+
+# 600 columns take 13 rows per chunk, so 203 rows end on a partial chunk;
+# 9000 columns exceed one chunk, so each row is a chunk of its own.
+@pytest.mark.parametrize("nx, nt", [(600, 203), (9000, 3)])
+def test_pgm_chunks_match_whole_grid_quantization_bits(nx, nt):
+    density = np.random.default_rng(nx).random((nt, nx)) ** 3
+    grid = CarpetGrid(0.0, 1.0, 0.0, 1.0, density)
+    levels = np.rint(density * (255.0 / density.max())).astype(np.uint8)
+    assert grid_to_pgm(grid) == f"P5\n{nx} {nt}\n255\n".encode() + levels.tobytes()
 
 
 def test_carpet_density_is_read_only_and_owned_by_the_grid():

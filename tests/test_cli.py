@@ -612,8 +612,10 @@ def test_overflowing_spans_rejected(tmp_path, monkeypatch, capsys, argv, message
         # chi t itself overflows.
         ["autocorr", "--chi", "1e200", "--t-max", "1e200"],
         ["carpet", "--p", "3", "--chi", "1e200", "--t-max", "1e200"],
+        # <1> has no phases, but its chi_t_over_pi column would overflow.
+        ["moment", "--r", "0", "--s", "0", "--chi", "1e200", "--t-max", "1e200", "--samples", "3"],
     ],
-    ids=["xptrace-p2", "moment", "lx", "autocorr", "carpet"],
+    ids=["xptrace-p2", "moment", "lx", "autocorr", "carpet", "moment-r0-s0"],
 )
 def test_overflowing_phases_rejected(tmp_path, monkeypatch, capsys, argv):
     # Refused with the flags to change, before numpy warns or writes nan.

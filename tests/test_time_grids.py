@@ -219,6 +219,21 @@ def test_dense_route_is_one_exponential_per_cell(sign, times):
     np.testing.assert_array_equal(baby, np.ones((1, energies.size)))
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_stride_seed_overflow_takes_the_dense_route(sign):
+    # Every chi (t E) is finite (E up to 90), but the stride seed B dt = 3e306
+    # times 90 is not: the grid is served one exponential per cell.
+    spectrum = Spectrum.kerr(1.0)
+    times = np.linspace(-1.5e306, 1.5e306, 3)
+    energies = spectrum.energies(10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        giant, baby = _phase_factors(spectrum, 10, times, sign)
+        expected = np.exp(sign * 1j * (spectrum.chi * (times[:, None] * energies)))
+    assert giant.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(baby, np.ones((1, energies.size)))
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_times_are_refused(bad):
     spectrum = Spectrum.kerr(1.0)
