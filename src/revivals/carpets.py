@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import CoherentLabel, coherent_amplitudes
-from .spectra import Spectrum, _phase_factors, evolve, revival_time
+from .spectra import Spectrum, _phase_angles, _phase_factors, evolve, revival_time
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
 LOBE_THRESHOLD = 0.1
@@ -512,12 +512,15 @@ def grid_to_csv(grid: CarpetGrid, chi: float) -> bytes:
 
     Columns: t, chi_t_over_pi, then one density column per grid x. Values
     print with 17 significant digits so parsing the file back reproduces
-    the float64 grid exactly.
+    the float64 grid exactly. chi t comes from spectra._phase_angles, so a chi
+    that is not finite and positive, or a chi t that overflows, raises
+    ValueError before any text is formed.
     """
+    t = grid.t_axis()
+    chi_t = _phase_angles(chi, 1.0, t)
     axis = _table_text([grid.x_axis()[None, :]])   # one row: b"x0,x1,...\n"
     header = b"t,chi_t_over_pi,x=" + axis.replace(b",", b",x=")
-    t = grid.t_axis()
-    return header + _table_text([t, chi * t / math.pi, grid.density])
+    return header + _table_text([t, chi_t / math.pi, grid.density])
 
 
 def grid_to_pgm(grid: CarpetGrid) -> bytes:

@@ -3,18 +3,21 @@
 Eight subcommands cover the library surface. Each is one entry of
 ``_COMMANDS``: its handler, its help line and its argparse options, built
 from shared groups (label, chi, time grid, spectrum, truncation, output).
-The table builds the parser. ``main(argv)`` parses, checks the shared
-flags, and hands the parsed namespace to the command's handler, which
-returns a one-line summary and the file's bytes; ``main`` writes them in
-one binary write. A command declares exactly the flags its handler reads,
-and defaults live only in the parser.
+The entry also declares the command's metadata keys, written after
+``# command`` in order. ``main(argv)`` parses, checks the shared flags, and
+hands the namespace to the handler, which returns the values it computed
+and the file's body (a header and rows, or a PGM image). ``main`` alone
+writes the metadata, each key from those values or else from the flags,
+and the summary line, the first value; the file goes out in one binary
+write. A command declares exactly the flags its handler reads, and
+defaults live only in the parser.
 
 The four time traces share one handler, ``_run_trace``, bound to a function
 giving the command's value columns. Its period is ``revival_time``, and its
-metadata lists the command's own flags (those outside ``_TRACE``) in
-declared order, then chi and revival_time. Phases chi E t that overflow
-float64 are refused by the library (``spectra._phase_angles``), and so is
-a chi t column that would, before any column is built.
+metadata lists the command's own flags, then chi and revival_time. Phases
+chi E t that overflow float64 are refused by the library
+(``spectra._phase_angles``), and so is a chi t column that would, before
+any column is built.
 
 A file is a CSV table (a '#'-prefixed metadata block, a header row, then
 ``%.17g`` fields from ``carpets._table_text``) or, for carpets, a binary
@@ -61,19 +64,9 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _metadata(command: str, pairs: list[tuple[str, Any]]) -> bytes:
-    lines = [f"# command = {command}\n"]
-    for key, value in pairs:
-        if isinstance(value, float):
-            value = _fmt(value)
-        lines.append(f"# {key} = {value}\n")
-    return "".join(lines).encode()
-
-
-def _csv(command: str, pairs: list, columns: dict) -> bytes:
-    """Metadata lines, a header row of the column names, then the table."""
-    header = (",".join(columns) + "\n").encode()
-    return b"".join((_metadata(command, pairs), header, _table_text(list(columns.values()))))
+def _table(columns: dict) -> bytes:
+    """A header row of the column names, then the table."""
+    return (",".join(columns) + "\n").encode() + _table_text(list(columns.values()))
 
 
 def _spectrum(args: argparse.Namespace) -> Spectrum:
@@ -133,8 +126,8 @@ def _lx_values(args: argparse.Namespace, spectrum: Spectrum, times: np.ndarray) 
     return {"value": lx_moment(args.n, label, args.chi, times)}
 
 
-def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[str, bytes]:
-    """Trace CSV: the command's own flags, chi and revival_time; t, values, chi_t_over_pi."""
+def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[dict, bytes]:
+    """The period, and the columns t, the command's values and chi_t_over_pi."""
     spectrum = _spectrum(args)
     period = revival_time(spectrum)
     t_max = period if args.t_max is None else args.t_max
@@ -144,71 +137,46 @@ def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[s
         raise ValueError(f"the span --t-max - --t-min overflows float64 ({t_max:g} - {args.t_min:g})")
     times = np.linspace(args.t_min, t_max, args.samples)
     chi_t = _phase_angles(args.chi, 1.0, times)   # refused before any column if chi t overflows
-    own = [option for option in _COMMANDS[args.command].options if option not in _TRACE]
-    keys = [flags[-1][2:].replace("-", "_") for flags, _ in own]
-    pairs = [(key, getattr(args, key)) for key in keys]
-    pairs += [("chi", args.chi), ("revival_time", period)]
     columns = {"t": times, **values(args, spectrum, times)}
     columns["chi_t_over_pi"] = chi_t / math.pi
-    return f"revival_time = {_fmt(period)}", _csv(args.command, pairs, columns)
+    return {"revival_time": period}, _table(columns)
 
 
-def _run_carpet(args: argparse.Namespace) -> tuple[str, bytes]:
+def _run_carpet(args: argparse.Namespace) -> tuple[dict, bytes]:
     spectrum = _spectrum(args)
     label = _label(args)
     _check_truncation(args, label)
     period = revival_time(spectrum)
-    grid = carpet(
-        label,
-        spectrum,
-        t_min=args.t_min,
-        t_max=args.t_max,
-        truncation=args.truncation,
-        **{key: getattr(args, key) for key in ("x_min", "x_max", "nx", "nt")},
-    )
-    note = f"revival_time = {_fmt(period)}"
-    if args.fmt == "pgm":
-        return note, grid_to_pgm(grid)
-    pairs = [("spectrum", spectrum.kind), ("p", label.p), ("q", label.q)]
-    pairs += [("chi", args.chi), ("revival_time", period)]
-    pairs += [("nx", grid.nx), ("nt", grid.nt)]
-    return note, _metadata("carpet", pairs) + grid_to_csv(grid, args.chi)
+    keys = ("x_min", "x_max", "nx", "t_min", "t_max", "nt", "truncation")
+    grid = carpet(label, spectrum, **{key: getattr(args, key) for key in keys})
+    body = grid_to_pgm(grid) if args.fmt == "pgm" else grid_to_csv(grid, args.chi)
+    return {"revival_time": period}, body
 
 
-def _run_pendulum(args: argparse.Namespace) -> tuple[str, bytes]:
+def _run_pendulum(args: argparse.Namespace) -> tuple[dict, bytes]:
     keys = ("count", "base_cycles", "t_rev", "amplitude")
     array = PendulumArray(**{key: getattr(args, key) for key in keys})
     t = args.at * array.t_rev
     waves, strength = wave_count(array, t)   # refuses t outside [0, t_rev]
     positions = pendulum_positions(array, t)
-    pairs = [(key, getattr(array, key)) for key in keys]
-    pairs += [("t", t), ("waves", waves), ("strength", strength)]
-    columns = {"j": np.arange(len(positions)), "x": positions}
-    text = _csv("pendulum", pairs, columns)
-    return f"revival_time = {_fmt(array.t_rev)}", text
+    values = {"revival_time": array.t_rev, "t": t, "waves": waves, "strength": strength}
+    return values, _table({"j": np.arange(len(positions)), "x": positions})
 
 
-def _run_talbot(args: argparse.Namespace) -> tuple[str, bytes]:
-    wavelength = args.wavelength
-    grating = args.grating_period
+def _run_talbot(args: argparse.Namespace) -> tuple[dict, bytes]:
+    wavelength, grating = args.wavelength, args.grating_period
     length = talbot_length(wavelength, grating)
-    columns = {
-        "wavelength": [wavelength],
-        "grating_period": [grating],
-        "talbot_length": [length],
-        "paraxial_length": [paraxial_talbot_length(wavelength, grating)],
-    }
-    return f"talbot_length = {_fmt(length)}", _csv("talbot", [], columns)
+    columns = {"wavelength": [wavelength], "grating_period": [grating], "talbot_length": [length]}
+    columns["paraxial_length"] = [paraxial_talbot_length(wavelength, grating)]
+    return {"talbot_length": length}, _table(columns)
 
 
-def _run_cat(args: argparse.Namespace) -> tuple[str, bytes]:
+def _run_cat(args: argparse.Namespace) -> tuple[dict, bytes]:
     label = _label(args)
     _check_truncation(args, label)
     spectrum = Spectrum.kerr(args.chi)
     period = revival_time(spectrum)
     cat = decompose_fractional(label, args.m, spectrum, args.truncation)
-    pairs = [("p", label.p), ("q", label.q), ("chi", args.chi), ("m", cat.m)]
-    pairs += [("time", cat.time), ("fidelity", cat.fidelity), ("revival_time", period)]
     columns = {
         "component": np.arange(cat.m),
         "coeff_re": cat.coefficients.real,
@@ -216,8 +184,7 @@ def _run_cat(args: argparse.Namespace) -> tuple[str, bytes]:
         "label_p": [comp.p for comp in cat.component_labels],
         "label_q": [comp.q for comp in cat.component_labels],
     }
-    text = _csv("cat", pairs, columns)
-    return f"revival_time = {_fmt(period)}", text
+    return {"revival_time": period, "time": cat.time, "fidelity": cat.fidelity}, _table(columns)
 
 
 #: One argparse option: its flags and the keywords of add_argument.
@@ -229,11 +196,12 @@ def _opt(*flags: str, **kwargs: Any) -> _Option:
 
 
 class _Command(NamedTuple):
-    """One subcommand: its handler, its help line and its options."""
+    """One subcommand: its handler, its help line, its options and its metadata keys."""
 
-    run: Callable[[argparse.Namespace], tuple[str, bytes]]
+    run: Callable[[argparse.Namespace], tuple[dict, bytes]]
     help: str
     options: tuple[_Option, ...]
+    metadata: tuple[str, ...]
 
 
 _LABEL = (
@@ -253,29 +221,31 @@ _TRUNCATION = (
 _OUTPUT = (_opt("-o", "--output", default=None),)
 #: The options every time trace shares.
 _TRACE = _CHI + _TIMES + _SAMPLES + _OUTPUT
+#: The metadata keys that follow the label of every Fock-space command but cat.
+_PERIOD = ("chi", "revival_time")
 
 _COMMANDS: dict[str, _Command] = {
     "autocorr": _Command(partial(_run_trace, _autocorr_values), "autocorrelation trace", (
         *_SPECTRUM,
         *_LABEL,
         *_TRACE,
-    )),
+    ), ("spectrum", "p", "q", *_PERIOD)),
     "moment": _Command(partial(_run_trace, _moment_values), "normal-ordered ladder moment trace", (
         _opt("--r", type=int, required=True),
         _opt("--s", type=int, required=True),
         *_LABEL,
         *_TRACE,
-    )),
+    ), ("r", "s", "p", "q", *_PERIOD)),
     "xptrace": _Command(partial(_run_trace, _xptrace_values), "quadrature moment trace", (
         _opt("--observable", choices=(*_OBSERVABLES, "dxdp"), default="x"),
         *_LABEL,
         *_TRACE,
-    )),
+    ), ("observable", "p", "q", *_PERIOD)),
     "lx": _Command(partial(_run_trace, _lx_values), "angular-momentum moment trace", (
         _opt("--n", type=int, default=1, help="power of Lx, 1..40"),
         *(_opt(f"--{key}", type=float, default=1.0) for key in ("p2", "q2", "p3", "q3")),
         *_TRACE,
-    )),
+    ), ("n", "p2", "q2", "p3", "q3", *_PERIOD)),
     "carpet": _Command(_run_carpet, "space-time density grid", (
         *_LABEL,
         *_CHI,
@@ -288,7 +258,7 @@ _COMMANDS: dict[str, _Command] = {
         _opt("--x-min", type=float, default=None),
         _opt("--x-max", type=float, default=None),
         _opt("--format", dest="fmt", choices=("csv", "pgm"), default="csv"),
-    )),
+    ), ("spectrum", "p", "q", *_PERIOD, "nx", "nt")),
     "pendulum": _Command(_run_pendulum, "pendulum-wave snapshot", (
         _opt("--count", type=int, default=100),
         _opt("--base-cycles", type=int, default=30),
@@ -296,19 +266,19 @@ _COMMANDS: dict[str, _Command] = {
         _opt("--amplitude", type=float, default=1.0),
         _opt("--at", type=float, default=0.0, help="snapshot time as a fraction of t_rev"),
         *_OUTPUT,
-    )),
+    ), ("count", "base_cycles", "t_rev", "amplitude", "t", "waves", "strength")),
     "talbot": _Command(_run_talbot, "grating self-imaging length", (
         _opt("--wavelength", type=float, required=True),
         _opt("--grating-period", type=float, required=True),
         *_OUTPUT,
-    )),
+    ), ()),
     "cat": _Command(_run_cat, "fractional-revival cat decomposition", (
         _opt("--m", type=int, required=True, help="number of components"),
         *_LABEL,
         *_CHI,
         *_TRUNCATION,
         *_OUTPUT,
-    )),
+    ), ("p", "q", "chi", "m", "time", "fidelity", "revival_time")),
 }
 
 
@@ -343,29 +313,39 @@ def _check_flags(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     """Run one command from argv: write its file, print its summary.
 
-    Exit 1 on a numeric or domain error, an allocation that does not fit or
-    a file that cannot be written; argparse exits 2 on a usage error.
+    A CSV file starts with the command's metadata, "# key = value" lines,
+    floats as %.17g; a PGM image has none. Exit 1 on a numeric or domain
+    error, an allocation that does not fit or a file that cannot be
+    written; argparse exits 2 on a usage error.
     """
     args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     try:
         _check_flags(args)
-        note, payload = _COMMANDS[args.command].run(args)
+        values, payload = command.run(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return 1
+    fields = {**vars(args), **values}
+    fmt = fields.get("fmt", "csv")
+    if fmt == "csv":
+        pairs = [("command", args.command), *((key, fields[key]) for key in command.metadata)]
+        lines = (f"# {key} = {_fmt(v) if isinstance(v, float) else v}\n" for key, v in pairs)
+        payload = "".join(lines).encode() + payload
     path = args.output
     if path is None:
-        path = f"{args.command}.{vars(args).get('fmt', 'csv')}"
+        path = f"{args.command}.{fmt}"
     try:
         with open(path, "wb") as handle:
             handle.write(payload)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return 1
-    print(note)
+    summary, value = next(iter(values.items()))
+    print(f"{summary} = {_fmt(value)}")
     print(f"wrote {path}")
     return 0
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .fock import CoherentLabel, FockVector, number_distribution
 from .ordering import x_power_terms
-from .spectra import Spectrum, _phase_angles, _phase_factors
+from .spectra import Spectrum, _phase_angles, _phase_factors, _phases
 
 #: Imaginary residue of a Hermitian moment, relative to the bound on its
 #: magnitude (at least 1), above which the residue is treated as a bug.
@@ -163,7 +163,7 @@ def _kerr_moment(r: int, s: int, label: CoherentLabel, chi: float, t):
         prefactor = (label.alpha**s) * (nu**r)
     except OverflowError:
         prefactor = complex(math.inf)
-    if cmath.isinf(prefactor):
+    if not cmath.isfinite(prefactor):   # complex ** s overflows to nan, not inf
         raise ArithmeticError(
             f"moment r = {r}, s = {s} overflows float64 at nu = {nu:.17g}: "
             f"|alpha^s nu^r| exceeds the largest float"
@@ -197,13 +197,11 @@ def autocorrelation(label: CoherentLabel, spectrum: Spectrum, t):
     which bounds the memory.
     """
     weights = number_distribution(label)
-    energies, level_max = spectrum._levels(weights.size - 1)
     t_arr = np.asarray(t, dtype=np.float64)
     if t_arr.ndim == 0:
         # One time: building and contracting phase tables costs more than
         # this sum, and scalar calls are the oracle checks' hot path.
-        angles = _phase_angles(spectrum.chi, energies, float(t_arr), level_max)
-        return complex(np.sum(weights * np.exp(1j * angles)))
+        return complex(np.sum(weights * _phases(spectrum, weights.size - 1, float(t_arr), 1.0)))
     flat = t_arr.ravel()
     out = np.empty(flat.size, dtype=np.complex128)
     block = max(1, 2_000_000 // weights.size)

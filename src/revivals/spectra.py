@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -35,9 +36,8 @@ _KINDS = {"kerr": (0, -1, 1), "harmonic": (Fraction(1, 2), 1), "square_well": (0
 class _Form(NamedTuple):
     coefficients: tuple[int | Fraction, ...]   # without trailing zeros
     kind: str
-    lead: float                 # the Horner codes: the leading one,
-    lower: tuple[float, ...]    # then the rest, highest power first
-    divisor: int                # the Horner sum's divisor
+    codes: tuple[int, ...]      # q c_k, lowest power first
+    q: int                      # the least common denominator of the c_k
     cycles: float               # q/g rounded once: chi T_rev / (2 pi)
 
 
@@ -51,8 +51,7 @@ def _exact_form(*coefficients: int | Fraction) -> _Form:
     With q the least common denominator the codes q c_k are integers, and g
     is the gcd of q(E(n) - E(0)) over n = 1..degree: every q(E(n) - E(0)) is
     an integer combination of the finite differences of qE at 0, which are
-    integer combinations of those. When q is a power of two the c_k are
-    exact floats, so they are the codes and nothing is divided.
+    integer combinations of those.
     """
     for c in coefficients:
         if not isinstance(c, (int, Fraction)):
@@ -67,10 +66,10 @@ def _exact_form(*coefficients: int | Fraction) -> _Form:
     g = math.gcd(*(sum(c * n**k for k, c in enumerate(codes)) - codes[0] for n in range(1, len(codes))))
     if not g:
         raise ValueError("a spectrum needs levels that depend on n; constant levels are one global phase")
+    if max(q, *map(abs, codes)) > sys.float_info.max:
+        raise ValueError("a spectrum's common denominator q and codes q c_k must fit in float64")
     kind = next((name for name, known in _KINDS.items() if known == coefficients), "custom")
-    divisor = 1 if q & (q - 1) == 0 else q
-    lead, *lower = (code * divisor / q for code in reversed(codes))
-    return _Form(coefficients, kind, lead, tuple(lower), divisor, q / g)
+    return _Form(coefficients, kind, tuple(codes), q, q / g)
 
 
 @dataclass(frozen=True)
@@ -112,28 +111,24 @@ class Spectrum:
     def energies(self, truncation: int) -> np.ndarray:
         """E_n for n = 0..truncation as a float vector, read-only and shared between calls.
 
-        Horner's rule over the codes, skipping zero codes and a leading 1,
-        then one division: Kerr is (n - 1) n, the square well n n and the
-        harmonic n + 1/2, each exact while the levels fit in 53 bits.
+        Horner's rule over the integer codes q c_k, then one division by q:
+        Kerr is ((n - 1) n + 0)/1, the square well ((n + 0) n + 0)/1 and the
+        harmonic (2n + 1)/2, each exact while q E_n fits in 53 bits.
         """
         return self._levels(truncation)[0]
 
     def _levels(self, truncation: int) -> tuple[np.ndarray, float]:
         """energies(truncation) and its max |E_n|, cached for the 256 last used."""
-        form = self._form
-        return _horner_levels(form.lead, form.lower, form.divisor, truncation)
+        return _horner_levels(self._form.codes, self._form.q, truncation)
 
 
 @functools.lru_cache(maxsize=256)
-def _horner_levels(lead: float, lower: tuple, divisor: int, truncation: int) -> tuple[np.ndarray, float]:
+def _horner_levels(codes: tuple[int, ...], q: int, truncation: int) -> tuple[np.ndarray, float]:
     n = np.arange(truncation + 1, dtype=np.float64)
-    levels = n if lead == 1.0 else lead * n
-    for k, code in enumerate(lower):
-        if k:
-            levels = levels * n
-        if code:
-            levels = levels + code
-    levels = levels / divisor
+    levels = np.zeros_like(n)
+    for code in reversed(codes):
+        levels = levels * n + float(code)
+    levels /= float(q)
     levels.setflags(write=False)
     return levels, float(np.abs(levels).max())
 
@@ -162,11 +157,20 @@ def _phase_angles(chi: float, levels, t, level_max: float | None = None):
     return chi * (t * levels)
 
 
+def _phases(spectrum: Spectrum, truncation: int, t, sign: float = -1.0) -> np.ndarray:
+    """e^{sign i chi E_n t} for n <= truncation, the one place these exponentials are taken.
+
+    The angles come from _phase_angles, so t pairs with the levels as there
+    and a bad chi, a non-finite t or an overflow raises ValueError first.
+    """
+    levels, level_max = spectrum._levels(truncation)
+    return np.exp(sign * 1j * _phase_angles(spectrum.chi, levels, t, level_max))
+
+
 def evolve(state: FockVector, spectrum: Spectrum, t: float) -> FockVector:
-    """Multiply by the phases e^{-i chi E(n) t} of _phase_angles; norm is preserved exactly."""
-    levels, level_max = spectrum._levels(state.truncation)
-    angles = _phase_angles(spectrum.chi, levels, t, level_max)
-    return FockVector(state.amplitudes * np.exp(-1j * angles), tail_mass=state.tail_mass)
+    """Multiply by the phases e^{-i chi E(n) t} of _phases; norm is preserved exactly."""
+    phases = _phases(spectrum, state.truncation, t)
+    return FockVector(state.amplitudes * phases, tail_mass=state.tail_mass)
 
 
 def _phase_factors(
@@ -204,12 +208,11 @@ def _phase_factors(
             drift = np.max(np.abs(t - (t[0] + dt * np.arange(m))))
             even = drift <= 4.0 * _EPS * top
     if not even:
-        giant = np.exp(sign * 1j * _phase_angles(spectrum.chi, energies, t[:, None], level_max))
-        return giant, np.ones((1, energies.size), dtype=np.complex128)
+        return _phases(spectrum, truncation, t[:, None], sign), np.ones((1, energies.size), np.complex128)
     giant = np.empty((-(-m // step), energies.size), dtype=np.complex128)
     baby = np.empty((step, energies.size), dtype=np.complex128)
     seeds = np.array([t[0], dt, step * dt])[:, None]
-    giant[0], baby[1], stride = np.exp(sign * 1j * _phase_angles(spectrum.chi, energies, seeds, level_max))
+    giant[0], baby[1], stride = _phases(spectrum, truncation, seeds, sign)
     baby[0] = 1.0
     for b in range(1, giant.shape[0]):
         np.multiply(giant[b - 1], stride, out=giant[b])
@@ -224,9 +227,13 @@ def revival_time(spectrum: Spectrum) -> float:
     That is 2 pi q / (chi g), q the coefficients' common denominator and g the
     gcd of the integers q(E(n) - E(0)), so an offset (a global phase) leaves it
     alone. The exact q/g is rounded once, then scaled, so Kerr gives pi/chi and
-    the harmonic and square well 2 pi/chi bit for bit at every chi.
+    the harmonic and square well 2 pi/chi bit for bit at every chi. A period
+    that overflows float64 (chi below about 1e-308) raises ValueError naming chi.
     """
-    return 2.0 * math.pi * spectrum._form.cycles / spectrum.chi
+    period = 2.0 * math.pi * spectrum._form.cycles / spectrum.chi
+    if not math.isfinite(period):
+        raise ValueError(f"revival period 2 pi q/(chi g) overflows float64 at chi = {spectrum.chi:g}")
+    return period
 
 
 def fractional_revival_times(

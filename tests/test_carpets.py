@@ -296,6 +296,23 @@ def test_csv_export_roundtrip():
     assert np.array_equal(times, grid.t_axis())
 
 
+@pytest.mark.parametrize(
+    "chi, message",
+    [(1e308, "phases chi E t overflow float64"), (math.nan, "finite and positive"),
+     (-2.0, "finite and positive")],
+    ids=["overflow", "nan", "negative"],
+)
+def test_grid_to_csv_refuses_a_bad_chi_before_any_text(monkeypatch, chi, message):
+    # chi t on t <= 10 overflows at chi = 1e308; nan and a negative chi would
+    # write a nan or a negative chi_t_over_pi column.
+    grid = CarpetGrid(-1.0, 1.0, 0.0, 10.0, np.ones((3, 4)))
+    monkeypatch.setattr(carpets, "_table_text", lambda columns: pytest.fail("text formed"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            grid_to_csv(grid, chi)
+
+
 # nt = 2 takes one time per giant row (B = 1); 3 and 401 end on a partial
 # giant row (3 = 2 + 1, 401 = 19 * 21 + 2); 600 = 24 * 25 does not.
 @pytest.mark.parametrize("nt", [2, 3, 401, 600])

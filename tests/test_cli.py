@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from revivals import BurstReport, detect_bursts
+from revivals.classical import talbot_length
 from revivals.cli import DEFAULT_CHI, build_parser, main
+from revivals.spectra import Spectrum, revival_time
 
 
 def _read_csv(path):
@@ -341,6 +343,37 @@ def test_trace_metadata_lists_own_flags_then_chi_and_period(
     assert lines[len(meta)].split(",") == ["t", *header.split(), "chi_t_over_pi"]
 
 
+@pytest.mark.parametrize(
+    "argv, keys, summary",
+    [
+        (["carpet", "--nx", "4", "--nt", "3"], "spectrum p q chi revival_time nx nt",
+         f"revival_time = {revival_time(Spectrum.kerr(DEFAULT_CHI)):.17g}"),
+        (["cat", "--m", "2"], "p q chi m time fidelity revival_time",
+         f"revival_time = {revival_time(Spectrum.kerr(DEFAULT_CHI)):.17g}"),
+        (["pendulum", "--at", "0.5"], "count base_cycles t_rev amplitude t waves strength",
+         "revival_time = 1"),
+        (["talbot", "--wavelength", "0.6", "--grating-period", "1.0"], "",
+         f"talbot_length = {talbot_length(0.6, 1.0):.17g}"),
+        (["carpet", "--nx", "4", "--nt", "3", "--format", "pgm"], None,
+         f"revival_time = {revival_time(Spectrum.kerr(DEFAULT_CHI)):.17g}"),
+    ],
+    ids=["carpet", "cat", "pendulum", "talbot", "carpet-pgm"],
+)
+def test_metadata_keys_and_summary_line(tmp_path, monkeypatch, capsys, argv, keys, summary):
+    # A CSV's metadata names the command, then the keys its table entry
+    # declares, in order; a PGM image has none.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["-o", "out"]) == 0
+    blob = (tmp_path / "out").read_bytes()
+    if keys is None:
+        assert blob.startswith(b"P5\n4 3\n255\n") and len(blob) == len(b"P5\n4 3\n255\n") + 4 * 3
+    else:
+        lines = blob.decode("ascii").splitlines()
+        meta = [line[2:].partition(" = ")[0] for line in lines if line.startswith("# ")]
+        assert meta == ["command", *keys.split()]
+    assert capsys.readouterr().out.splitlines() == [summary, "wrote out"]
+
+
 def test_trace_rows_time_column_formatting(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     chi = 2.0
@@ -461,6 +494,29 @@ def test_non_finite_time_bounds_rejected(tmp_path, monkeypatch, capsys, argv, fl
     err = capsys.readouterr().err
     assert f"error: {flag} must be finite" in err
     assert "Warning" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["xptrace", "--chi", "5e-324", "--t-max", "0.5", "--samples", "3"],
+         "error: revival period 2 pi q/(chi g) overflows float64 at chi = 4.94066e-324"),
+        (["xptrace", "--chi", "5e-324", "--samples", "3"],
+         "error: revival period 2 pi q/(chi g) overflows float64 at chi = 4.94066e-324"),
+        (["moment", "--r", "0", "--s", "40", "--p", "40", "--q", "1e16", "--samples", "3"],
+         "error: moment r = 0, s = 40 overflows float64 at nu = 5.0000000000000"),
+    ],
+    ids=["period-with-t-max", "period", "moment-nan-power"],
+)
+def test_overflow_to_inf_or_nan_exits_1(tmp_path, monkeypatch, capsys, argv, message):
+    # Before, these wrote revival_time = inf or nan value cells with exit 0.
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 

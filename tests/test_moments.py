@@ -1,5 +1,6 @@
 """Closed-form moment engine vs the truncated-matrix oracle, and traces."""
 
+import cmath
 import math
 import warnings
 from fractions import Fraction
@@ -266,6 +267,11 @@ def test_moment_overflow_names_the_moment():
         ladder_moment(0, 400, label, 1.0, 0.0)
     with pytest.raises(ArithmeticError, match=r"r = 60, s = 200 overflows float64"):
         ladder_moment(260, 60, label, 1.0, np.zeros(3))
+    # Python's complex ** 40 at |alpha| ~ 7e15 overflows to nan + nan j, not inf.
+    label = CoherentLabel(40.0, 1e16)
+    assert cmath.isnan(label.alpha**40)
+    with pytest.raises(ArithmeticError, match=r"r = 0, s = 40 overflows float64"):
+        ladder_moment(0, 40, label, 1.0, 0.0)
 
 
 def test_uncertainty_trace_floor_and_start():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from revivals.angular import TriModeLabel, angular_moment, lx_moment_oracle
-from revivals.carpets import position_wavefunction
+from revivals.carpets import carpet, position_wavefunction
 from revivals.fock import CoherentLabel, coherent_amplitudes, inner_product
 from revivals.moments import autocorrelation, expect_x2, ladder_moment
 from revivals.spectra import (
@@ -84,6 +84,10 @@ def test_coefficients_are_exact_and_canonical():
     for constant in ((), (0,), (7, 0, 0), (Fraction(1, 3),)):
         with pytest.raises(ValueError, match="constant levels"):
             Spectrum(constant)
+    # Codes beyond float64 would make levels that no array holds and a period of 0.
+    for huge in ((0, 10**400), (0, 1, 10**400), (0, Fraction(1, 10**400))):
+        with pytest.raises(ValueError, match="must fit in float64"):
+            Spectrum(huge)
 
 
 def test_revival_times_named():
@@ -140,6 +144,27 @@ def test_revival_time_ignores_a_constant_offset(coefficients, chi, period, offse
 def test_revival_time_of_tiny_and_wide_spectra(coefficients, period):
     # Tiny levels, and levels spread up to 1e14 times their gcd: exact either way.
     assert revival_time(Spectrum(coefficients, 1.0)) == period
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [Spectrum.kerr(1e-308), Spectrum.harmonic(5e-324), Spectrum((0, Fraction(1, 10**10)), 1e-300)],
+    ids=["kerr", "harmonic", "slow-linear"],
+)
+def test_overflowing_revival_period_is_refused_naming_chi(spectrum):
+    # 2 pi q/(chi g) beyond float64 raises instead of returning inf, and so
+    # does every call that starts from the period.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (
+            lambda: revival_time(spectrum),
+            lambda: fractional_revival_times(spectrum, 3),
+            lambda: carpet(CoherentLabel(1.0, 1.0), spectrum, nx=4, nt=3),
+        ):
+            with pytest.raises(ValueError, match=r"revival period .* overflows float64 at chi = "):
+                call()
+    # A tiny chi whose period still fits keeps its exact value.
+    assert revival_time(Spectrum.kerr(1e-307)) == math.pi / 1e-307
 
 
 def test_evolution_preserves_norm_and_revives():

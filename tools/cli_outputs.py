@@ -14,10 +14,11 @@ its ``stdout.txt``, and one line per file to OUTDIR/MANIFEST.sha256 (the
 the sha256 of the manifest: two source trees whose CLI outputs are
 byte-identical give the same hash. With ``--expect`` the exit status is 1
 when that hash differs from the one given, so a byte-identity check is one
-command:
+command. The expected hash of the current tree is kept in one place, the
+``expected`` string of ``tests/test_cli_outputs.py``, which tier-1 checks:
 
     python tools/cli_outputs.py src /tmp/out \
-        --expect c935629361f69a0bbe3bcdaccf88e6a76f1245d5c9241c5b81a7b08a5c3dbf32
+        --expect "$(grep -oE '[0-9a-f]{64}' tests/test_cli_outputs.py)"
 
 To see which files moved, write both trees and compare them:
 
