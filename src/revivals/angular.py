@@ -12,6 +12,8 @@ and arbitrates any disagreement.
 
 from __future__ import annotations
 
+__all__ = ["TriModeLabel", "angular_moment", "lx_moment", "lx_moment_oracle"]
+
 from dataclasses import dataclass
 
 import numpy as np

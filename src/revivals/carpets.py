@@ -7,13 +7,14 @@ functions. The recurrence
     phi_{n+1} = sqrt(2/(n+1)) x phi_n - sqrt(n/(n+1)) phi_{n-1}
 
 works on the normalized functions directly, so no factorial ever appears
-and n up to a few hundred is routine. The densities |psi|^2 over an evenly
-spaced time grid give the carpet: its phase table is built from
-giant-step x baby-step factors (three rows of N exponentials, the rest
-complex products, about 2 sqrt(nt) N of them) and contracted with the
-Hermite table in one real matrix product. Helper
-exports render it as CSV or as an 8-bit PGM image normalized over the
-whole grid (fractional-revival rows come out dimmer, as they should).
+and n up to a few thousand is routine; beyond |x| ~ 26, where phi_0 nears
+underflow, it runs on scaled values (see hermite_functions). The densities
+|psi|^2 over an evenly spaced time grid give the carpet: its phase table is
+built from giant-step x baby-step factors (three rows of N exponentials, the
+rest complex products, about 2 sqrt(nt) N of them) and contracted with the
+Hermite table in one real matrix product. Helper exports render it as CSV
+or as an 8-bit PGM image normalized over the whole grid (fractional-revival
+rows come out dimmer, as they should).
 
 Memory: a carpet's working arrays are the (N + 1) x nx Hermite table, one
 stacked real coefficient block of 2 nt x (N + 1) (Re above Im, filled from
@@ -23,14 +24,19 @@ are views of one float64 workspace per thread, kept between calls and grown
 to the largest carpet seen, up to _WORKSPACE_CAP bytes; a carpet that needs
 more gets a workspace of its own, dropped when it returns. The density sum of
 the two halves is the only fresh nt x nx array, and the grid adopts it
-without a copy. grid_to_pgm quantises in row chunks of about _PGM_CHUNK_CELLS
-cells through the same workspace. Every other temporary is one Hermite row
-or one giant row of phases. A fresh multi-megabyte temporary costs a page
-fault per 4 KiB page on first touch; for 600 x 600 carpets that is as much
-as the arithmetic.
+without a copy. Every other temporary is one Hermite row or one giant row of
+phases. A fresh multi-megabyte temporary costs a page fault per 4 KiB page on
+first touch; for 600 x 600 carpets that is as much as the arithmetic.
+grid_to_pgm quantises in row chunks of about _PGM_CHUNK_CELLS cells, each a
+plain temporary small enough for the allocator to hand back on the next chunk.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "CarpetGrid", "carpet", "count_lobes", "grid_to_csv", "grid_to_pgm", "hermite_functions",
+    "position_wavefunction",
+]
 
 import functools
 import math
@@ -50,8 +56,13 @@ LOBE_THRESHOLD = 0.1
 #: Largest |x| whose square is a finite float64; hermite_functions needs x * x.
 _X_LIMIT = math.sqrt(sys.float_info.max)
 
-#: Largest workspace, in bytes, that a thread keeps between carpets.
-_WORKSPACE_CAP = 64 << 20
+#: hermite_functions scales the columns where phi_0 falls below _FAR_PHI0,
+#: renormalising a scaled value once its magnitude exceeds _FAR_RESCALE.
+_FAR_PHI0, _FAR_RESCALE = 1e-150, 1e100
+
+#: Largest workspace, in bytes, that a thread keeps between carpets. The
+#: largest benchmark carpet (nu ~ 200.7, N = 363, 610 x 610) needs 10.76 MiB.
+_WORKSPACE_CAP = 16 << 20
 
 #: Cells per grid_to_pgm chunk: a chunk of float64 stays in the L2 cache.
 _PGM_CHUNK_CELLS = 8192
@@ -155,7 +166,12 @@ def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = Non
 
     Returns shape (n_max + 1, len(x)), written into out if given (a float64
     array of that shape, every cell overwritten). phi_0 = pi^{-1/4}
-    e^{-x^2/2}; the two-term recurrence above fills the rest.
+    e^{-x^2/2}; the two-term recurrence above fills the rest. Where phi_0 <
+    _FAR_PHI0 (|x| > 26.27) it would start from an underflowed value, so
+    those columns run the recurrence on scaled values u_n, with phi_n = u_n
+    e^{s} and s starting at ln phi_0 = -x^2/2 - ln(pi)/4: whenever |u_n|
+    exceeds _FAR_RESCALE, u_n and u_{n-1} are divided by |u_n| and ln|u_n|
+    is added to s. The other columns keep the plain recurrence's bits.
     """
     x = np.asarray(x, dtype=np.float64)
     shape = (n_max + 1, x.size)
@@ -164,12 +180,30 @@ def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = Non
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}")
     out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    far = np.flatnonzero(out[0] < _FAR_PHI0)
+    out[0, far] = 0.0   # the plain pass then stays exactly 0 (and fast) there
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * x * out[0]
     for n in range(1, n_max):
         out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(
             n / (n + 1.0)
         ) * out[n - 1]
+    if far.size:
+        xf = x[far]
+        log_scale = -0.5 * xf * xf - 0.25 * math.log(math.pi)
+        factor = np.exp(log_scale)
+        out[0, far] = factor
+        prev, u = np.zeros_like(xf), np.ones_like(xf)
+        for n in range(n_max):
+            prev, u = u, math.sqrt(2.0 / (n + 1)) * xf * u - math.sqrt(n / (n + 1.0)) * prev
+            big = np.flatnonzero(np.abs(u) > _FAR_RESCALE)
+            if big.size:
+                size = np.abs(u[big])
+                u[big] /= size
+                prev[big] /= size
+                log_scale[big] += np.log(size)
+                factor[big] = np.exp(log_scale[big])
+            out[n + 1, far] = u * factor
     return out
 
 
@@ -219,7 +253,8 @@ def carpet(
 
     t_max defaults to one revival period. Extents must be finite and
     increasing and nx and nt at least 2, checked before any grid is built;
-    phases chi E_n t that overflow float64 are refused before the Hermite table.
+    working arrays beyond the largest array and phases chi E_n t that
+    overflow float64 are refused before the Hermite table.
 
     The Hermite table, the 2 nt x (N + 1) real coefficient block and the
     2 nt x nx product buffer, in which the squares of Re psi and Im psi are
@@ -239,9 +274,15 @@ def carpet(
         raise ValueError(f"a carpet needs nx >= 2 and nt >= 2, got nx = {nx}, nt = {nt}")
     state = coherent_amplitudes(label, truncation)
     n_max = state.truncation
+    shapes = ((n_max + 1, nx), (2, nt, n_max + 1), (2 * nt, nx))
+    if 8 * sum(map(math.prod, shapes)) > sys.maxsize:
+        raise ValueError(
+            f"a carpet of nx = {nx} by nt = {nt} at N = {n_max} needs more float64 "
+            "working cells than sys.maxsize bytes, the largest array, can hold; lower nx or nt"
+        )
     giant, baby = _phase_factors(spectrum, n_max, np.linspace(t_min, t_max, nt), -1.0)
     giant *= state.amplitudes
-    table, block, psi = _workspace((n_max + 1, nx), (2, nt, n_max + 1), (2 * nt, nx))
+    table, block, psi = _workspace(*shapes)
     hermite_functions(np.linspace(x_min, x_max, nx), n_max, out=table)
     # Coefficients c_n e^{-i chi E_n t_k} for time k = b B + j are giant[b] *
     # baby[j]; they go straight into one real block, Re above Im, one giant
@@ -528,17 +569,15 @@ def grid_to_pgm(grid: CarpetGrid) -> bytes:
 
     Whole-grid normalization (not per row) keeps fractional-revival rows
     dimmer than the full revivals. Rows are scaled and rounded in chunks of
-    about _PGM_CHUNK_CELLS cells in the thread's workspace; only the levels
-    and the returned bytes are fresh.
+    about _PGM_CHUNK_CELLS cells (one row if it is longer), so no float
+    temporary is larger than a chunk.
     """
     peak = float(grid.density.max(initial=0.0))
     scale = 255.0 / peak if peak > 0.0 else 0.0   # an all-zero grid stays 0
     levels = np.empty(grid.density.shape, dtype=np.uint8)
     rows = max(1, _PGM_CHUNK_CELLS // grid.nx)
-    (chunk,) = _workspace((min(rows, grid.nt), grid.nx))
     for r in range(0, grid.nt, rows):
-        part = grid.density[r : r + rows]
-        scaled = np.multiply(part, scale, out=chunk[: part.shape[0]])
+        scaled = grid.density[r : r + rows] * scale
         levels[r : r + rows] = np.rint(scaled, out=scaled)
     header = f"P5\n{grid.nx} {grid.nt}\n255\n".encode("ascii")
     return header + levels.tobytes()

@@ -10,6 +10,11 @@ role for a monochromatic wave.
 
 from __future__ import annotations
 
+__all__ = [
+    "PendulumArray", "paraxial_talbot_length", "pendulum_positions", "period_increment_positions",
+    "talbot_length", "wave_count",
+]
+
 import math
 import sys
 from dataclasses import dataclass

@@ -4,7 +4,7 @@ Eight subcommands cover the library surface. Each is one entry of
 ``_COMMANDS``: its handler, its help line and its argparse options, built
 from shared groups (label, chi, time grid, spectrum, truncation, output).
 The entry also declares the command's metadata keys, written after
-``# command`` in order. ``main(argv)`` parses, checks the shared flags, and
+``# command`` in order. ``main(argv)`` parses, checks the flags, and
 hands the namespace to the handler, which returns the values it computed
 and the file's body (a header and rows, or a PGM image). ``main`` alone
 writes the metadata, each key from those values or else from the flags,
@@ -26,6 +26,8 @@ randomness, so the same argv always writes the same bytes.
 """
 
 from __future__ import annotations
+
+__all__ = ["main"]
 
 import argparse
 import math
@@ -54,10 +56,14 @@ from .moments import (
     ladder_moment,
     uncertainty_trace,
 )
+from .ordering import MAX_INTERFERENCE_POWER
 from .spectra import _KINDS, Spectrum, _phase_angles, decompose_fractional, revival_time
 
 #: Default Kerr strength; makes the default revival time pi^2/10.
 DEFAULT_CHI = 10.0 / math.pi
+
+#: Largest magnitude of an integer flag: the most complex128 values one array holds.
+_INT_LIMIT = sys.maxsize // 16
 
 
 def _fmt(value: float) -> str:
@@ -71,7 +77,7 @@ def _table(columns: dict) -> bytes:
 
 def _spectrum(args: argparse.Namespace) -> Spectrum:
     """The --spectrum kind at rate --chi; Kerr for a command without --spectrum."""
-    return getattr(Spectrum, vars(args).get("spectrum", "kerr"))(args.chi)
+    return Spectrum(_KINDS[vars(args).get("spectrum", "kerr")], args.chi)
 
 
 def _label(args: argparse.Namespace) -> CoherentLabel:
@@ -242,7 +248,7 @@ _COMMANDS: dict[str, _Command] = {
         *_TRACE,
     ), ("observable", "p", "q", *_PERIOD)),
     "lx": _Command(partial(_run_trace, _lx_values), "angular-momentum moment trace", (
-        _opt("--n", type=int, default=1, help="power of Lx, 1..40"),
+        _opt("--n", type=int, default=1, help=f"power of Lx, 1..{MAX_INTERFERENCE_POWER}"),
         *(_opt(f"--{key}", type=float, default=1.0) for key in ("p2", "q2", "p3", "q3")),
         *_TRACE,
     ), ("n", "p2", "q2", "p3", "q3", *_PERIOD)),
@@ -298,8 +304,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args: argparse.Namespace) -> None:
-    """The checks on the shared flags that argparse does not make; main exits 1 on each."""
+    """The checks on the flags that argparse does not make; main exits 1 on each."""
     flags = vars(args)
+    for key, value in flags.items():
+        # --truncation is refused with its nu where the level count is checked.
+        if isinstance(value, int) and key != "truncation" and abs(value) > _INT_LIMIT:
+            from decimal import Decimal   # formats any int, even one past the largest float
+            raise ValueError(
+                f"--{key.replace('_', '-')} = {Decimal(value):.4g} lies beyond +-{_INT_LIMIT} "
+                "(sys.maxsize // 16), the most complex128 values one array holds"
+            )
     if flags.get("samples", 2) < 2:
         raise ValueError("samples must be at least 2")
     chi = flags.get("chi", DEFAULT_CHI)

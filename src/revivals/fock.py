@@ -15,6 +15,11 @@ so repeated calls slice it instead of recomputing every level.
 
 from __future__ import annotations
 
+__all__ = [
+    "CoherentLabel", "FockVector", "auto_truncation", "coherent_amplitudes", "inner_product",
+    "ladder_matrix", "ladder_product_matrix", "number_distribution",
+]
+
 import math
 import sys
 from dataclasses import dataclass, field

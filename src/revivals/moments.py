@@ -26,6 +26,11 @@ threshold. Its report maps each fraction to its ratio.
 
 from __future__ import annotations
 
+__all__ = [
+    "BurstReport", "autocorrelation", "detect_bursts", "expect_p", "expect_p2", "expect_x",
+    "expect_x2", "expect_x_power", "ladder_moment", "numerical_expectation", "uncertainty_trace",
+]
+
 import cmath
 import math
 from dataclasses import dataclass

@@ -15,6 +15,8 @@ b-operators commute with c-operators, so a letter rewrites only its mode's pair.
 
 from __future__ import annotations
 
+__all__ = ["interference_power_terms", "x_power_terms"]
+
 from functools import lru_cache
 
 #: Monomial keys: (dagger power, plain power) for one mode.

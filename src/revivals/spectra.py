@@ -12,6 +12,11 @@ component labels exactly.
 
 from __future__ import annotations
 
+__all__ = [
+    "CatDecomposition", "Spectrum", "decompose_fractional", "evolve", "fractional_revival_times",
+    "revival_time",
+]
+
 import functools
 import math
 import sys
@@ -139,8 +144,9 @@ def _phase_angles(chi: float, levels, t, level_max: float | None = None):
     A chi that is not finite and positive, a time that is not finite or an
     overflow raises ValueError before NumPy forms anything. The overflow
     check is exact, as rounding is monotone: the largest products are
-    max|t| max|level| (level_max, if given) and chi times it, formed here in
-    Python floats, which overflow without a warning.
+    max|t| max|level| and chi times it, formed here in Python floats, which
+    overflow without a warning. An array of levels comes with its largest
+    magnitude, level_max; a scalar level is its own.
     """
     if not (math.isfinite(chi) and chi > 0):
         raise ValueError(f"chi must be finite and positive, got {chi:g}")
@@ -148,7 +154,7 @@ def _phase_angles(chi: float, levels, t, level_max: float | None = None):
     if not math.isfinite(top):
         raise ValueError("time must be finite")
     if level_max is None:
-        level_max = float(np.abs(levels).max()) if isinstance(levels, np.ndarray) else abs(float(levels))
+        level_max = abs(float(levels))
     if not math.isfinite(float(chi) * (top * level_max)):
         raise ValueError(
             f"phases chi E t overflow float64 at chi = {chi:g}, |E| up to {level_max:g} "
@@ -314,7 +320,7 @@ def decompose_fractional(
         raise ValueError("fractional-revival decomposition is defined for kerr")
     if m < 1:
         raise ValueError("m must be >= 1")
-    t = math.pi / (m * spectrum.chi)
+    t = (1 / m) * revival_time(spectrum)   # as in fractional_revival_times
 
     sequence, extra_rotation = _quadratic_phase_split(m)
     # ifft matches the needed (1/m) sum_n seq_n e^{+2 pi i q n / m} exactly.

@@ -615,6 +615,38 @@ def test_huge_nu_refused_with_its_cause(tmp_path, monkeypatch, capsys, argv, mes
     assert not list(tmp_path.iterdir())
 
 
+_E23, _E400 = str(10**23), str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["moment", "--r", "0", "--s", _E400], "--s = 1.000e+400 lies beyond"),
+        (["moment", "--r", _E400, "--s", "1"], "--r = 1.000e+400 lies beyond"),
+        (["pendulum", "--base-cycles", _E400], "--base-cycles = 1.000e+400 lies beyond"),
+        (["pendulum", "--count", _E400], "--count = 1.000e+400 lies beyond"),
+        (["cat", "--m", _E400], "--m = 1.000e+400 lies beyond"),
+        (["autocorr", "--samples", _E23], "--samples = 1.000e+23 lies beyond"),
+        (["cat", "--m", _E23], "--m = 1.000e+23 lies beyond"),
+        (["pendulum", "--count", _E23], "--count = 1.000e+23 lies beyond"),
+        (["carpet", "--nx", _E23, "--nt", "3"], "--nx = 1.000e+23 lies beyond"),
+        # Each size fits on its own, but their working arrays could not.
+        (["carpet", "--nx", "3", "--nt", str(10**17)], f"a carpet of nx = 3 by nt = {10**17} at N = 31"),
+    ],
+    ids=lambda v: "-".join(a[:12] for a in v) if isinstance(v, list) else None,
+)
+def test_huge_integer_flags_refused_by_name(tmp_path, monkeypatch, capsys, argv, message):
+    # Before, these failed inside float() or numpy: "int too large to convert
+    # to float", "Maximum allowed size exceeded" or "... dimension exceeded".
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("chi", ["inf", "-inf", "nan"])
 @pytest.mark.parametrize(
     "argv",

@@ -210,6 +210,17 @@ def test_fractional_times_of_a_custom_spectrum():
         assert t == (l / m) * math.pi
 
 
+@pytest.mark.parametrize("chi", [1.0, 10.0 / math.pi, 0.7, 3.3])
+def test_cat_time_is_the_listed_fractional_time(chi):
+    # One rule, (1/m) revival_time, for both; pi/(m chi) differs by one ulp
+    # at chi = 10/pi, m = 3.
+    spectrum = Spectrum.kerr(chi)
+    listed = {(l, m): t for l, m, t in fractional_revival_times(spectrum, 8)}
+    for m in range(2, 9):
+        cat = decompose_fractional(CoherentLabel(1.0, 1.0), m, spectrum)
+        assert cat.time == listed[1, m]
+
+
 def _reconstruct(cat, truncation):
     total = np.zeros(truncation + 1, dtype=np.complex128)
     for coeff, comp in zip(cat.coefficients, cat.component_labels):

@@ -115,18 +115,22 @@ def _wide():
 def test_phase_guard_is_exact(levels, times, data):
     # The guard raises exactly when some chi * (t * level) is not finite, for
     # one time and level as Python floats and for arrays paired by
-    # broadcasting. Half the rates put the largest product within a factor
+    # broadcasting, the array with its largest |level| as every array caller
+    # passes it. Half the rates put the largest product within a factor
     # of 8 of the float64 limit, where a guard off by one rounding or one
     # factor of two would show.
     edge = 1024 - math.frexp(max(map(abs, times)))[1] - math.frexp(max(map(abs, levels)))[1]
     exponent = data.draw(st.one_of(st.integers(-1021, 1024), st.integers(edge - 1, edge + 2)))
     chi = math.ldexp(data.draw(_MANTISSAS), min(1024, max(-1021, exponent)))
-    pairs = ((times[0], levels[0]), (np.array(times)[:, None], np.array(levels)))
-    for t, level in pairs:
+    pairs = (
+        (times[0], levels[0], None),
+        (np.array(times)[:, None], np.array(levels), max(map(abs, levels))),
+    )
+    for t, level, level_max in pairs:
         with np.errstate(over="ignore"):
             expected = chi * (t * level)
         if np.isfinite(expected).all():
-            assert np.array_equal(_phase_angles(chi, level, t), expected)
+            assert np.array_equal(_phase_angles(chi, level, t, level_max), expected)
         else:
             with pytest.raises(ValueError, match="phases chi E t overflow float64"):
-                _phase_angles(chi, level, t)
+                _phase_angles(chi, level, t, level_max)
