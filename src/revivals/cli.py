@@ -5,12 +5,12 @@ Eight subcommands cover the library surface. Each is one entry of
 from shared groups (label, chi, time grid, spectrum, truncation, output).
 The entry also declares the command's metadata keys, written after
 ``# command`` in order. ``main(argv)`` parses, checks the flags, and
-hands the namespace to the handler, which returns the values it computed
-and the file's body (a header and rows, or a PGM image). ``main`` alone
-writes the metadata, each key from those values or else from the flags,
-and the summary line, the first value; the file goes out in one binary
-write. A command declares exactly the flags its handler reads, and
-defaults live only in the parser.
+hands the namespace to the handler, which computes all it needs and returns
+the values and the file's body as chunks (a table's header and rows, formed
+as they are written, or a PGM image). Only then does ``main`` open the file,
+write the metadata, each key from those values or else from the flags, the
+chunks and the summary line, the first value. A command declares exactly
+the flags its handler reads, and defaults live only in the parser.
 
 The four time traces share one handler, ``_run_trace``, bound to a function
 giving the command's value columns. Its period is ``revival_time``, and its
@@ -20,9 +20,9 @@ chi E t that overflow float64 are refused by the library
 any column is built.
 
 A file is a CSV table (a '#'-prefixed metadata block, a header row, then
-``%.17g`` fields from ``carpets._table_text``) or, for carpets, a binary
-PGM image. Nothing in any output depends on wall clock, environment, or
-randomness, so the same argv always writes the same bytes.
+``%.17g`` fields, all formed by ``revivals._text``) or, for carpets, a
+binary PGM image. Nothing in any output depends on wall clock, environment,
+or randomness, so the same argv always writes the same bytes.
 """
 
 from __future__ import annotations
@@ -30,15 +30,18 @@ from __future__ import annotations
 __all__ = ["main"]
 
 import argparse
+import contextlib
 import math
+import os
 import sys
 from functools import cache, partial
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from ._text import fmt, metadata, table
 from .angular import TriModeLabel, lx_moment
-from .carpets import _table_text, carpet, grid_to_csv, grid_to_pgm
+from .carpets import _csv_chunks, carpet, grid_to_pgm
 from .classical import (
     PendulumArray,
     paraxial_talbot_length,
@@ -64,15 +67,6 @@ DEFAULT_CHI = 10.0 / math.pi
 
 #: Largest magnitude of an integer flag: the most complex128 values one array holds.
 _INT_LIMIT = sys.maxsize // 16
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _table(columns: dict) -> bytes:
-    """A header row of the column names, then the table."""
-    return (",".join(columns) + "\n").encode() + _table_text(list(columns.values()))
 
 
 def _spectrum(args: argparse.Namespace) -> Spectrum:
@@ -132,7 +126,7 @@ def _lx_values(args: argparse.Namespace, spectrum: Spectrum, times: np.ndarray) 
     return {"value": lx_moment(args.n, label, args.chi, times)}
 
 
-def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[dict, bytes]:
+def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
     """The period, and the columns t, the command's values and chi_t_over_pi."""
     spectrum = _spectrum(args)
     period = revival_time(spectrum)
@@ -145,39 +139,39 @@ def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[d
     chi_t = _phase_angles(args.chi, 1.0, times)   # refused before any column if chi t overflows
     columns = {"t": times, **values(args, spectrum, times)}
     columns["chi_t_over_pi"] = chi_t / math.pi
-    return {"revival_time": period}, _table(columns)
+    return {"revival_time": period}, table(columns)
 
 
-def _run_carpet(args: argparse.Namespace) -> tuple[dict, bytes]:
+def _run_carpet(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
     spectrum = _spectrum(args)
     label = _label(args)
     _check_truncation(args, label)
     period = revival_time(spectrum)
     keys = ("x_min", "x_max", "nx", "t_min", "t_max", "nt", "truncation")
     grid = carpet(label, spectrum, **{key: getattr(args, key) for key in keys})
-    body = grid_to_pgm(grid) if args.fmt == "pgm" else grid_to_csv(grid, args.chi)
+    body = (grid_to_pgm(grid),) if args.fmt == "pgm" else _csv_chunks(grid, args.chi)
     return {"revival_time": period}, body
 
 
-def _run_pendulum(args: argparse.Namespace) -> tuple[dict, bytes]:
+def _run_pendulum(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
     keys = ("count", "base_cycles", "t_rev", "amplitude")
     array = PendulumArray(**{key: getattr(args, key) for key in keys})
     t = args.at * array.t_rev
     waves, strength = wave_count(array, t)   # refuses t outside [0, t_rev]
     positions = pendulum_positions(array, t)
     values = {"revival_time": array.t_rev, "t": t, "waves": waves, "strength": strength}
-    return values, _table({"j": np.arange(len(positions)), "x": positions})
+    return values, table({"j": np.arange(len(positions)), "x": positions})
 
 
-def _run_talbot(args: argparse.Namespace) -> tuple[dict, bytes]:
+def _run_talbot(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
     wavelength, grating = args.wavelength, args.grating_period
     length = talbot_length(wavelength, grating)
     columns = {"wavelength": [wavelength], "grating_period": [grating], "talbot_length": [length]}
     columns["paraxial_length"] = [paraxial_talbot_length(wavelength, grating)]
-    return {"talbot_length": length}, _table(columns)
+    return {"talbot_length": length}, table(columns)
 
 
-def _run_cat(args: argparse.Namespace) -> tuple[dict, bytes]:
+def _run_cat(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
     label = _label(args)
     _check_truncation(args, label)
     spectrum = Spectrum.kerr(args.chi)
@@ -190,7 +184,7 @@ def _run_cat(args: argparse.Namespace) -> tuple[dict, bytes]:
         "label_p": [comp.p for comp in cat.component_labels],
         "label_q": [comp.q for comp in cat.component_labels],
     }
-    return {"revival_time": period, "time": cat.time, "fidelity": cat.fidelity}, _table(columns)
+    return {"revival_time": period, "time": cat.time, "fidelity": cat.fidelity}, table(columns)
 
 
 #: One argparse option: its flags and the keywords of add_argument.
@@ -204,7 +198,7 @@ def _opt(*flags: str, **kwargs: Any) -> _Option:
 class _Command(NamedTuple):
     """One subcommand: its handler, its help line, its options and its metadata keys."""
 
-    run: Callable[[argparse.Namespace], tuple[dict, bytes]]
+    run: Callable[[argparse.Namespace], tuple[dict, Iterable[bytes]]]
     help: str
     options: tuple[_Option, ...]
     metadata: tuple[str, ...]
@@ -330,38 +324,38 @@ def main(argv: list[str] | None = None) -> int:
     A CSV file starts with the command's metadata, "# key = value" lines,
     floats as %.17g; a PGM image has none. Exit 1 on a numeric or domain
     error, an allocation that does not fit or a file that cannot be
-    written; argparse exits 2 on a usage error.
+    written, which leaves no new file; argparse exits 2 on a usage error.
     """
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
+    kind = getattr(args, "fmt", "csv")
+    path = f"{args.command}.{kind}" if args.output is None else args.output
+    created = False   # a path that existed before the open is never removed
     try:
         _check_flags(args)
-        values, payload = command.run(args)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
-        return 1
-    fields = {**vars(args), **values}
-    fmt = fields.get("fmt", "csv")
-    if fmt == "csv":
-        pairs = [("command", args.command), *((key, fields[key]) for key in command.metadata)]
-        lines = (f"# {key} = {_fmt(v) if isinstance(v, float) else v}\n" for key, v in pairs)
-        payload = "".join(lines).encode() + payload
-    path = args.output
-    if path is None:
-        path = f"{args.command}.{fmt}"
-    try:
+        values, chunks = command.run(args)
+        fields = {**vars(args), **values}
+        created = not os.path.lexists(path)
         with open(path, "wb") as handle:
-            handle.write(payload)
+            if kind == "csv":
+                handle.write(metadata((key, fields[key]) for key in ("command", *command.metadata)))
+            handle.writelines(chunks)
+    except (ValueError, ArithmeticError) as exc:
+        message = str(exc)
+    except MemoryError as exc:
+        message = f"{args.command} ran out of memory: {exc}"
     except OSError as exc:
-        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    summary, value = next(iter(values.items()))
-    print(f"{summary} = {_fmt(value)}")
-    print(f"wrote {path}")
-    return 0
+        message = f"cannot write {path}: {exc.strerror or exc}"
+    else:
+        summary, value = next(iter(values.items()))
+        print(f"{summary} = {fmt(value)}")
+        print(f"wrote {path}")
+        return 0
+    if created:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -314,12 +314,20 @@ def decompose_fractional(
     Coefficients come from the inverse DFT of the length-m quadratic phase
     sequence; component labels are the rotated copies of alpha. The result
     is verified against direct evolution and an overlap fidelity below
-    1 - 1e-9 raises (that signals a too-small truncation).
+    1 - 1e-9 raises (that signals a too-small truncation). An m above N + 1,
+    the kept levels, raises before any length-m work: beyond them the m
+    components are linearly dependent.
     """
     if spectrum.kind != "kerr":
         raise ValueError("fractional-revival decomposition is defined for kerr")
     if m < 1:
         raise ValueError("m must be >= 1")
+    state = coherent_amplitudes(label, truncation)
+    if m > state.truncation + 1:
+        raise ValueError(
+            f"m = {m} exceeds N + 1 = {state.truncation + 1}, the kept Fock levels; "
+            "beyond them the m components are linearly dependent"
+        )
     t = (1 / m) * revival_time(spectrum)   # as in fractional_revival_times
 
     sequence, extra_rotation = _quadratic_phase_split(m)
@@ -330,7 +338,6 @@ def decompose_fractional(
         CoherentLabel.from_alpha(label.alpha * rot) for rot in rotations
     )
 
-    state = coherent_amplitudes(label, truncation)
     evolved = evolve(state, spectrum, t)
     recon = np.zeros_like(evolved.amplitudes)
     for coeff, component in zip(coefficients, labels):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from revivals import carpets
+from revivals import _text, carpets
 from revivals.carpets import (
     CarpetGrid,
     carpet,
@@ -306,11 +306,20 @@ def test_grid_to_csv_refuses_a_bad_chi_before_any_text(monkeypatch, chi, message
     # chi t on t <= 10 overflows at chi = 1e308; nan and a negative chi would
     # write a nan or a negative chi_t_over_pi column.
     grid = CarpetGrid(-1.0, 1.0, 0.0, 10.0, np.ones((3, 4)))
-    monkeypatch.setattr(carpets, "_table_text", lambda columns: pytest.fail("text formed"))
+    monkeypatch.setattr(_text, "_cells_text", lambda block: pytest.fail("text formed"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
             grid_to_csv(grid, chi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0], ids=["nan", "inf", "-inf", "negative"])
+def test_carpet_grid_refuses_non_finite_or_negative_densities(bad):
+    # Unrefused, nan breaks the PGM cast and inf the row integrals.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="densities must be finite and non-negative"):
+            CarpetGrid(0.0, 1.0, 0.0, 1.0, [[bad, 1.0], [1.0, 1.0]])
 
 
 # nt = 2 takes one time per giant row (B = 1); 3 and 401 end on a partial

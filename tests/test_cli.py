@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from revivals import BurstReport, detect_bursts
+from revivals import BurstReport, _text, detect_bursts
 from revivals.classical import talbot_length
 from revivals.cli import DEFAULT_CHI, build_parser, main
 from revivals.spectra import Spectrum, revival_time
@@ -321,6 +321,91 @@ def test_unwritable_output_reported_without_traceback(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize(
+    "error, message",
+    [(OSError(28, "No space left on device"), "cannot write {}: No space left on device"),
+     (MemoryError("chunk"), "xptrace ran out of memory: chunk")],
+    ids=["oserror", "memoryerror"],
+)
+def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys, error, message):
+    # The table streams in chunks of about 4k cells: the second chunk fails
+    # once the metadata, the header and the first chunk reach the file.
+    monkeypatch.chdir(tmp_path)
+    kernel, heads = _text._cells_text, []
+
+    def failing(block):
+        if heads:
+            heads[-1] = (tmp_path / target).read_bytes()[:20]
+            raise error
+        heads.append(None)
+        return kernel(block)
+
+    monkeypatch.setattr(_text, "_cells_text", failing)
+    (tmp_path / "kept.csv").write_bytes(b"there before")
+    for target in ("new.csv", "kept.csv"):
+        heads.clear()
+        assert main(["xptrace", "--samples", "5000", "-o", target]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(target)}\n"
+        assert "wrote" not in captured.out
+        assert heads == [b"# command = xptrace\n"]
+    # The file main created is gone; a path that existed before is left.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE with SIGXFSZ ignored, as on Linux")
+def test_file_size_limit_leaves_no_partial_file(tmp_path, cli_env):
+    # The limit is set in the child only; past it each write fails with EFBIG.
+    run = (
+        "import resource, runpy, signal, sys; signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000)); "
+        "sys.argv = ['revivals', 'xptrace', '--samples', '20001', '-o', 'big.csv']; "
+        "runpy.run_module('revivals', run_name='__main__')"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", run], cwd=tmp_path, env=cli_env, capture_output=True, text=True
+    )
+    assert result.returncode == 1
+    assert result.stderr == "error: cannot write big.csv: File too large\n"
+    assert not list(tmp_path.iterdir())
+
+
+#: Run in a fresh interpreter: the peak RSS, in bytes, of python -m revivals
+#: with argv[1:] and then the sample count 3 or 200000. Linux counts the
+#: peak of the process a child is forked from into its ru_maxrss, so the runs
+#: are started from this small interpreter rather than from the test process.
+_PEAK_RSS = """
+import os, subprocess, sys
+
+def peak(samples):
+    argv = [sys.executable, "-m", "revivals", *sys.argv[1:], samples]
+    child = subprocess.Popen(argv, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, argv
+    return usage.ru_maxrss * 1024   # KiB on Linux
+
+print(peak("3"), peak("200000"))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="a child's ru_maxrss in KiB, as on Linux")
+def test_streamed_table_grows_peak_rss_by_less_than_twice_the_file(tmp_path, cli_env):
+    # A CSV file held whole while it is formed (and again with its metadata)
+    # grows the peak by about three times its size; streamed, only the
+    # computed columns and one chunk are held.
+    argv = ["xptrace", "--observable", "dxdp", "-o", "out.csv", "--samples"]
+    result = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv], cwd=tmp_path, env=cli_env,
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    base, peak = map(int, result.stdout.split())
+    size = (tmp_path / "out.csv").stat().st_size
+    assert size > 10_000_000
+    assert peak - base < 2 * size, f"peak RSS grew {(peak - base) / size:.2f} x the file size"
+
+
+@pytest.mark.parametrize(
     "argv, keys, header",
     [
         (["autocorr"], "spectrum p q", "re im abs2"),
@@ -460,6 +545,17 @@ def test_explicit_truncation_tail_mass_checked(tmp_path, monkeypatch, capsys):
     assert main(["carpet", "--truncation", "40", "--nx", "8", "--nt", "8"]) == 0
     assert main(["cat", "--m", "3", "--truncation", "40"]) == 0
     assert (tmp_path / "carpet.csv").exists() and (tmp_path / "cat.csv").exists()
+
+
+@pytest.mark.parametrize("m", ["33", "20000"])
+def test_cat_order_beyond_the_kept_levels_refused(tmp_path, monkeypatch, capsys, m):
+    # Label (1, 1) keeps N + 1 = 32 levels; more components than that are
+    # linearly dependent, and the work would grow with m without bound.
+    monkeypatch.chdir(tmp_path)
+    assert main(["cat", "--m", m]) == 1
+    assert capsys.readouterr().err.startswith(f"error: m = {m} exceeds N + 1 = 32, the kept Fock levels")
+    assert not list(tmp_path.iterdir())
+    assert main(["cat", "--m", "32"]) == 0
 
 
 @pytest.mark.parametrize(

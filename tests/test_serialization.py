@@ -1,4 +1,4 @@
-"""CSV serialization: the bulk table formatter and lossless CLI cells."""
+"""CSV serialization: the bulk table formatter of ``revivals._text`` and lossless CLI cells."""
 
 import math
 from decimal import Decimal
@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from revivals.carpets import CarpetGrid, _table_text, grid_to_csv
+from revivals._text import table
+from revivals.carpets import CarpetGrid, grid_to_csv
 from revivals.cli import main
 
 SPECIAL = [
@@ -24,6 +25,13 @@ SPECIAL = [
     -2.5,
     123456789.0,
 ]
+
+
+def _table_text(columns):
+    """The rows of _text.table over the columns, joined; its header line is checked and dropped."""
+    chunks = list(table({f"c{k}": c for k, c in enumerate(columns)}))
+    assert chunks[0] == (",".join(f"c{k}" for k in range(len(columns))) + "\n").encode()
+    return b"".join(chunks[1:])
 
 
 def _per_cell(columns):

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from revivals import spectra
 from revivals.angular import TriModeLabel, angular_moment, lx_moment_oracle
 from revivals.carpets import carpet, position_wavefunction
 from revivals.fock import CoherentLabel, coherent_amplitudes, inner_product
@@ -285,6 +286,18 @@ def test_cat_decomposition_guards():
     assert [f.name for f in dataclasses.fields(cat)] == [
         "coefficients", "component_labels", "time", "fidelity"
     ]
+
+
+def test_cat_order_bounded_by_the_kept_levels(monkeypatch):
+    # Beyond the N + 1 kept levels the m components are linearly dependent.
+    label = CoherentLabel(1.0, 1.0)
+    cat = decompose_fractional(label, 21, Spectrum.kerr(1.0), truncation=20)
+    assert cat.m == 21 and cat.fidelity == pytest.approx(1.0, abs=1e-12)
+    # Refused before any length-m work; the default N at nu = 1 is 31.
+    monkeypatch.setattr(spectra, "_quadratic_phase_split", lambda m: pytest.fail("length-m work"))
+    for m, truncation, levels in ((22, 20, 21), (33, None, 32), (10**9, None, 32)):
+        with pytest.raises(ValueError, match=rf"m = {m} exceeds N \+ 1 = {levels}, the kept"):
+            decompose_fractional(label, m, Spectrum.kerr(1.0), truncation)
 
 
 _LABEL = CoherentLabel(1.0, 1.0)
