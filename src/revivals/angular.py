@@ -74,29 +74,26 @@ def lx_moment(n: int, label: TriModeLabel, chi: float, t):
     return angular_moment("x", n, label, chi, t)
 
 
-def lx_moment_oracle(
-    n: int,
-    label: TriModeLabel,
-    chi: float,
-    t: float,
-    per_mode_truncation: int | None = None,
-):
+def lx_moment_oracle(n: int, label: TriModeLabel, chi: float, t: float):
     """<Lx^n> by brute force on the truncated two-mode space.
 
     Builds the evolved product state as an (N+1) x (N+1) amplitude array A,
-    rows indexed by the first mode, and applies Lx = (b†c - b c†)/2i as two
+    rows indexed by the first mode, with N the auto truncation of the larger
+    of the two mean photon numbers, and applies Lx = (b†c - b c†)/2i as two
     shifted slices: b†c sends A[i, j] to (√(i+1) A[i, j]) √j at [i+1, j-1],
     b c† sends it to (√i A[i, j]) √(j+1) at [i-1, j+1]. That is the dense
     ladder-matrix product without its exact zeros, bit for bit. Knows
-    nothing of the closed forms; this is the arbitration route.
+    nothing of the closed forms; this is the arbitration route. Its
+    imaginary residue is checked against ‖A‖ ‖Lx^n A‖, the Cauchy-Schwarz
+    bound on the moment, which keeps the size of the summed terms where the
+    moment itself vanishes by symmetry.
     """
     if n < 1:
         raise ValueError(f"interference power must be at least 1, got {n}")
     spectrum = Spectrum.kerr(chi)
     first, second = _pair_labels("x", label)
-    if per_mode_truncation is None:
-        per_mode_truncation = auto_truncation(max(first.nu, second.nu))
-    dim = per_mode_truncation + 1
+    truncation = auto_truncation(max(first.nu, second.nu))
+    dim = truncation + 1
     if dim * dim > ORACLE_DIMENSION_LIMIT:
         raise ValueError(
             f"two-mode amplitude array of {dim * dim} entries exceeds the memory guard "
@@ -105,7 +102,7 @@ def lx_moment_oracle(
 
     roots = np.sqrt(np.arange(1, dim, dtype=np.float64))[:, None]
     amp_first, amp_second = (
-        evolve(coherent_amplitudes(mode, per_mode_truncation), spectrum, t).amplitudes
+        evolve(coherent_amplitudes(mode, truncation), spectrum, t).amplitudes
         for mode in (first, second)
     )
     state = np.outer(amp_first, amp_second)
@@ -117,4 +114,5 @@ def lx_moment_oracle(
         shifted[:-1, 1:] -= roots * applied[1:, :-1] * roots.T
         applied = shifted / 2j
     value = np.vdot(state, applied)
-    return _hermitian_value(value, abs(value.real), f"oracle <Lx^{n}>")
+    bound = float(np.linalg.norm(state) * np.linalg.norm(applied))
+    return _hermitian_value(value, bound, f"oracle <Lx^{n}>")

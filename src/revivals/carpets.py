@@ -101,10 +101,15 @@ def _check_extents(x_min: float, x_max: float, t_min: float, t_max: float) -> No
     spans = (float(x_max) - float(x_min), float(t_max) - float(t_min))
     if not all(math.isfinite(span) for span in spans):
         raise ValueError("grid spans x_max - x_min and t_max - t_min must be finite")
-    if max(abs(x_min), abs(x_max)) > _X_LIMIT:
+    _check_positions((x_min, x_max))
+
+
+def _check_positions(x) -> None:
+    """Refuse positions that are not finite or whose square overflows float64."""
+    if not np.all(np.abs(x) <= _X_LIMIT):
         raise ValueError(
             f"x extents must lie within +-{_X_LIMIT:.17g}, where x * x stays finite; "
-            f"got x_min = {x_min:g}, x_max = {x_max:g}"
+            f"got |x| = {float(np.max(np.abs(x))):g}"
         )
 
 
@@ -165,8 +170,9 @@ class CarpetGrid:
 def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized oscillator eigenfunctions phi_0..phi_{n_max} on the grid x.
 
-    Returns shape (n_max + 1, len(x)), written into out if given (a float64
-    array of that shape, every cell overwritten). phi_0 = pi^{-1/4}
+    x is read flat; positions must be finite with |x| <= _X_LIMIT, and
+    n_max >= 0. Returns shape (n_max + 1, x.size), written into out if given
+    (a float64 array of that shape, every cell overwritten). phi_0 = pi^{-1/4}
     e^{-x^2/2}; the two-term recurrence above fills the rest. Where phi_0 <
     _FAR_PHI0 (|x| > 26.27) it would start from an underflowed value, so
     those columns run the recurrence on scaled values u_n, with phi_n = u_n
@@ -174,7 +180,10 @@ def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = Non
     exceeds _FAR_RESCALE, u_n and u_{n-1} are divided by |u_n| and ln|u_n|
     is added to s. The other columns keep the plain recurrence's bits.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).ravel()
+    _check_positions(x)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     shape = (n_max + 1, x.size)
     if out is None:
         out = np.empty(shape)
@@ -209,22 +218,19 @@ def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = Non
 
 
 def position_wavefunction(
-    label: CoherentLabel,
-    x: float | np.ndarray,
-    t: float,
-    spectrum: Spectrum,
-    truncation: int | None = None,
+    label: CoherentLabel, x: float | np.ndarray, t: float, spectrum: Spectrum
 ) -> complex | np.ndarray:
     """psi(x, t) for a coherent state evolved under the spectrum's phases.
 
-    x may be a scalar or a 1-d grid; the result matches its shape. The
-    state evolves through spectra.evolve, which refuses a non-finite t.
+    The state is cut at the auto truncation of its mean photon number. x may
+    be a scalar or an array of any shape; the result matches it, and x is
+    refused as hermite_functions refuses it. The state evolves through
+    spectra.evolve, which refuses a non-finite t.
     """
-    scalar = np.isscalar(x)
-    grid = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    state = evolve(coherent_amplitudes(label, truncation), spectrum, t)
-    psi = state.amplitudes @ hermite_functions(grid, state.truncation)
-    return complex(psi[0]) if scalar else psi
+    x = np.asarray(x, dtype=np.float64)
+    state = evolve(coherent_amplitudes(label), spectrum, t)
+    psi = state.amplitudes @ hermite_functions(x, state.truncation)
+    return complex(psi[0]) if x.ndim == 0 else psi.reshape(x.shape)
 
 
 def default_window(label: CoherentLabel) -> tuple[float, float]:
@@ -302,8 +308,8 @@ def carpet(
     return CarpetGrid(float(x_min), float(x_max), float(t_min), float(t_max), density, _adopt=True)
 
 
-def count_lobes(row: np.ndarray, threshold: float = LOBE_THRESHOLD) -> int:
-    """Number of connected runs along x that rise above threshold * row max.
+def count_lobes(row: np.ndarray) -> int:
+    """Number of connected runs along x that rise above LOBE_THRESHOLD * row max.
 
     This is the quantitative stand-in for counting sub-images by eye: a
     two-packet cat shows two runs, a three-packet cat three, provided the
@@ -313,7 +319,7 @@ def count_lobes(row: np.ndarray, threshold: float = LOBE_THRESHOLD) -> int:
     peak = float(row.max(initial=0.0))
     if peak <= 0.0:
         return 0
-    mask = row > threshold * peak
+    mask = row > LOBE_THRESHOLD * peak
     # A run starts wherever the mask turns on.
     starts = np.count_nonzero(mask[1:] & ~mask[:-1]) + int(mask[0])
     return int(starts)

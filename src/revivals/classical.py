@@ -16,6 +16,7 @@ __all__ = [
 ]
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +30,8 @@ class PendulumArray:
 
     Oscillator j swings at frequency (base_cycles + j) / t_rev, so after
     t_rev every phase difference is a whole number of turns and the array
-    recurs exactly.
+    recurs exactly. count and base_cycles must be integers (NumPy integers
+    included); any other type raises ValueError.
     """
 
     count: int = 100
@@ -38,6 +40,10 @@ class PendulumArray:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("count", "base_cycles"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.count < 2:
             raise ValueError("need at least two oscillators")
         if self.base_cycles < 1:

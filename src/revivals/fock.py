@@ -17,7 +17,7 @@ from __future__ import annotations
 
 __all__ = [
     "CoherentLabel", "FockVector", "auto_truncation", "coherent_amplitudes", "inner_product",
-    "ladder_matrix", "ladder_product_matrix", "number_distribution",
+    "ladder_product_matrix", "number_distribution",
 ]
 
 import math
@@ -200,25 +200,6 @@ def number_distribution(label: CoherentLabel) -> np.ndarray:
     """Poisson weights e^{-nu} nu^n / n! for n = 0..N at the auto-truncation N."""
     logs = _log_amplitudes(label.nu, auto_truncation(label.nu))
     return np.exp(2.0 * logs)
-
-
-def ladder_matrix(kind: str, truncation: int) -> np.ndarray:
-    """Truncated annihilation, creation, or number matrix, as a complex128 array.
-
-    annihilation: superdiagonal sqrt(n) at column n; creation: its conjugate
-    transpose; number: diag(0..N).
-    """
-    if truncation < 1:
-        raise ValueError("ladder matrices need truncation >= 1")
-    dim = truncation + 1
-    roots = np.sqrt(np.arange(1, dim, dtype=np.float64))
-    if kind == "annihilation":
-        return np.diag(roots, k=1).astype(np.complex128)
-    if kind == "creation":
-        return np.diag(roots, k=-1).astype(np.complex128)
-    if kind == "number":
-        return np.diag(np.arange(dim, dtype=np.complex128))
-    raise ValueError(f"unknown ladder kind {kind!r}")
 
 
 def ladder_product_matrix(r: int, k: int, truncation: int) -> np.ndarray:

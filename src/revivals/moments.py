@@ -18,10 +18,10 @@ Time arguments accept scalars or arrays; arrays broadcast elementwise.
 The burst detector quantifies "a signature is visible at t = (j/k) T_rev"
 on a trace given as two plain arrays, times and values: for every reduced
 fraction it compares the mean squared deviation from the global trace mean
-inside a narrow window around j/k T_rev against the same measure over the
-part of the trace belonging to no window. Flat traces report zero
-everywhere; a window counts as detected when its ratio reaches the
-threshold. Its report maps each fraction to its ratio.
+inside a window of width T_rev/50 around j/k T_rev against the same measure
+over the part of the trace belonging to no window. Flat traces report zero
+everywhere; a window counts as detected when its ratio reaches 10. Its
+report maps each fraction to its ratio.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from .spectra import Spectrum, _phase_angles, _phase_factors, _phases
 #: magnitude (at least 1), above which the residue is treated as a bug.
 HERMITICITY_LIMIT = 1e-8
 
-#: Burst-detector defaults: window width as a fraction of the revival time,
-#: and the variance ratio at which a window counts as detected.
-DEFAULT_WINDOW_FRAC = 1.0 / 50.0
-DEFAULT_THRESHOLD = 10.0
+#: Burst detector: window width as a fraction of the revival time, and the
+#: variance ratio at which a window counts as detected.
+WINDOW_FRAC = 1.0 / 50.0
+BURST_THRESHOLD = 10.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class BurstReport:
     """
 
     ratios: Mapping[Fraction, float]
-    threshold: float
 
     def __post_init__(self) -> None:
         if any(ratio < 0.0 for ratio in self.ratios.values()):
@@ -72,31 +71,25 @@ class BurstReport:
         object.__setattr__(self, "ratios", MappingProxyType(dict(self.ratios)))
 
     def detected(self) -> tuple[Fraction, ...]:
-        """Fractions whose ratio reaches the threshold."""
-        return tuple(f for f, r in self.ratios.items() if r >= self.threshold)
+        """Fractions whose ratio reaches BURST_THRESHOLD."""
+        return tuple(f for f, r in self.ratios.items() if r >= BURST_THRESHOLD)
 
 
-def detect_bursts(
-    times,
-    values,
-    revival_time: float,
-    k_max: int,
-    window_frac: float = DEFAULT_WINDOW_FRAC,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> BurstReport:
+def detect_bursts(times, values, revival_time: float, k_max: int) -> BurstReport:
     """Score every reduced fraction j/k (k <= k_max) window of a sampled trace.
 
     times and values are 1-d arrays of equal length, finite, with times
     strictly increasing and covering [0, revival_time]; values may be real
-    or complex. revival_time and the threshold must be finite and positive.
-    Any other input raises ValueError.
+    or complex. revival_time must be finite and positive. Any other input
+    raises ValueError.
 
-    The score of a window centered at (j/k) * revival_time is the mean
-    squared deviation from the global trace mean inside the window divided
-    by the same quantity over the complement of all windows. Deviations are
-    measured from the one global mean, not per-window means: a fractional
-    revival announces itself as an excursion of the trace away from its
-    plateau, and that excursion must not be absorbed into a local mean.
+    The score of the window of width WINDOW_FRAC * revival_time centered at
+    (j/k) * revival_time is the mean squared deviation from the global trace
+    mean inside the window divided by the same quantity over the complement
+    of all windows. Deviations are measured from the one global mean, not
+    per-window means: a fractional revival announces itself as an excursion
+    of the trace away from its plateau, and that excursion must not be
+    absorbed into a local mean.
     Ratio conventions: 0/0 -> 0 (flat trace), positive/0 -> inf.
     """
     times = np.asarray(times, dtype=np.float64)
@@ -113,10 +106,6 @@ def detect_bursts(
         raise ValueError(f"revival_time must be finite and positive, got {revival_time:g}")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    if not (0.0 < window_frac < 1.0):
-        raise ValueError("window_frac must lie in (0, 1)")
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"threshold must be finite and positive, got {threshold:g}")
     span = 1e-9 * revival_time
     if times[0] > span or times[-1] < revival_time - span:
         raise ValueError("trace must cover [0, revival_time]")
@@ -124,7 +113,7 @@ def detect_bursts(
     fractions = sorted(
         {Fraction(j, k) for k in range(1, k_max + 1) for j in range(1, k + 1)}
     )
-    half = 0.5 * window_frac * revival_time
+    half = 0.5 * WINDOW_FRAC * revival_time
     deviations = np.abs(values - np.mean(values)) ** 2
     in_any = np.zeros(times.shape, dtype=bool)
     masks = []
@@ -142,7 +131,7 @@ def detect_bursts(
             ratios[frac] = in_level / out_level
         else:
             ratios[frac] = 0.0 if in_level == 0.0 else math.inf
-    return BurstReport(ratios, threshold)
+    return BurstReport(ratios)
 
 
 def _kerr_envelope(r: int, s: int, nu: float, chi: float, t):

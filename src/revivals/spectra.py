@@ -19,6 +19,7 @@ __all__ = [
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -314,12 +315,14 @@ def decompose_fractional(
     Coefficients come from the inverse DFT of the length-m quadratic phase
     sequence; component labels are the rotated copies of alpha. The result
     is verified against direct evolution and an overlap fidelity below
-    1 - 1e-9 raises (that signals a too-small truncation). An m above N + 1,
-    the kept levels, raises before any length-m work: beyond them the m
-    components are linearly dependent.
+    1 - 1e-9 raises (that signals a too-small truncation). m must be an
+    integer of at least 1; an m above N + 1, the kept levels, raises before
+    any length-m work: beyond them the m components are linearly dependent.
     """
     if spectrum.kind != "kerr":
         raise ValueError("fractional-revival decomposition is defined for kerr")
+    if not isinstance(m, numbers.Integral):
+        raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
     state = coherent_amplitudes(label, truncation)

@@ -3,6 +3,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import revivals
@@ -24,3 +25,15 @@ def cli_env():
         package_root + os.pathsep + inherited if inherited else package_root
     )
     return env
+
+
+def ladder(truncation):
+    """Truncated annihilation and creation matrices (a, a†) on levels 0..N, complex128.
+
+    The tests' dense reference for the ladder operators: sqrt(n) placed on
+    the superdiagonal by np.diag, sharing no code with the library's
+    closed forms or oracles.
+    """
+    roots = np.sqrt(np.arange(1, truncation + 1, dtype=np.float64))
+    a = np.diag(roots, k=1).astype(np.complex128)
+    return a, a.T

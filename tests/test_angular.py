@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import ladder
 
 from revivals import angular, moments
 from revivals.angular import (
@@ -13,7 +14,7 @@ from revivals.angular import (
     lx_moment,
     lx_moment_oracle,
 )
-from revivals.fock import CoherentLabel, auto_truncation, coherent_amplitudes, ladder_matrix
+from revivals.fock import CoherentLabel, auto_truncation, coherent_amplitudes
 from revivals.moments import ladder_moment
 from revivals.ordering import interference_power_terms
 from revivals.spectra import Spectrum, evolve
@@ -166,8 +167,7 @@ def test_high_orders_match_oracle_at_large_nu(nu, n):
 def _dense_oracle(n, label, chi, t):
     """<Lx^n> by dense per-mode ladder matrices acting on the two-mode amplitude array."""
     truncation = auto_truncation(max(label.mode_b.nu, label.mode_c.nu))
-    lower = ladder_matrix("annihilation", truncation)
-    raise_ = ladder_matrix("creation", truncation)
+    lower, raise_ = ladder(truncation)
     state = np.outer(*(
         evolve(coherent_amplitudes(mode, truncation), Spectrum.kerr(chi), t).amplitudes
         for mode in (label.mode_b, label.mode_c)
@@ -202,6 +202,17 @@ def test_hermiticity_guard_scales_with_magnitude():
     assert closed == pytest.approx(oracle, rel=1e-11)
 
 
+@pytest.mark.parametrize("n", [21, 31, 39])
+def test_oracle_hermiticity_guard_holds_where_the_moment_vanishes(n):
+    # Equal labels make every odd <Lx^n> vanish by symmetry, while its
+    # terms round at the size of |psi| |Lx^n psi|; a limit scaled by the
+    # vanishing value once reported that rounding as an expansion bug.
+    label = TriModeLabel.from_alphas(0.0, 1.0, 1.0)
+    scale = _magnitude_bound(n, label.mode_b, label.mode_c)
+    assert abs(lx_moment_oracle(n, label, 1.0, 0.2)) <= 1e-13 * scale
+    assert abs(lx_moment(n, label, 1.0, 0.2)) <= 1e-13 * scale
+
+
 def test_full_revival_periodicity():
     label = _label(1.4, -0.6, 0.8, 1.1)
     chi = 1.0
@@ -230,10 +241,16 @@ def test_axis_permutation():
         angular_moment("w", 1, label, 1.0, 0.0)
 
 
-def test_oracle_memory_guard():
-    label = _label(1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        lx_moment_oracle(1, label, 1.0, 0.0, per_mode_truncation=2500)
+def test_oracle_memory_guard(monkeypatch):
+    # Per-mode nu = 1700 has auto truncation 2133: (N + 1)^2 = 4.55e6 entries.
+    def refuse(*args, **kwargs):
+        raise AssertionError("amplitudes built for an oracle the guard refuses")
+
+    monkeypatch.setattr(angular, "coherent_amplitudes", refuse)
+    side = (2.0 * 1700.0) ** 0.5
+    label = _label(side, 0.0, 0.0, side)
+    with pytest.raises(ValueError, match="exceeds the memory guard"):
+        lx_moment_oracle(1, label, 1.0, 0.0)
 
 
 def test_oracle_refuses_bad_chi_and_time_before_any_warning():

@@ -61,16 +61,14 @@ def test_hermite_orthonormality():
 
 
 def test_vacuum_wavefunction_peak():
-    value = position_wavefunction(
-        CoherentLabel(0.0, 0.0), 0.0, 0.0, Spectrum.kerr(1.0), truncation=40
-    )
+    value = position_wavefunction(CoherentLabel(0.0, 0.0), 0.0, 0.0, Spectrum.kerr(1.0))
     assert value == pytest.approx(math.pi**-0.25, abs=1e-12)
 
 
 def test_real_alpha_density_peak_location():
     label = CoherentLabel.from_alpha(3.0)
     x = np.linspace(-9.0, 9.0, 3001)
-    psi = position_wavefunction(label, x, 0.0, Spectrum.kerr(1.0), truncation=50)
+    psi = position_wavefunction(label, x, 0.0, Spectrum.kerr(1.0))
     peak_x = x[np.argmax(np.abs(psi) ** 2)]
     assert peak_x == pytest.approx(3.0 * math.sqrt(2.0), abs=0.01)
 
@@ -80,7 +78,7 @@ def test_wavefunction_normalization_any_time():
     x = np.linspace(-10.0, 10.0, 2001)
     dx = x[1] - x[0]
     for t in (0.0, 0.17, math.pi / 3.0):
-        psi = position_wavefunction(label, x, t, Spectrum.kerr(1.0), truncation=50)
+        psi = position_wavefunction(label, x, t, Spectrum.kerr(1.0))
         total = float(np.sum(np.abs(psi) ** 2) - 0.5 * (
             abs(psi[0]) ** 2 + abs(psi[-1]) ** 2
         )) * dx
@@ -145,7 +143,7 @@ def test_count_lobes_synthetic_rows():
     assert count_lobes(np.array([0, 1, 1, 0, 0, 0.9, 0, 0.04, 0])) == 2
     assert count_lobes(np.array([1.0])) == 1
     # Threshold is relative to the row maximum.
-    assert count_lobes(np.array([0.2, 0.0, 0.01]), threshold=0.1) == 1
+    assert count_lobes(np.array([0.2, 0.0, 0.01])) == 1
 
 
 def test_carpet_guards():
@@ -347,6 +345,25 @@ def test_hermite_functions_fill_a_callers_table():
     for bad in (np.empty((7, 33)), np.empty((8, 33), dtype=np.float32)):
         with pytest.raises(ValueError, match="out must be a float64 array of shape"):
             hermite_functions(x, 7, out=bad)
+
+
+def test_hermite_functions_and_wavefunction_check_positions_and_order():
+    label = CoherentLabel(1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (math.inf, -math.inf, math.nan, 1e200, np.array([0.0, 2e154])):
+            with pytest.raises(ValueError, match="x extents must lie within"):
+                hermite_functions(np.atleast_1d(x), 3)
+            with pytest.raises(ValueError, match="x extents must lie within"):
+                position_wavefunction(label, x, 0.0, Spectrum.kerr(1.0))
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        hermite_functions(np.array([0.0]), -1)
+    # Any shape of x: psi comes back in that shape, equal to the flat grid's.
+    x = np.linspace(-3.0, 3.0, 12)
+    flat = position_wavefunction(label, x, 0.4, Spectrum.kerr(1.0))
+    square = position_wavefunction(label, x.reshape(3, 4), 0.4, Spectrum.kerr(1.0))
+    assert square.shape == (3, 4)
+    assert square.ravel().tobytes() == flat.tobytes()
 
 
 def test_grid_of_a_callers_array_is_a_private_read_only_copy():

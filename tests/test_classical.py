@@ -29,6 +29,17 @@ def test_array_validation_and_defaults():
         PendulumArray(t_rev=0.0)
 
 
+def test_array_refuses_non_integral_counts():
+    # A fractional count once gave ceil(count) oscillators and a TypeError in
+    # wave_count; a fractional base_cycles broke the exact recurrence.
+    for name in ("count", "base_cycles"):
+        for bad in (2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                PendulumArray(**{name: bad})
+    array = PendulumArray(count=np.int64(20), base_cycles=np.int32(3))
+    assert wave_count(array, 0.5) == (2, 10)
+
+
 def test_positions_at_recurrence_endpoints():
     array = PendulumArray()
     assert np.allclose(pendulum_positions(array, 0.0), 1.0)

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import ladder
 
 from revivals import fock
 from revivals.fock import (
@@ -15,7 +16,6 @@ from revivals.fock import (
     auto_truncation,
     coherent_amplitudes,
     inner_product,
-    ladder_matrix,
     ladder_product_matrix,
     number_distribution,
 )
@@ -118,26 +118,9 @@ def test_auto_truncation_covers_tail():
         assert state.tail_mass < 1e-11
 
 
-def test_ladder_matrices():
-    a = ladder_matrix("annihilation", 9)
-    adag = ladder_matrix("creation", 9)
-    num = ladder_matrix("number", 9)
-    assert np.allclose(adag, a.conj().T)
-    sub = np.diagonal(adag, offset=-1)
-    assert np.allclose(sub, np.sqrt(np.arange(1, 10)))
-    # a†a matches the number matrix except at the truncation edge.
-    prod = adag @ a
-    assert np.allclose(prod, num)
-    with pytest.raises(ValueError):
-        ladder_matrix("annihilation", 0)
-    with pytest.raises(ValueError):
-        ladder_matrix("sideways", 5)
-
-
 def test_ladder_product_matches_matrix_powers():
     n = 12
-    a = ladder_matrix("annihilation", n)
-    adag = ladder_matrix("creation", n)
+    a, adag = ladder(n)
     for r, k in ((0, 1), (1, 0), (2, 3), (3, 2), (2, 2)):
         direct = ladder_product_matrix(r, k, n)
         powered = np.linalg.matrix_power(adag, r) @ np.linalg.matrix_power(a, k)

@@ -7,13 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import ladder
 
 from revivals import moments
 from revivals.angular import TriModeLabel, angular_moment
 from revivals.fock import (
     CoherentLabel,
     coherent_amplitudes,
-    ladder_matrix,
     ladder_product_matrix,
 )
 from revivals.moments import (
@@ -100,8 +100,7 @@ def test_quadratures_against_oracle():
     state = coherent_amplitudes(label)
     big = state.padded(state.truncation + 4)
     n = big.truncation
-    a = ladder_matrix("annihilation", n)
-    adag = ladder_matrix("creation", n)
+    a, adag = ladder(n)
     x_op = (a + adag) / math.sqrt(2.0)
     p_op = (a - adag) / (1j * math.sqrt(2.0))
     x2_op = x_op @ x_op
@@ -199,8 +198,7 @@ def test_x_cubed_against_oracle():
     state = coherent_amplitudes(label)
     big = state.padded(state.truncation + 6)
     n = big.truncation
-    a = ladder_matrix("annihilation", n)
-    adag = ladder_matrix("creation", n)
+    a, adag = ladder(n)
     x3 = np.linalg.matrix_power((a + adag) / math.sqrt(2.0), 3)
     spectrum = Spectrum.kerr(chi)
     for t in np.linspace(0.0, math.pi, 25):
@@ -218,8 +216,7 @@ def test_x_powers_to_twenty_against_dense_matrix_power():
     spectrum = Spectrum.kerr(chi)
     for k in range(1, 21):
         big = state.padded(state.truncation + k)
-        a = ladder_matrix("annihilation", big.truncation)
-        adag = ladder_matrix("creation", big.truncation)
+        a, adag = ladder(big.truncation)
         xk = np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k)
         scale = 2.0 ** (-k / 2.0) * sum(
             abs(coeff) * label.radius ** (i + j) for (i, j), coeff in x_power_terms(k)
@@ -238,8 +235,7 @@ def test_high_power_hermiticity_guard_scales_with_magnitude(k, nu):
     label = CoherentLabel.from_alpha(math.sqrt(nu) * np.exp(0.7j))
     big = coherent_amplitudes(label)
     big = big.padded(big.truncation + k)
-    a = ladder_matrix("annihilation", big.truncation)
-    adag = ladder_matrix("creation", big.truncation)
+    a, adag = ladder(big.truncation)
     xk = np.linalg.matrix_power((a + adag) / math.sqrt(2.0), k)
     spectrum = Spectrum.kerr(chi)
     times = np.array([0.0, 0.05, 0.3, 1.1])
@@ -325,7 +321,7 @@ def test_numerical_expectation_examples():
     assert numerical_expectation(state, identity).real == pytest.approx(
         1.0, abs=1e-12
     )
-    number = ladder_matrix("number", state.truncation)
+    number = np.diag(np.arange(state.truncation + 1.0))
     assert numerical_expectation(state, number).real == pytest.approx(
         10.0, abs=1e-8
     )

@@ -13,13 +13,13 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ladder
 
 from revivals.angular import _AXIS_PAIRS, TriModeLabel, angular_moment, lx_moment_oracle
 from revivals.fock import (
     CoherentLabel,
     auto_truncation,
     coherent_amplitudes,
-    ladder_matrix,
     ladder_product_matrix,
 )
 from revivals.moments import expect_x_power, ladder_moment, numerical_expectation
@@ -68,7 +68,7 @@ def test_ladder_moment_matches_dense_oracle(label, r, s, daggers_first, chi, rev
 def test_x_power_matches_dense_oracle(label, k, chi, revival):
     t = revival * math.pi / chi
     evolved = _evolved(label, chi, t, k)
-    a = ladder_matrix("annihilation", evolved.truncation)
+    a, _ = ladder(evolved.truncation)
     x = np.linalg.matrix_power((a + a.T) / math.sqrt(2.0), k)
     dense = numerical_expectation(evolved, x).real
     scale = (1.0 + 2.0 * label.nu) ** (0.5 * k)

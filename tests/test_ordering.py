@@ -5,8 +5,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from conftest import ladder
 
-from revivals.fock import ladder_matrix, ladder_product_matrix
+from revivals.fock import ladder_product_matrix
 from revivals.ordering import (
     MAX_INTERFERENCE_POWER,
     _multiply_letter,
@@ -25,8 +26,7 @@ def normal_order_word(word):
 
 def _word_matrix(word, truncation):
     """Multiply truncated ladder matrices left to right for the given word."""
-    a = ladder_matrix("annihilation", truncation)
-    adag = ladder_matrix("creation", truncation)
+    a, adag = ladder(truncation)
     out = np.eye(truncation + 1, dtype=np.complex128)
     for creation in word:
         out = out @ (adag if creation else a)
@@ -75,8 +75,7 @@ def test_x_power_terms_low_orders():
 
 def test_x_power_terms_match_matrices():
     truncation = 20
-    a = ladder_matrix("annihilation", truncation)
-    adag = ladder_matrix("creation", truncation)
+    a, adag = ladder(truncation)
     x_op = a + adag
     for k in range(1, 5):
         rebuilt = _terms_matrix(dict(x_power_terms(k)), truncation)
@@ -156,8 +155,7 @@ def test_interference_expansion_matches_tensor_matrices():
     # Rebuild L_x^n from the expansion as a two-mode matrix and compare
     # against the direct matrix power, away from the truncation edge.
     margin_truncation = 12
-    a = ladder_matrix("annihilation", margin_truncation)
-    adag = ladder_matrix("creation", margin_truncation)
+    a, adag = ladder(margin_truncation)
     lx = (np.kron(adag, a) - np.kron(a, adag)) / 2j
     for n in range(1, 5):
         direct = np.linalg.matrix_power(lx, n)

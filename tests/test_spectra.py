@@ -288,6 +288,15 @@ def test_cat_decomposition_guards():
     ]
 
 
+def test_cat_order_must_be_an_integer():
+    # m = 2.5 once ran to a failed fidelity check that asked for a larger truncation.
+    label = CoherentLabel(2.0, 2.0)
+    for bad in (2.5, 2.0):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            decompose_fractional(label, bad, Spectrum.kerr(1.0))
+    assert decompose_fractional(label, np.int64(2), Spectrum.kerr(1.0)).m == 2
+
+
 def test_cat_order_bounded_by_the_kept_levels(monkeypatch):
     # Beyond the N + 1 kept levels the m components are linearly dependent.
     label = CoherentLabel(1.0, 1.0)
