@@ -194,10 +194,13 @@ def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = Non
     out[0, far] = 0.0   # the plain pass then stays exactly 0 (and fast) there
     if n_max >= 1:
         out[1] = math.sqrt(2.0) * x * out[0]
+    # Each row in place as ((c1 x) phi_n) - (c2 phi_{n-1}): the operations, in order, of
+    # the plain expression, so the bits are its bits.
+    scratch = np.empty_like(x)
     for n in range(1, n_max):
-        out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(
-            n / (n + 1.0)
-        ) * out[n - 1]
+        row = np.multiply(x, math.sqrt(2.0 / (n + 1)), out=out[n + 1])
+        row *= out[n]
+        row -= np.multiply(out[n - 1], math.sqrt(n / (n + 1.0)), out=scratch)
     if far.size:
         xf = x[far]
         log_scale = -0.5 * xf * xf - 0.25 * math.log(math.pi)

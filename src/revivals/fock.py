@@ -7,10 +7,12 @@ so the quadratures are x = (a + a†)/√2 and p = (a - a†)/(i√2) and a
 coherent label alpha = (p + iq)/√2 has mean photon number nu = |alpha|².
 
 Amplitudes are assembled through log-gamma sums, never raw factorials,
-so truncations up to a few thousand stay finite in float64. The values
-ln k! = lgamma(k + 1) come from one read-only module table, filled by
-math.lgamma on first need and doubled whenever a larger N asks for more,
-so repeated calls slice it instead of recomputing every level.
+so truncations up to a few thousand stay finite in float64. Every per-level
+value comes from one read-only module table of two rows, n and ln(n!)/2
+with ln n! = lgamma(n + 1), filled on first need and doubled
+whenever a larger N asks for more, so repeated calls slice it instead of
+recomputing every level. States the library has just built are adopted by
+FockVector without a copy.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ __all__ = [
 ]
 
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -37,6 +40,17 @@ def auto_truncation(nu: float) -> int:
     level count that no array can hold is refused here already.
     """
     return _check_level_count(nu, math.ceil(nu + 10.0 * math.sqrt(nu) + 20.0))
+
+
+def _check_count(name: str, value) -> int:
+    """value as an int, after refusing a non-integer (NumPy integers pass) or a negative one."""
+    try:
+        count = operator.index(value)   # far cheaper than isinstance(value, numbers.Integral)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return count
 
 
 def _check_level_count(nu: float, truncation: int) -> int:
@@ -103,14 +117,18 @@ class FockVector:
     truncation is always len(amplitudes) - 1, a read-only property.
     tail_mass carries, when known, the probability weight the truncation cut
     off (1 - sum |c_n|^2 of the untruncated state); consumers compare it
-    against their tolerance instead of receiving warnings.
+    against their tolerance instead of receiving warnings. The vector holds
+    its own read-only copy of amplitudes, except that the library hands over
+    (_adopt=True) a complex128 array it has just built and shares with no
+    one, which is kept as is.
     """
 
     amplitudes: np.ndarray
     tail_mass: float | None = field(default=None, kw_only=True)
+    _adopt: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=np.complex128).copy()
+    def __post_init__(self, _adopt: bool) -> None:
+        amp = self.amplitudes if _adopt else np.asarray(self.amplitudes, dtype=np.complex128).copy()
         if amp.ndim != 1 or amp.size == 0:
             raise ValueError("amplitudes must be a nonempty 1-d sequence")
         amp.setflags(write=False)
@@ -125,54 +143,63 @@ class FockVector:
 
     def padded(self, truncation: int) -> "FockVector":
         """Zero-extend to a larger truncation (needed to match operator dims)."""
+        truncation = _check_count("truncation", truncation)
         if truncation < self.truncation:
             raise ValueError("padding cannot shrink a state")
         amp = np.zeros(truncation + 1, dtype=np.complex128)
         amp[: self.truncation + 1] = self.amplitudes
-        return FockVector(amp, tail_mass=self.tail_mass)
+        return FockVector(amp, tail_mass=self.tail_mass, _adopt=True)
 
 
-#: ln k! = math.lgamma(k + 1.0) for k = 0..size - 1; grown by _log_factorials only.
-_LOG_FACTORIALS = np.zeros(0)
+#: Per-level rows for n = 0..size - 1: n as float64 and ln(n!)/2 =
+#: math.lgamma(n + 1.0)/2; grown by _level_table only.
+_LEVEL_TABLE = np.zeros((2, 0))
 
 
-def _log_factorials(count: int) -> np.ndarray:
-    """Read-only ln k! for k = 0..count - 1, sliced from the module table.
+def _level_table(count: int) -> np.ndarray:
+    """The read-only (2, size) module table of rows n and ln(n!)/2, with size >= count.
 
     A request past the table's end refills it at max(count, twice its size)
-    entries, computing only the new ones with math.lgamma(k + 1.0).
+    levels, computing only the new ones. Callers slice the row they need, so
+    each is contiguous. Halving is exact, so ln(n!)/2 carries the bits of
+    0.5 * lgamma(n + 1.0).
     """
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
-    if count > table.size:
-        size = max(count, 2 * table.size)
-        grown = np.empty(size, dtype=np.float64)
-        grown[: table.size] = table
-        grown[table.size :] = np.fromiter(
-            (math.lgamma(k + 1.0) for k in range(table.size, size)),
-            dtype=np.float64,
-            count=size - table.size,
+    global _LEVEL_TABLE
+    table = _LEVEL_TABLE
+    old = table.shape[1]
+    if count > old:
+        size = max(count, 2 * old)
+        grown = np.empty((2, size), dtype=np.float64)
+        grown[:, :old] = table
+        grown[0, old:] = np.arange(old, size, dtype=np.float64)
+        grown[1, old:] = np.fromiter(
+            (math.lgamma(k + 1.0) for k in range(old, size)), dtype=np.float64, count=size - old
         )
+        grown[1, old:] *= 0.5
         grown.setflags(write=False)
-        _LOG_FACTORIALS = table = grown
-    return table[:count]
+        _LEVEL_TABLE = table = grown
+    return table
 
 
 def _log_amplitudes(nu: float, truncation: int) -> np.ndarray:
-    """ln of the Poisson amplitude magnitudes n*ln|alpha| - lnGamma(n+1)/2 - nu/2.
+    """ln of the Poisson amplitude magnitudes n*ln|alpha| - lnGamma(n+1)/2 - nu/2, a fresh array.
 
     Every amplitude and weight vector is sized here, so here a level count
     that no array can hold is refused, before numpy tries to allocate it.
     """
     _check_level_count(nu, truncation)
-    n = np.arange(truncation + 1, dtype=np.float64)
-    lgamma = _log_factorials(truncation + 1)
     if nu == 0.0:
         # ln|alpha| = -inf; only n = 0 survives.
         out = np.full(truncation + 1, -np.inf)
         out[0] = 0.0
         return out
-    return 0.5 * n * math.log(nu) - 0.5 * lgamma - 0.5 * nu
+    dim = truncation + 1
+    table = _level_table(dim)
+    # n * (ln(nu)/2) has the bits of (n/2) * ln(nu): both halvings are exact.
+    out = np.multiply(table[0, :dim], 0.5 * math.log(nu))
+    out -= table[1, :dim]
+    out -= 0.5 * nu
+    return out
 
 
 def coherent_amplitudes(
@@ -183,23 +210,28 @@ def coherent_amplitudes(
     With truncation None the auto rule is applied, which keeps the cut tail
     below DEFAULT_TOLERANCE for any sane nu. A too-small explicit truncation
     is not an error; the returned vector reports the lost weight in tail_mass
-    and callers compare that against whatever tolerance they run with.
+    and callers compare that against whatever tolerance they run with. An
+    explicit truncation must be an integer >= 0.
     """
-    if truncation is None:
-        truncation = auto_truncation(label.nu)
-    if truncation < 0:
-        raise ValueError("truncation must be >= 0")
-    logs = _log_amplitudes(label.nu, truncation)
-    magnitudes = np.exp(logs)
-    phases = np.exp(1j * label.angle * np.arange(truncation + 1))
-    tail = max(0.0, 1.0 - float(np.sum(magnitudes * magnitudes)))
-    return FockVector(magnitudes * phases, tail_mass=tail)
+    nu = label.nu
+    truncation = auto_truncation(nu) if truncation is None else _check_count("truncation", truncation)
+    logs = _log_amplitudes(nu, truncation)
+    magnitudes = np.exp(logs, out=logs)
+    # np.add.reduce is np.sum without its Python wrapper: the same pairwise sum.
+    tail = max(0.0, 1.0 - float(np.add.reduce(magnitudes * magnitudes)))
+    # e^{i angle n} from the cached n, then times the magnitudes, all in one array.
+    amplitudes = np.zeros(truncation + 1, dtype=np.complex128)
+    np.multiply(_level_table(truncation + 1)[0, : truncation + 1], label.angle, out=amplitudes.imag)
+    np.exp(amplitudes, out=amplitudes)
+    amplitudes *= magnitudes
+    return FockVector(amplitudes, tail_mass=tail, _adopt=True)
 
 
 def number_distribution(label: CoherentLabel) -> np.ndarray:
     """Poisson weights e^{-nu} nu^n / n! for n = 0..N at the auto-truncation N."""
     logs = _log_amplitudes(label.nu, auto_truncation(label.nu))
-    return np.exp(2.0 * logs)
+    logs *= 2.0
+    return np.exp(logs, out=logs)
 
 
 def ladder_product_matrix(r: int, k: int, truncation: int) -> np.ndarray:
@@ -207,20 +239,23 @@ def ladder_product_matrix(r: int, k: int, truncation: int) -> np.ndarray:
 
     Acting on |n> gives sqrt(n!/(n-k)!) * sqrt((n-k+r)!/(n-k)!) |n-k+r>,
     so the matrix has a single shifted diagonal, filled in one pass over
-    n = k..min(N, N+k-r) from the log-factorial table. Entries come straight
+    n = k..min(N, N+k-r) from the ln(n!)/2 row of the level table. Entries come straight
     from that rule rather than from multiplying ladder matrices, which
     provides an independent construction to test the product route against.
+    r, k and truncation must be integers >= 0.
     """
-    if r < 0 or k < 0:
-        raise ValueError("operator powers must be nonnegative")
-    dim = truncation + 1
+    r, k = _check_count("r", r), _check_count("k", k)
+    dim = _check_count("truncation", truncation) + 1
     out = np.zeros((dim, dim), dtype=np.complex128)
-    log_fact = _log_factorials(dim)
-    n = np.arange(k, min(dim, dim + k - r))
-    base = log_fact[n - k]
-    out[n - k + r, n] = np.exp(
-        0.5 * (log_fact[n] - base) + 0.5 * (log_fact[n - k + r] - base)
-    )
+    stop = min(dim, dim + k - r)   # levels n < stop keep n - k + r inside the space
+    count = stop - k
+    if count > 0:
+        half_log_fact = _level_table(dim)[1]
+        base = half_log_fact[:count]   # ln((n-k)!)/2
+        logs = np.subtract(half_log_fact[k:stop], base)
+        logs += np.subtract(half_log_fact[r : r + count], base)
+        # Entry (n - k + r, n) sits at flat index (n - k + r) dim + n: a stride of dim + 1.
+        out.ravel()[r * dim + k :: dim + 1][:count] = np.exp(logs, out=logs)
     return out
 
 

@@ -40,7 +40,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fock import CoherentLabel, FockVector, number_distribution
+from .fock import CoherentLabel, FockVector, _check_count, number_distribution
 from .ordering import x_power_terms
 from .spectra import Spectrum, _phase_angles, _phase_factors, _phases
 
@@ -169,10 +169,9 @@ def ladder_moment(i: int, j: int, label: CoherentLabel, chi: float, t):
     """<(a†)^i a^j> for arbitrary powers, via conjugation when daggers exceed.
 
     <(a†)^i a^j> with i > j is the conjugate of <(a†)^j a^i>, which the
-    normal-ordered closed form covers directly.
+    normal-ordered closed form covers directly. i and j must be integers >= 0.
     """
-    if i < 0 or j < 0:
-        raise ValueError("operator powers must be nonnegative")
+    i, j = _check_count("i", i), _check_count("j", j)
     if j >= i:
         return _kerr_moment(i, j - i, label, chi, t)
     return np.conj(_kerr_moment(j, i - j, label, chi, t))
@@ -195,7 +194,8 @@ def autocorrelation(label: CoherentLabel, spectrum: Spectrum, t):
     if t_arr.ndim == 0:
         # One time: building and contracting phase tables costs more than
         # this sum, and scalar calls are the oracle checks' hot path.
-        return complex(np.sum(weights * _phases(spectrum, weights.size - 1, float(t_arr), 1.0)))
+        # np.add.reduce is np.sum without its Python wrapper: the same pairwise sum.
+        return complex(np.add.reduce(weights * _phases(spectrum, weights.size - 1, float(t_arr), 1.0)))
     flat = t_arr.ravel()
     out = np.empty(flat.size, dtype=np.complex128)
     block = max(1, 2_000_000 // weights.size)
@@ -223,12 +223,27 @@ def _quadrature_moments(s: int, label: CoherentLabel, chi: float, t):
     """
     damping, angle = _kerr_envelope(0, s, label.nu, chi, t)
     p, q = label.p, label.q
+    # angle is dropped once read, and augmented operators work in place on
+    # arrays (on scalars they rebind), so a trace of M times holds at most
+    # five arrays of M here.
     cos, sin = np.cos(angle), np.sin(angle)
+    del angle
     if s == 1:
-        return damping * (p * cos + q * sin), damping * (q * cos - p * sin)
-    bracket = damping * ((p * p - q * q) * cos + 2.0 * p * q * sin)
-    base = 1.0 + p * p + q * q
-    return 0.5 * base + 0.5 * bracket, 0.5 * base - 0.5 * bracket
+        x = p * cos
+        x += q * sin
+        x *= damping
+        cos *= q
+        sin *= p
+        cos -= sin
+        cos *= damping
+        return x, cos
+    cos *= p * p - q * q
+    sin *= 2.0 * p * q
+    cos += sin
+    cos *= damping
+    cos *= 0.5   # half the bracket
+    half_base = 0.5 * (1.0 + p * p + q * q)
+    return half_base + cos, half_base - cos
 
 
 def expect_x(label: CoherentLabel, chi: float, t):
@@ -313,8 +328,9 @@ def uncertainty_trace(label: CoherentLabel, chi: float, times):
     """
     times = np.asarray(times, dtype=np.float64)
     x, p = _quadrature_moments(1, label, chi, times)
-    x2, p2 = _quadrature_moments(2, label, chi, times)
-    var_x, var_p = x2 - x**2, p2 - p**2
+    var_x, var_p = _quadrature_moments(2, label, chi, times)
+    var_x -= x**2
+    var_p -= p**2
     if not (np.all(var_x > 0.0) and np.all(var_p > 0.0)):
         raise ArithmeticError(
             f"uncertainty trace at nu = {label.nu:.6g}: <x^2> - <x>^2 or "

@@ -177,7 +177,9 @@ def _phases(spectrum: Spectrum, truncation: int, t, sign: float = -1.0) -> np.nd
 def evolve(state: FockVector, spectrum: Spectrum, t: float) -> FockVector:
     """Multiply by the phases e^{-i chi E(n) t} of _phases; norm is preserved exactly."""
     phases = _phases(spectrum, state.truncation, t)
-    return FockVector(state.amplitudes * phases, tail_mass=state.tail_mass)
+    # amplitudes first: the complex multiply may fuse, so the order fixes the bits.
+    np.multiply(state.amplitudes, phases, out=phases)
+    return FockVector(phases, tail_mass=state.tail_mass, _adopt=True)
 
 
 def _phase_factors(
@@ -344,10 +346,8 @@ def decompose_fractional(
     evolved = evolve(state, spectrum, t)
     recon = np.zeros_like(evolved.amplitudes)
     for coeff, component in zip(coefficients, labels):
-        recon = recon + coeff * coherent_amplitudes(
-            component, state.truncation
-        ).amplitudes
-    recon_vec = FockVector(recon)
+        recon += coeff * coherent_amplitudes(component, state.truncation).amplitudes
+    recon_vec = FockVector(recon, _adopt=True)
     overlap = inner_product(recon_vec, evolved)
     fidelity = abs(overlap) ** 2 / (recon_vec.norm_sq() * evolved.norm_sq())
     if fidelity < 1.0 - FIDELITY_FLOOR:

@@ -337,6 +337,50 @@ def test_pgm_matches_out_of_place_quantization_bits():
     assert grid_to_pgm(grid) == b"P5\n97 61\n255\n" + levels.tobytes()
 
 
+def _hermite_by_expressions(x, n_max):
+    """hermite_functions before its plain rows were formed in place: each row a fresh expression."""
+    out = np.empty((n_max + 1, x.size))
+    out[0] = math.pi ** -0.25 * np.exp(-0.5 * x * x)
+    far = np.flatnonzero(out[0] < carpets._FAR_PHI0)
+    out[0, far] = 0.0
+    if n_max >= 1:
+        out[1] = math.sqrt(2.0) * x * out[0]
+    for n in range(1, n_max):
+        out[n + 1] = math.sqrt(2.0 / (n + 1)) * x * out[n] - math.sqrt(n / (n + 1.0)) * out[n - 1]
+    if far.size:
+        xf = x[far]
+        log_scale = -0.5 * xf * xf - 0.25 * math.log(math.pi)
+        factor = np.exp(log_scale)
+        out[0, far] = factor
+        prev, u = np.zeros_like(xf), np.ones_like(xf)
+        for n in range(n_max):
+            prev, u = u, math.sqrt(2.0 / (n + 1)) * xf * u - math.sqrt(n / (n + 1.0)) * prev
+            big = np.flatnonzero(np.abs(u) > carpets._FAR_RESCALE)
+            if big.size:
+                size = np.abs(u[big])
+                u[big] /= size
+                prev[big] /= size
+                log_scale[big] += np.log(size)
+                factor[big] = np.exp(log_scale[big])
+            out[n + 1, far] = u * factor
+    return out
+
+
+@pytest.mark.parametrize(
+    "x, n_max",
+    [
+        (np.linspace(-6.0, 6.0, 61), 62),
+        (np.linspace(-75.0, 75.0, 301), 700),     # a far run at each end
+        (np.linspace(-40.0, 10.0, 97), 130),      # one far run
+        (np.array([-50.0, 0.0, 27.0, -27.0, 3.0, 100.0, 26.0]), 300),   # scattered far columns
+        (np.linspace(-30.0, 30.0, 7), 0),
+        (np.linspace(-30.0, 30.0, 7), 1),
+    ],
+)
+def test_hermite_functions_keep_the_bits_of_the_expressions(x, n_max):
+    assert hermite_functions(x, n_max).tobytes() == _hermite_by_expressions(x, n_max).tobytes()
+
+
 def test_hermite_functions_fill_a_callers_table():
     x = np.linspace(-4.0, 4.0, 33)
     out = np.full((8, 33), np.nan)

@@ -19,6 +19,8 @@ from revivals.fock import (
     ladder_product_matrix,
     number_distribution,
 )
+from revivals.moments import ladder_moment
+from revivals.spectra import Spectrum, evolve
 
 
 def test_label_alpha_roundtrip():
@@ -130,24 +132,35 @@ def test_ladder_product_matches_matrix_powers():
         assert np.max(np.abs(direct[:rows] - powered[:rows])) < 1e-12
 
 
+def _fresh_level_table(count):
+    n = np.arange(count, dtype=np.float64)
+    return np.array([n, [0.5 * math.lgamma(k + 1.0) for k in range(count)]])
+
+
 def test_log_factorial_table_grows_and_matches_lgamma(monkeypatch):
     # Start from an empty table so growth is exercised whatever ran before.
-    monkeypatch.setattr(fock, "_LOG_FACTORIALS", np.zeros(0))
+    monkeypatch.setattr(fock, "_LEVEL_TABLE", np.zeros((2, 0)))
+    first = coherent_amplitudes(CoherentLabel(1.0, -2.0), truncation=7).amplitudes
     sizes = []
-    for count in (10, 3101, 5):
-        values = fock._log_factorials(count)
-        sizes.append(fock._LOG_FACTORIALS.size)
-        expected = [math.lgamma(k + 1.0) for k in range(count)]
-        assert values.tolist() == expected
-        assert not values.flags.writeable
+    for count in (10, 3101, 5):   # small, large, small again
+        table = fock._level_table(count)
+        sizes.append(table.shape[1])
+        assert table is fock._LEVEL_TABLE
+        assert table[:, :count].tobytes() == _fresh_level_table(count).tobytes()
+        assert not table.flags.writeable
         with pytest.raises(ValueError):
-            values[0] = 1.0
-    # Doubling: 10 entries, then 3101 (more than twice 10), then no change.
-    assert sizes == [10, 3101, 3101]
-    assert fock._log_factorials(3200).size == 3200
-    assert fock._LOG_FACTORIALS.size == 6202
-    assert fock._LOG_FACTORIALS.tolist() == [math.lgamma(k + 1.0) for k in range(6202)]
-    assert not fock._LOG_FACTORIALS.flags.writeable
+            table[1, 0] = 1.0
+    # Doubling: 8 levels for the amplitudes, then 16 (twice 8) for 10, then
+    # 3101 (more than twice 16), then no change.
+    assert sizes == [16, 3101, 3101]
+    grown = fock._level_table(3200)
+    assert grown.shape == (2, 6202)
+    # One request for 6202 levels on an empty table gives the same bits, and
+    # so do the amplitudes read from the grown table.
+    monkeypatch.setattr(fock, "_LEVEL_TABLE", np.zeros((2, 0)))
+    assert fock._level_table(6202).tobytes() == grown.tobytes() == _fresh_level_table(6202).tobytes()
+    again = coherent_amplitudes(CoherentLabel(1.0, -2.0), truncation=7).amplitudes
+    assert again.tobytes() == first.tobytes()
 
 
 def _ladder_product_by_rule(r, k, truncation):
@@ -175,6 +188,58 @@ def test_ladder_product_matches_entry_rule():
                 assert np.array_equal(built != 0, rule != 0), (r, k, truncation)
                 scale = np.where(rule != 0, np.abs(rule), 1.0)
                 assert np.max(np.abs(built - rule) / scale) <= 4 * eps, (r, k, truncation)
+
+
+def _ladder_product_by_fancy_index(r, k, truncation):
+    """The construction by np.arange and a 2-d fancy scatter that the strided diagonal replaced."""
+    dim = truncation + 1
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    log_fact = np.array([math.lgamma(n + 1.0) for n in range(dim)])
+    n = np.arange(k, min(dim, dim + k - r))
+    base = log_fact[n - k]
+    out[n - k + r, n] = np.exp(0.5 * (log_fact[n] - base) + 0.5 * (log_fact[n - k + r] - base))
+    return out
+
+
+@pytest.mark.parametrize("truncation", [0, 1, 2, 3, 5, 10, 40, 127])
+def test_ladder_product_matches_fancy_index_construction_bit_for_bit(truncation):
+    # r, k up to 6 include r - k > N at the small truncations: an empty diagonal.
+    for r in range(7):
+        for k in range(7):
+            built = ladder_product_matrix(r, k, truncation)
+            assert built.shape == (truncation + 1,) * 2 and built.flags.c_contiguous
+            assert built.tobytes() == _ladder_product_by_fancy_index(r, k, truncation).tobytes(), (r, k)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: ladder_product_matrix(1.5, 1, 3), "r"),
+        (lambda: ladder_product_matrix(1, 2.0, 3), "k"),
+        (lambda: ladder_product_matrix(1, 1, 2.5), "truncation"),
+        (lambda: ladder_product_matrix(-1, 1, 3), "r"),
+        (lambda: ladder_product_matrix(1, 1, -1), "truncation"),
+        (lambda: coherent_amplitudes(CoherentLabel(1.0, 0.0), 2.5), "truncation"),
+        (lambda: coherent_amplitudes(CoherentLabel(1.0, 0.0), -3), "truncation"),
+        (lambda: coherent_amplitudes(CoherentLabel(1.0, 0.0), 4).padded(5.5), "truncation"),
+        (lambda: ladder_moment(1.5, 2, CoherentLabel(1.0, 0.0), 1.0, 0.3), "i"),
+        (lambda: ladder_moment(1, "2", CoherentLabel(1.0, 0.0), 1.0, 0.3), "j"),
+        (lambda: ladder_moment(0, -1, CoherentLabel(1.0, 0.0), 1.0, 0.3), "j"),
+    ],
+)
+def test_powers_and_truncations_must_be_nonnegative_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be (an integer, got|>= 0$)"):
+        call()
+
+
+def test_powers_and_truncations_accept_numpy_integers():
+    label = CoherentLabel(1.0, 0.5)
+    assert np.array_equal(ladder_product_matrix(np.int64(2), np.uint8(1), np.int32(6)),
+                          ladder_product_matrix(2, 1, 6))
+    state = coherent_amplitudes(label, np.int64(6))
+    assert state.amplitudes.tobytes() == coherent_amplitudes(label, 6).amplitudes.tobytes()
+    assert state.padded(np.int16(9)).truncation == 9
+    assert ladder_moment(np.int64(1), np.int64(2), label, 1.0, 0.3) == ladder_moment(1, 2, label, 1.0, 0.3)
 
 
 def test_inner_product_requires_matching_truncation():
@@ -206,6 +271,34 @@ def test_fock_vector_validation():
     assert vec.truncation == 1
     with pytest.raises(ValueError):
         vec.amplitudes[0] = 5.0
+
+
+def test_fock_vector_copies_what_it_is_given():
+    source = np.array([1.0, 2j, 3.0])
+    vec = FockVector(source)
+    assert not np.shares_memory(vec.amplitudes, source)
+    source[0] = 7.0
+    assert vec.amplitudes.tolist() == [1.0, 2j, 3.0]
+    assert not vec.amplitudes.flags.writeable
+
+
+def test_library_states_share_no_memory_with_their_inputs():
+    # Built states are adopted without a copy, so each must be a fresh,
+    # read-only array of its own: never a view of its input or of the
+    # per-level table.
+    state = coherent_amplitudes(CoherentLabel(1.0, 1.0), truncation=9)
+    built = {
+        "coherent_amplitudes": state,
+        "evolve": evolve(state, Spectrum.kerr(1.0), 0.4),
+        "padded": state.padded(12),
+    }
+    for name, vec in built.items():
+        assert vec.amplitudes.dtype == np.complex128 and vec.amplitudes.flags.owndata, name
+        assert not vec.amplitudes.flags.writeable, name
+        assert not np.shares_memory(vec.amplitudes, fock._LEVEL_TABLE), name
+        if vec is not state:
+            assert not np.shares_memory(vec.amplitudes, state.amplitudes), name
+            assert vec.tail_mass == state.tail_mass, name
 
 
 def test_fock_vector_truncation_is_derived_not_accepted():

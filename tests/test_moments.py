@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -361,6 +362,39 @@ def test_second_quadrature_moments_finite_at_the_largest_nu():
         base = 1.0 + p * p + q * q
         assert expect_x2(label, 1.0, t).tobytes() == (0.5 * (base + bracket)).tobytes()
         assert expect_p2(label, 1.0, t).tobytes() == (0.5 * (base - bracket)).tobytes()
+
+
+def test_in_place_quadratures_keep_the_bits_of_the_expressions():
+    rng = np.random.default_rng(11)
+    t = np.concatenate([rng.uniform(-4.0, 4.0, 500), [0.0, 1e-9, math.pi]])
+    for p, q in [(2.0, 1.0), (0.0, -3.0), *rng.uniform(-9.0, 9.0, size=(8, 2))]:
+        label = CoherentLabel(p, q)
+        for times in (t, 0.77, np.asarray(0.77)):
+            damping, angle = moments._kerr_envelope(0, 1, label.nu, 1.3, times)
+            cos, sin = np.cos(angle), np.sin(angle)
+            x, p_ = damping * (p * cos + q * sin), damping * (q * cos - p * sin)
+            assert np.asarray(expect_x(label, 1.3, times)).tobytes() == np.asarray(x).tobytes()
+            assert np.asarray(expect_p(label, 1.3, times)).tobytes() == np.asarray(p_).tobytes()
+            x2, p2 = expect_x2(label, 1.3, times), expect_p2(label, 1.3, times)
+            dx, dp = uncertainty_trace(label, 1.3, times)
+            assert np.asarray(dx).tobytes() == np.asarray(np.sqrt(x2 - x**2)).tobytes()
+            assert np.asarray(dp).tobytes() == np.asarray(np.sqrt(p2 - p_**2)).tobytes()
+
+
+def test_uncertainty_trace_peak_memory_is_a_few_arrays():
+    # The result is two float64 arrays, 16 B a sample; with the quadratures
+    # formed in place the whole call peaks at 56 B a sample (80 before).
+    label = CoherentLabel(2.0, 1.0)
+    times = np.linspace(0.0, 3.0, 200_000)
+    uncertainty_trace(label, 1.0, times)   # caches filled outside the measurement
+    tracemalloc.start()
+    try:
+        dx, dp = uncertainty_trace(label, 1.0, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dx.shape == dp.shape == times.shape
+    assert peak < 64 * times.size
 
 
 def test_uncertainty_trace_refuses_a_cancelled_variance():
