@@ -347,14 +347,8 @@ def grid_to_csv(grid: CarpetGrid, chi: float) -> bytes:
     return b"".join(_csv_chunks(grid, chi))
 
 
-def grid_to_pgm(grid: CarpetGrid) -> bytes:
-    """8-bit binary PGM (P5), normalized to 0..255 over the whole grid.
-
-    Whole-grid normalization (not per row) keeps fractional-revival rows
-    dimmer than the full revivals. Rows are scaled and rounded in chunks of
-    about _PGM_CHUNK_CELLS cells (one row if it is longer), so no float
-    temporary is larger than a chunk.
-    """
+def _pgm_parts(grid: CarpetGrid) -> tuple[bytes, np.ndarray]:
+    """grid_to_pgm's header and its nt x nx uint8 levels, which a file can take one after the other."""
     peak = float(grid.density.max(initial=0.0))
     scale = 255.0 / peak if peak > 0.0 else 0.0   # an all-zero grid stays 0
     levels = np.empty(grid.density.shape, dtype=np.uint8)
@@ -362,5 +356,16 @@ def grid_to_pgm(grid: CarpetGrid) -> bytes:
     for r in range(0, grid.nt, rows):
         scaled = grid.density[r : r + rows] * scale
         levels[r : r + rows] = np.rint(scaled, out=scaled)
-    header = f"P5\n{grid.nx} {grid.nt}\n255\n".encode("ascii")
-    return header + levels.tobytes()
+    return f"P5\n{grid.nx} {grid.nt}\n255\n".encode("ascii"), levels
+
+
+def grid_to_pgm(grid: CarpetGrid) -> bytes:
+    """8-bit binary PGM (P5), normalized to 0..255 over the whole grid.
+
+    Whole-grid normalization (not per row) keeps fractional-revival rows
+    dimmer than the full revivals. Rows are scaled and rounded in chunks of
+    about _PGM_CHUNK_CELLS cells (one row if it is longer), so no float
+    temporary is larger than a chunk, into one uint8 level array that is
+    joined to the header without another copy of the image.
+    """
+    return b"".join(_pgm_parts(grid))

@@ -6,8 +6,9 @@ from shared groups (label, chi, time grid, spectrum, truncation, output).
 The entry also declares the command's metadata keys, written after
 ``# command`` in order. ``main(argv)`` parses, checks the flags, and
 hands the namespace to the handler, which computes all it needs and returns
-the values and the file's body as chunks (a table's header and rows, formed
-as they are written, or a PGM image). Only then does ``main`` open the file,
+the values and the file's body as bytes-like chunks (a table's header and
+rows, formed as they are written, or a PGM image's header and its uint8
+level array, written without a copy). Only then does ``main`` open the file,
 write the metadata, each key from those values or else from the flags, the
 chunks and the summary line, the first value. A command declares exactly
 the flags its handler reads, and defaults live only in the parser.
@@ -41,7 +42,7 @@ import numpy as np
 
 from ._text import fmt, metadata, table
 from .angular import TriModeLabel, lx_moment
-from .carpets import _csv_chunks, carpet, grid_to_pgm
+from .carpets import _csv_chunks, _pgm_parts, carpet
 from .classical import (
     PendulumArray,
     paraxial_talbot_length,
@@ -149,7 +150,7 @@ def _run_carpet(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
     period = revival_time(spectrum)
     keys = ("x_min", "x_max", "nx", "t_min", "t_max", "nt", "truncation")
     grid = carpet(label, spectrum, **{key: getattr(args, key) for key in keys})
-    body = (grid_to_pgm(grid),) if args.fmt == "pgm" else _csv_chunks(grid, args.chi)
+    body = _pgm_parts(grid) if args.fmt == "pgm" else _csv_chunks(grid, args.chi)
     return {"revival_time": period}, body
 
 

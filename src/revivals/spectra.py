@@ -44,6 +44,7 @@ class _Form(NamedTuple):
     kind: str
     codes: tuple[int, ...]      # q c_k, lowest power first
     q: int                      # the least common denominator of the c_k
+    g: int                      # the gcd of the integers q(E(n) - E(0))
     cycles: float               # q/g rounded once: chi T_rev / (2 pi)
 
 
@@ -75,7 +76,7 @@ def _exact_form(*coefficients: int | Fraction) -> _Form:
     if max(q, *map(abs, codes)) > sys.float_info.max:
         raise ValueError("a spectrum's common denominator q and codes q c_k must fit in float64")
     kind = next((name for name, known in _KINDS.items() if known == coefficients), "custom")
-    return _Form(coefficients, kind, tuple(codes), q, q / g)
+    return _Form(coefficients, kind, tuple(codes), q, g, q / g)
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,10 @@ class Spectrum:
         """energies(truncation) and its max |E_n|, cached for the 256 last used."""
         return _horner_levels(self._form.codes, self._form.q, truncation)
 
+    def _period(self) -> float:
+        """The revival period 2 pi (q/g)/chi of revival_time, or inf where it overflows."""
+        return 2.0 * math.pi * self._form.cycles / self.chi
+
 
 @functools.lru_cache(maxsize=256)
 def _horner_levels(codes: tuple[int, ...], q: int, truncation: int) -> tuple[np.ndarray, float]:
@@ -164,14 +169,15 @@ def _phase_angles(chi: float, levels, t, level_max: float | None = None):
     return chi * (t * levels)
 
 
-def _phases(spectrum: Spectrum, truncation: int, t, sign: float = -1.0) -> np.ndarray:
-    """e^{sign i chi E_n t} for n <= truncation, the one place these exponentials are taken.
+def _phases(spectrum: Spectrum, truncation: int, t, sign: float = -1.0, first: int = 0) -> np.ndarray:
+    """e^{sign i chi E_n t} for first <= n <= truncation, the one place these exponentials are taken.
 
     The angles come from _phase_angles, so t pairs with the levels as there
-    and a bad chi, a non-finite t or an overflow raises ValueError first.
+    and a bad chi, a non-finite t or an overflow of any level n <= truncation
+    raises ValueError first.
     """
     levels, level_max = spectrum._levels(truncation)
-    return np.exp(sign * 1j * _phase_angles(spectrum.chi, levels, t, level_max))
+    return np.exp(sign * 1j * _phase_angles(spectrum.chi, levels[first:], t, level_max))
 
 
 def evolve(state: FockVector, spectrum: Spectrum, t: float) -> FockVector:
@@ -182,52 +188,127 @@ def evolve(state: FockVector, spectrum: Spectrum, t: float) -> FockVector:
     return FockVector(phases, tail_mass=state.tail_mass, _adopt=True)
 
 
-def _phase_factors(
-    spectrum: Spectrum, truncation: int, t: np.ndarray, sign: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Giant and baby rows of the phases e^{sign i chi E_n t_k}, n <= truncation, at 1-d times t.
+def _even_stride(spectrum: Spectrum, truncation: int, t: np.ndarray) -> int:
+    """B = isqrt(M - 1) + 1 where the 1-d times t are an evenly spaced grid, else 1.
 
-    On an evenly spaced grid t_k = t_0 + k dt the phase splits exactly: with
-    B = isqrt(M - 1) + 1, row k = bB + j is giant[b] * baby[j], where giant
-    holds the phases at t_0 + bB dt and baby those at j dt. Only three rows
-    are exponentials: e^{sign i chi E t_0}, w = e^{sign i chi E dt} and
-    W = e^{sign i chi E B dt}. Every other row is a product, baby[j] =
-    baby[j - 1] w and giant[b] = giant[b - 1] W, so 3 N exponentials and
-    about 2 sqrt(M) N complex products serve M N cells. A chain of k
-    products adds about k ulps to the rounding of its seed's argument, which
-    is of the same size as the rounding of chi E t_k itself. A grid counts
-    as evenly spaced when no time is farther than 4 eps max|t| from
+    A bad chi, a non-finite time or a phase chi E_n t that overflows anywhere
+    on the grid raises ValueError first (_phase_angles). A grid counts as
+    evenly spaced when M > 2, no time is farther than 4 eps max|t| from
     t_0 + k dt, with dt = (t_{M-1} - t_0)/(M - 1), which np.linspace grids
-    satisfy. One or two times (where factoring saves nothing), times not
-    evenly spaced, or a grid whose stride seed chi E B dt alone overflows
-    float64 get B = 1: every time is a giant row of its own exponentials and
-    the single baby row is all ones, which is the dense
-    one-exponential-per-cell route. _phase_angles guards the whole grid.
+    satisfy, and the stride seed chi E B dt is finite.
     """
     energies, level_max = spectrum._levels(truncation)
     m = t.size
     top = np.abs(t).max(initial=0.0)
-    _phase_angles(spectrum.chi, energies, top, level_max)   # refuses the grid before t is used
-    even = False
+    _phase_angles(spectrum.chi, energies, top, level_max)
     if m > 2:
         step = math.isqrt(m - 1) + 1
         # Python floats: a span or stride seed beyond float64 is inf, not a warning.
         dt = (float(t[-1]) - float(t[0])) / (m - 1)
         if math.isfinite(float(spectrum.chi) * (abs(step * dt) * level_max)):
             drift = np.max(np.abs(t - (t[0] + dt * np.arange(m))))
-            even = drift <= 4.0 * _EPS * top
-    if not even:
-        return _phases(spectrum, truncation, t[:, None], sign), np.ones((1, energies.size), np.complex128)
-    giant = np.empty((-(-m // step), energies.size), dtype=np.complex128)
-    baby = np.empty((step, energies.size), dtype=np.complex128)
+            if drift <= 4.0 * _EPS * top:
+                return step
+    return 1
+
+
+def _phase_factors(
+    spectrum: Spectrum, truncation: int, t: np.ndarray, sign: float, first: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Giant and baby rows of the phases e^{sign i chi E_n t_k}, first <= n <= truncation, at 1-d times t.
+
+    On an evenly spaced grid t_k = t_0 + k dt (_even_stride) the phase splits
+    exactly: with B = isqrt(M - 1) + 1, row k = bB + j is giant[b] * baby[j],
+    where giant holds the phases at t_0 + bB dt and baby those at j dt. Only
+    three rows are exponentials: e^{sign i chi E t_0}, w = e^{sign i chi E dt}
+    and W = e^{sign i chi E B dt}. Every other row is a product, baby[j] =
+    baby[j - 1] w and giant[b] = giant[b - 1] W, so 3 N exponentials and
+    about 2 sqrt(M) N complex products serve M N cells. A chain of k
+    products adds about k ulps to the rounding of its seed's argument, which
+    is of the same size as the rounding of chi E t_k itself. Any other times
+    get B = 1: every time is a giant row of its own exponentials and the
+    single baby row is all ones, which is the dense one-exponential-per-cell
+    route. _even_stride refuses the grid first.
+    """
+    count = truncation + 1 - first
+    step = _even_stride(spectrum, truncation, t)
+    if step == 1:
+        return _phases(spectrum, truncation, t[:, None], sign, first), np.ones((1, count), np.complex128)
+    m = t.size
+    dt = (float(t[-1]) - float(t[0])) / (m - 1)
+    giant = np.empty((-(-m // step), count), dtype=np.complex128)
+    baby = np.empty((step, count), dtype=np.complex128)
     seeds = np.array([t[0], dt, step * dt])[:, None]
-    giant[0], baby[1], stride = _phases(spectrum, truncation, seeds, sign)
+    giant[0], baby[1], stride = _phases(spectrum, truncation, seeds, sign, first)
     baby[0] = 1.0
     for b in range(1, giant.shape[0]):
         np.multiply(giant[b - 1], stride, out=giant[b])
     for j in range(2, step):
         np.multiply(baby[j - 1], baby[1], out=baby[j])
     return giant, baby
+
+
+#: The fold's largest transform length P, and the factor c of its cost rule:
+#: fold when (N + 1) M >= c P log2 P, the factored route's cells against the FFT's.
+_FOLD_MAX_LENGTH = 2**22
+_FOLD_COST = 8
+
+
+def _folded_sums(spectrum: Spectrum, weights: np.ndarray, t: np.ndarray) -> np.ndarray | None:
+    """sum_n weights[n] e^{+i chi E_n t_k} by one FFT, where t_k = (K0 + k) T_rev/P; else None.
+
+    With q and g of the spectrum's _Form, qE_n = qE_0 + g L_n for integers
+    L_n, and chi E_n t_k = 2 pi (qE_0/g + L_n)(K0 + k)/P. Every phase is then
+    an exact residue: the sum at t_k is the length-P inverse DFT of the
+    weights binned by L_n mod P, read at (K0 + k) mod P, times the E_0
+    phase e^{2 pi i qE_0 (K0 + k)/(gP)}. The residues come from Horner's rule
+    over the codes qc_k modulo gP in int64, so no large angle is ever formed,
+    and the values are those at the ideal times (K0 + k) T_rev/P.
+
+    The M >= 2 times qualify when every t_k lies within 4 eps max|t| of
+    (K0 + k) T_rev/P for integers K0 and 1 <= P <= _FOLD_MAX_LENGTH, and the
+    fold is the cheaper route, (N + 1) M >= _FOLD_COST P log2 P. Other times,
+    and grids whose residue arithmetic could overflow int64, give None, for
+    the factored route. The caller has refused the grid (_even_stride).
+    """
+    m, levels = t.size, weights.size
+    period = spectrum._period()
+    dt = (float(t[-1]) - float(t[0])) / (m - 1)
+    if not (dt > 0.0 and math.isfinite(period)):
+        return None
+    count = period / dt
+    if not 0.5 <= count < _FOLD_MAX_LENGTH + 0.5:
+        return None
+    p = round(count)
+    if levels * m < _FOLD_COST * p * math.log2(p):
+        return None
+    form = spectrum._form
+    span = form.g * p
+    start = float(t[0]) / period * p
+    if span * max(span, levels) > np.iinfo(np.int64).max or not math.isfinite(start):
+        return None
+    k0 = round(start)
+    ideal = (float(k0) + np.arange(m)) * (period / p)
+    if np.max(np.abs(t - ideal)) > 4.0 * _EPS * np.abs(t).max():
+        return None
+    codes = [code % span for code in form.codes]
+    n = np.arange(levels, dtype=np.int64)
+    residues = np.zeros(levels, dtype=np.int64)
+    for code in reversed(codes):
+        residues *= n
+        residues += code
+        residues %= span
+    residues -= codes[0]
+    residues %= span
+    residues //= form.g
+    sums = np.fft.ifft(np.bincount(residues, weights=weights, minlength=p), norm="forward")
+    index = k0 % span + np.arange(m, dtype=np.int64)
+    values = sums[index % p]
+    if codes[0]:
+        turns = codes[0] * (index % span) % span
+        turns[2 * turns > span] -= span   # |angle| <= pi
+        values *= np.exp(1j * ((2.0 * math.pi / span) * turns))
+    return values
 
 
 def revival_time(spectrum: Spectrum) -> float:
@@ -239,7 +320,7 @@ def revival_time(spectrum: Spectrum) -> float:
     the harmonic and square well 2 pi/chi bit for bit at every chi. A period
     that overflows float64 (chi below about 1e-308) raises ValueError naming chi.
     """
-    period = 2.0 * math.pi * spectrum._form.cycles / spectrum.chi
+    period = spectrum._period()
     if not math.isfinite(period):
         raise ValueError(f"revival period 2 pi q/(chi g) overflows float64 at chi = {spectrum.chi:g}")
     return period

@@ -302,13 +302,22 @@ def test_shared_factors_bit_identical_to_term_by_term_sum(axis, n):
     "n, distinct", [(1, 4), (2, 8), (3, 12), (4, 18), (5, 24), (6, 32), (7, 40), (8, 50)]
 )
 def test_each_distinct_factor_evaluated_once(monkeypatch, n, distinct):
+    # The terms of a Hermitian power come in conjugate pairs, so the distinct
+    # factors (i, j) of a mode are the evaluated ones and their conjugates
+    # (j, i), which are taken from them; zero-shift factors get one time.
     calls = []
 
     def counted(i, j, mode, chi, t):
         calls.append((i, j, mode))
+        assert i != j or np.size(t) == 1
         return ladder_moment(i, j, mode, chi, t)
 
     monkeypatch.setattr(moments, "ladder_moment", counted)
     label = _label(1.0, 0.5, -0.7, 1.2)
-    angular_moment("x", n, label, 1.0, 0.25)
-    assert len(calls) == len(set(calls)) == distinct
+    times = np.linspace(-0.5, 0.5, 5)
+    angular_moment("x", n, label, 1.0, times)
+    evaluated = set(calls)
+    conjugates = {(j, i, mode) for i, j, mode in calls}
+    assert len(calls) == len(evaluated)
+    assert all(i == j for i, j, _ in evaluated & conjugates)
+    assert len(evaluated | conjugates) == distinct

@@ -29,7 +29,7 @@ from revivals.moments import (
     numerical_expectation,
     uncertainty_trace,
 )
-from revivals.ordering import x_power_terms
+from revivals.ordering import interference_power_terms, x_power_terms
 from revivals.spectra import Spectrum, evolve
 
 
@@ -305,6 +305,39 @@ def test_half_revival_overlap_by_spectrum():
     well_overlap = abs(autocorrelation(label, Spectrum.square_well(1.0), t)) ** 2
     assert kerr_overlap < 1e-8
     assert well_overlap == pytest.approx(0.5, abs=1e-3)
+
+
+def _term_sum_per_pair(terms, labels, chi, t):
+    """_term_sum with every factor of every term evaluated by ladder_moment over all of t."""
+    t = np.asarray(t, dtype=np.float64)
+    total = np.zeros(t.shape, dtype=np.complex128)
+    for key, coeff in terms:
+        value = coeff
+        for m, label in zip(range(0, 2 * len(labels), 2), labels):
+            value = value * ladder_moment(*key[m : m + 2], label, chi, t)
+        total = total + value
+    return total
+
+
+@pytest.mark.parametrize("t", [0.0, -0.0, 0.41, -1.7, np.linspace(-2.0, 2.0, 41), np.array([]),
+                               np.array([[0.3, -0.0], [0.0, -2.2]])],
+                         ids=["zero", "minus-zero", "positive", "negative", "grid", "empty", "2d"])
+def test_term_sum_keeps_the_bits_of_per_pair_evaluation(t):
+    # Conjugates are taken from their partners and zero-shift factors are
+    # evaluated once; neither may move a bit, on any sign of t, with a
+    # nu = 0 mode too.
+    modes = (CoherentLabel(0.0, 0.0), CoherentLabel(1.3, -0.4), CoherentLabel.from_alpha(2.0 - 1.5j))
+    pairs = [(m, n) for m in modes for n in modes]
+    for k in (1, 2, 5, 8):
+        for label in modes:
+            total, _ = moments._term_sum(x_power_terms(k), (label,), 0.8, t)
+            assert total.tobytes() == _term_sum_per_pair(x_power_terms(k), (label,), 0.8, t).tobytes()
+    for n in (1, 2, 4):
+        for first, second in pairs:
+            terms = interference_power_terms(n)
+            total, _ = moments._term_sum(terms, (first, second), 0.8, t)
+            assert total.shape == np.shape(t)
+            assert total.tobytes() == _term_sum_per_pair(terms, (first, second), 0.8, t).tobytes()
 
 
 def test_degenerate_vacuum_traces_are_flat():

@@ -1,4 +1,4 @@
-"""Evenly spaced time grids: the factored phase route against per-time evaluation.
+"""Evenly spaced time grids: the folded and factored phase routes against per-time evaluation.
 
 On an evenly spaced grid, autocorrelation and carpet build their phases from
 giant-step x baby-step factors (spectra._phase_factors): three rows of N
@@ -6,7 +6,9 @@ exponentials seed two chains of complex products, so a phase at chain
 position k carries about k ulps on top of its seed's rounding. A scalar time
 or an uneven array takes one exponential per cell. Both must agree with the
 per-sample evaluation to the float64 rounding of the largest phase chi E t,
-plus the chain lengths and the summation of N terms.
+plus the chain lengths and the summation of N terms. A grid that cuts the
+revival period into P steps folds instead (spectra._folded_sums), when that
+is the cheaper route; its values against mpmath are in test_mpmath_referee.
 """
 
 import math
@@ -16,11 +18,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from revivals import spectra
+from revivals import moments, spectra
 from revivals.carpets import carpet, position_wavefunction
 from revivals.fock import CoherentLabel, number_distribution
 from revivals.moments import autocorrelation
-from revivals.spectra import Spectrum, _phase_factors
+from revivals.spectra import Spectrum, _folded_sums, _phase_factors, revival_time
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -124,18 +126,115 @@ def test_scalar_one_element_and_empty_times():
     assert autocorrelation(label, spectrum, grid).shape == (2, 3)
 
 
-def test_twenty_thousand_samples_across_blocks():
-    # N = 142 levels: blocks of 2_000_000 // 142 = 14084 times, so the grid
-    # is factored in two blocks; both edges of the split are checked.
+def test_twenty_thousand_samples_across_blocks(monkeypatch):
+    # nu = 50: 142 levels, of which the first two weigh below 2^-64 and are
+    # left out. An uneven grid takes one exponential per cell in blocks of
+    # 2_000_000 // 140 = 14285 times, so 20001 times split in two; both edges
+    # of the split are checked. The even grid is factored, and its
+    # (141 + 142) 140 cells of giant and baby rows run in one block.
     spectrum = Spectrum.kerr(0.9)
     label = CoherentLabel.from_alpha(math.sqrt(50.0) * 1j)
-    times = np.linspace(-3.0, 17.0, 20001)
-    values = autocorrelation(label, spectrum, times)
-    levels = number_distribution(label).size
-    block = 2_000_000 // levels
+    weights = number_distribution(label)
+    levels = weights.size
+    assert levels == 142 and np.sum(weights[:2]) < 2.0**-64 <= np.sum(weights[:3])
+    blocks = []
+
+    def counted(spectrum, truncation, times, sign, first):
+        blocks.append((times.size, truncation + 1 - first))
+        return _phase_factors(spectrum, truncation, times, sign, first)
+
+    monkeypatch.setattr(moments, "_phase_factors", counted)
+    even = np.linspace(-3.0, 17.0, 20001)
+    uneven = even.copy()
+    uneven[[0, 1]] = uneven[[1, 0]]
+    block = 2_000_000 // 140
     picks = np.unique(np.r_[0:20001:197, block - 2 : block + 2, 19995:20001])
-    reference = _per_sample(label, spectrum, times[picks])
-    assert np.max(np.abs(values[picks] - reference)) <= _bound(spectrum, levels, times)
+    for times, sizes in ((uneven, [block, 20001 - block]), (even, [20001])):
+        blocks.clear()
+        values = autocorrelation(label, spectrum, times)
+        assert blocks == [(size, 140) for size in sizes]
+        reference = _per_sample(label, spectrum, times[picks])
+        assert np.max(np.abs(values[picks] - reference)) <= _bound(spectrum, levels, times)
+
+
+def _label_at(nu):
+    return CoherentLabel.from_alpha(math.sqrt(nu) * complex(0.6, -0.8))
+
+
+@pytest.mark.parametrize("samples", [785, 801])
+@pytest.mark.parametrize("nu", [100.0, 1100.0, 2500.0])
+@pytest.mark.parametrize("name", ["kerr", "harmonic", "square_well"])
+def test_cli_default_grid_folds_from_nu_100(monkeypatch, name, nu, samples):
+    # The CLI's default grid, linspace(0, T_rev, M), cuts the period into
+    # P = M - 1 steps, and (N + 1) M >= 8 P log2 P from nu = 100 up.
+    spectrum = SPECTRA[name](1.7)
+    label = _label_at(nu)
+    times = np.linspace(0.0, revival_time(spectrum), samples)
+    folded = _folded_sums(spectrum, number_distribution(label), times)
+    assert folded is not None
+    monkeypatch.setattr(moments, "_phase_factors", lambda *args: pytest.fail("factored route"))
+    assert autocorrelation(label, spectrum, times).tobytes() == folded.tobytes()
+
+
+def test_grids_the_fold_does_not_serve_stay_factored():
+    spectrum = Spectrum.kerr(1.3)
+    period = revival_time(spectrum)
+    weights = number_distribution(_label_at(400.0))
+    off_period = np.linspace(0.0, 0.7137 * period, 801)
+    uneven = np.linspace(0.0, period, 801)
+    uneven[[5, 6]] = uneven[[6, 5]]
+    for times in (off_period, uneven, np.geomspace(1e-3 * period, period, 801)):
+        assert _folded_sums(spectrum, weights, times) is None
+    # P = 2^22 + 1 steps lies above the cap, though 3 times at 3e8 levels
+    # would pay for it; the broadcast weights take no memory.
+    many = np.broadcast_to(1e-9, (300_000_000,))
+    assert _folded_sums(spectrum, many, np.arange(3) * (period / (2**22 + 1))) is None
+    # trace_export's autocorr jobs: nu <= 10 and 1k-20k samples over one
+    # period, where 8 P log2 P exceeds (N + 1) M.
+    for name in ("kerr", "square_well"):
+        spectrum = SPECTRA[name](2.1)
+        for nu in (1.0, 10.0):
+            for samples in (1_000, 7_000, 20_000):
+                times = np.linspace(0.0, revival_time(spectrum), samples)
+                assert _folded_sums(spectrum, number_distribution(_label_at(nu)), times) is None
+
+
+def test_refusals_come_before_the_fold(monkeypatch):
+    label = _label_at(400.0)
+    grid = np.linspace(0.0, math.pi, 801)
+    assert _folded_sums(Spectrum.kerr(1.0), number_distribution(label), grid) is not None
+    monkeypatch.setattr(moments, "_folded_sums", lambda *args: pytest.fail("fold before the refusal"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for chi in (math.inf, math.nan, 0.0, -1.0):
+            broken = Spectrum.kerr(1.0)
+            object.__setattr__(broken, "chi", chi)   # past the constructor's own check
+            with pytest.raises(ValueError, match="chi must be finite and positive"):
+                autocorrelation(label, broken, grid)
+        for bad in (math.inf, -math.inf, math.nan):
+            times = grid.copy()
+            times[400] = bad
+            with pytest.raises(ValueError, match="time must be finite"):
+                autocorrelation(label, Spectrum.kerr(1.0), times)
+        overflowing = Spectrum.kerr(1.0)
+        object.__setattr__(overflowing, "chi", 1e308)
+        with pytest.raises(ValueError, match="phases chi E t overflow float64"):
+            autocorrelation(label, overflowing, grid)
+
+
+def test_fold_keeps_shapes():
+    spectrum = Spectrum.square_well(0.8)
+    label = _label_at(400.0)
+    period = revival_time(spectrum)
+    levels = number_distribution(label).size
+    assert autocorrelation(label, spectrum, np.array([])).shape == (0,)
+    for times in (np.array([period]), np.array([0.0, period])):
+        values = autocorrelation(label, spectrum, times)
+        assert values.shape == times.shape
+        assert np.max(np.abs(values - _per_sample(label, spectrum, times))) <= _bound(spectrum, levels, times)
+    grid = np.linspace(0.0, period, 801)[:800]
+    folded = autocorrelation(label, spectrum, grid)
+    assert autocorrelation(label, spectrum, grid.reshape(20, 40)).tobytes() == folded.tobytes()
 
 
 @pytest.mark.parametrize("nt", [2, 3, 401])
