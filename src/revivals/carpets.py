@@ -47,7 +47,7 @@ from typing import Iterator
 import numpy as np
 
 from . import _text
-from .fock import CoherentLabel, coherent_amplitudes
+from .fock import CoherentLabel, _kept_state, coherent_amplitudes
 from .spectra import Spectrum, _phase_angles, _phase_factors, evolve, revival_time
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
@@ -263,8 +263,9 @@ def carpet(
 
     t_max defaults to one revival period. Extents must be finite and
     increasing and nx and nt at least 2, checked before any grid is built;
-    working arrays beyond the largest array and phases chi E_n t that
-    overflow float64 are refused before the Hermite table.
+    an explicit truncation that loses the state (fock._kept_state), working
+    arrays beyond the largest array and phases chi E_n t that overflow
+    float64 are refused before the Hermite table.
 
     The Hermite table, the 2 nt x (N + 1) real coefficient block and the
     2 nt x nx product buffer, in which the squares of Re psi and Im psi are
@@ -282,7 +283,7 @@ def carpet(
     _check_extents(x_min, x_max, t_min, t_max)
     if nx < 2 or nt < 2:
         raise ValueError(f"a carpet needs nx >= 2 and nt >= 2, got nx = {nx}, nt = {nt}")
-    state = coherent_amplitudes(label, truncation)
+    state = _kept_state(label, truncation)
     n_max = state.truncation
     shapes = ((n_max + 1, nx), (2, nt, n_max + 1), (2 * nt, nx))
     if 8 * sum(map(math.prod, shapes)) > sys.maxsize:

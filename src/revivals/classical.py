@@ -11,8 +11,7 @@ role for a monochromatic wave.
 from __future__ import annotations
 
 __all__ = [
-    "PendulumArray", "paraxial_talbot_length", "pendulum_positions", "period_increment_positions",
-    "talbot_length", "wave_count",
+    "PendulumArray", "paraxial_talbot_length", "pendulum_positions", "talbot_length", "wave_count",
 ]
 
 import math
@@ -61,20 +60,6 @@ class PendulumArray:
 def pendulum_positions(array: PendulumArray, t: float) -> np.ndarray:
     """x_j(t) = amplitude * cos(2 pi f_j t) for every oscillator."""
     return array.amplitude * np.cos(2.0 * math.pi * array.frequencies() * t)
-
-
-def period_increment_positions(
-    array: PendulumArray, t: float, period_step: float
-) -> np.ndarray:
-    """Variant construction: periods T_j = t_rev/base_cycles + j * period_step.
-
-    Incrementing the period by a fixed step (instead of adding one cycle
-    per recurrence) does not produce a common recurrence time, so this
-    array never truly revives; it exists for comparison.
-    """
-    base_period = array.t_rev / array.base_cycles
-    periods = base_period + period_step * np.arange(array.count)
-    return array.amplitude * np.cos(2.0 * math.pi * t / periods)
 
 
 def wave_count(array: PendulumArray, t: float) -> tuple[int, int]:

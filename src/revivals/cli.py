@@ -50,7 +50,7 @@ from .classical import (
     talbot_length,
     wave_count,
 )
-from .fock import DEFAULT_TOLERANCE, CoherentLabel, coherent_amplitudes
+from .fock import CoherentLabel
 from .moments import (
     autocorrelation,
     expect_p,
@@ -77,19 +77,6 @@ def _spectrum(args: argparse.Namespace) -> Spectrum:
 
 def _label(args: argparse.Namespace) -> CoherentLabel:
     return CoherentLabel(args.p, args.q)
-
-
-def _check_truncation(args: argparse.Namespace, label: CoherentLabel) -> None:
-    """Refuse an explicit truncation that cuts more than DEFAULT_TOLERANCE of the state."""
-    if args.truncation is None:
-        return
-    tail = coherent_amplitudes(label, args.truncation).tail_mass
-    if tail > DEFAULT_TOLERANCE:
-        raise ValueError(
-            f"truncation N = {args.truncation} cuts tail mass {tail:.3e} "
-            f"of the state, above the tolerance {DEFAULT_TOLERANCE:g}; "
-            f"raise --truncation or omit it"
-        )
 
 
 def _autocorr_values(args: argparse.Namespace, spectrum: Spectrum, times: np.ndarray) -> dict:
@@ -145,11 +132,9 @@ def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[d
 
 def _run_carpet(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
     spectrum = _spectrum(args)
-    label = _label(args)
-    _check_truncation(args, label)
     period = revival_time(spectrum)
     keys = ("x_min", "x_max", "nx", "t_min", "t_max", "nt", "truncation")
-    grid = carpet(label, spectrum, **{key: getattr(args, key) for key in keys})
+    grid = carpet(_label(args), spectrum, **{key: getattr(args, key) for key in keys})
     body = _pgm_parts(grid) if args.fmt == "pgm" else _csv_chunks(grid, args.chi)
     return {"revival_time": period}, body
 
@@ -173,11 +158,9 @@ def _run_talbot(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
 
 
 def _run_cat(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
-    label = _label(args)
-    _check_truncation(args, label)
     spectrum = Spectrum.kerr(args.chi)
     period = revival_time(spectrum)
-    cat = decompose_fractional(label, args.m, spectrum, args.truncation)
+    cat = decompose_fractional(_label(args), args.m, spectrum, args.truncation)
     columns = {
         "component": np.arange(cat.m),
         "coeff_re": cat.coefficients.real,

@@ -34,12 +34,17 @@ DEFAULT_TOLERANCE = 1e-10
 
 
 def auto_truncation(nu: float) -> int:
-    """Truncation that keeps the Poisson tail of a coherent state below ~1e-12.
+    """Truncation N = ceil(nu + 10 sqrt(nu) + 20), after refusing N + 1 levels no array holds.
 
-    Mean + 10 standard deviations + 20 covers every nu up to about 1e4. A
-    level count that no array can hold is refused here already.
+    The Poisson weight it cuts is below 1e-23 at every nu. The tail_mass
+    computed at this N is norm rounding: at most 6e-11 up to nu = 1e5,
+    1.2e-10 at nu = 3e5 and 9.2e-10 at nu = 1e6.
     """
-    return _check_level_count(nu, math.ceil(nu + 10.0 * math.sqrt(nu) + 20.0))
+    return _check_level_count(nu, _auto_level(nu))
+
+
+def _auto_level(nu: float) -> int:
+    return math.ceil(nu + 10.0 * math.sqrt(nu) + 20.0)
 
 
 def _check_count(name: str, value) -> int:
@@ -207,11 +212,11 @@ def coherent_amplitudes(
 ) -> FockVector:
     """Coherent-state amplitudes c_n = e^{-nu/2} alpha^n / sqrt(n!) up to n = N.
 
-    With truncation None the auto rule is applied, which keeps the cut tail
-    below DEFAULT_TOLERANCE for any sane nu. A too-small explicit truncation
-    is not an error; the returned vector reports the lost weight in tail_mass
-    and callers compare that against whatever tolerance they run with. An
-    explicit truncation must be an integer >= 0.
+    With truncation None the auto rule (auto_truncation) is applied. A
+    too-small explicit truncation is not an error here; the returned vector
+    reports the lost weight in tail_mass. carpet and decompose_fractional,
+    which build their state at the caller's N, refuse a lossy one
+    (_kept_state). An explicit truncation must be an integer >= 0.
     """
     nu = label.nu
     truncation = auto_truncation(nu) if truncation is None else _check_count("truncation", truncation)
@@ -225,6 +230,22 @@ def coherent_amplitudes(
     np.exp(amplitudes, out=amplitudes)
     amplitudes *= magnitudes
     return FockVector(amplitudes, tail_mass=tail, _adopt=True)
+
+
+def _kept_state(label: CoherentLabel, truncation: int | None) -> FockVector:
+    """coherent_amplitudes(label, truncation), refused where an explicit N loses the state.
+
+    That is an N below the auto truncation whose tail_mass exceeds
+    DEFAULT_TOLERANCE. At or above it the computed tail is norm rounding.
+    """
+    state = coherent_amplitudes(label, truncation)
+    auto = _auto_level(label.nu)
+    if truncation is not None and state.truncation < auto and state.tail_mass > DEFAULT_TOLERANCE:
+        raise ValueError(
+            f"truncation N = {state.truncation} cuts tail mass {state.tail_mass:.3e} of the state, "
+            f"above the tolerance {DEFAULT_TOLERANCE:g}; raise N (auto: {auto}) or omit it"
+        )
+    return state
 
 
 def number_distribution(label: CoherentLabel) -> np.ndarray:

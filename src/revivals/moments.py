@@ -177,6 +177,9 @@ def ladder_moment(i: int, j: int, label: CoherentLabel, chi: float, t):
 
     <(a†)^i a^j> with i > j is the conjugate of <(a†)^j a^i>, which the
     normal-ordered closed form covers directly. i and j must be integers >= 0.
+    A scalar t stays a Python float, 4.8 µs a call against 14.5 µs for a
+    one-element array (2-core Xeon, timeit), as the oracle checks' hot path
+    needs; the two round apart by up to eps (1 + nu + chi (s² + 2rs) t).
     """
     i, j = _check_count("i", i), _check_count("j", j)
     if j >= i:
@@ -192,7 +195,9 @@ def autocorrelation(label: CoherentLabel, spectrum: Spectrum, t):
     Accepts scalar or array t, refused as evolve refuses it, before any route
     is chosen. Three routes:
 
-    - A scalar t is one sum of N exponentials.
+    - A scalar t is one sum of N exponentials, 11.7 µs a call against 28.6 µs
+      for a one-element array (nu = 3, 2-core Xeon), as the oracle checks'
+      hot path needs; the summation order differs by up to 2e-16 absolute.
     - Folded: on a grid t_k = (K0 + k) T_rev/P, the period cut into P steps,
       every phase is an exact integer residue, and the sums are one length-P
       FFT of the weights binned by residue (spectra._folded_sums). Its values

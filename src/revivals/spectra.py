@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import CoherentLabel, FockVector, coherent_amplitudes, inner_product
+from .fock import CoherentLabel, FockVector, _kept_state, coherent_amplitudes, inner_product
 
-#: Reconstruction fidelity floor for fractional-revival decompositions.
+#: Floor on 1 - F, F the fidelity of a cat's m-term sum against direct evolution.
 FIDELITY_FLOOR = 1e-9
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -396,11 +396,14 @@ def decompose_fractional(
     """Split the Kerr-evolved state at t = T_rev/m into m coherent components.
 
     Coefficients come from the inverse DFT of the length-m quadratic phase
-    sequence; component labels are the rotated copies of alpha. The result
-    is verified against direct evolution and an overlap fidelity below
-    1 - 1e-9 raises (that signals a too-small truncation). m must be an
-    integer of at least 1; an m above N + 1, the kept levels, raises before
-    any length-m work: beyond them the m components are linearly dependent.
+    sequence; component labels are the rotated copies of alpha. A fidelity
+    of the m-term sum against direct evolution below 1 - FIDELITY_FLOOR
+    raises. Both are cut at the same N, so this self-consistency check
+    cannot see truncation (fock._kept_state refuses a lossy N); at large nu
+    it sees the rounding of the phases chi E_n t (1e12 rad at nu = 1e6).
+    m must be an integer of at least 1; an m above N + 1, the kept levels,
+    raises before any length-m work: beyond them the m components are
+    linearly dependent.
     """
     if spectrum.kind != "kerr":
         raise ValueError("fractional-revival decomposition is defined for kerr")
@@ -408,7 +411,7 @@ def decompose_fractional(
         raise ValueError(f"m must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    state = coherent_amplitudes(label, truncation)
+    state = _kept_state(label, truncation)
     if m > state.truncation + 1:
         raise ValueError(
             f"m = {m} exceeds N + 1 = {state.truncation + 1}, the kept Fock levels; "
@@ -433,7 +436,8 @@ def decompose_fractional(
     fidelity = abs(overlap) ** 2 / (recon_vec.norm_sq() * evolved.norm_sq())
     if fidelity < 1.0 - FIDELITY_FLOOR:
         raise ValueError(
-            f"cat reconstruction fidelity {fidelity:.15f} below "
-            f"{1.0 - FIDELITY_FLOOR:.9f}; increase the truncation"
+            f"cat reconstruction fidelity {fidelity:.15f} below {1.0 - FIDELITY_FLOOR:.9f}: "
+            "the m-term sum disagrees with direct evolution of the same state, likely from "
+            "rounding of the phases chi E_n t at large nu"
         )
     return CatDecomposition(m, coefficients, labels, t, fidelity)

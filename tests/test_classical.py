@@ -11,7 +11,6 @@ from revivals.classical import (
     PendulumArray,
     paraxial_talbot_length,
     pendulum_positions,
-    period_increment_positions,
     talbot_length,
     wave_count,
 )
@@ -95,14 +94,6 @@ def test_strength_law_large_array():
             waves, strength = wave_count(array, j / k)
             assert (waves, strength) == (k, 50400 // k)
     assert 50400 % 11 != 0
-
-
-def test_period_increment_variant_does_not_revive():
-    array = PendulumArray(count=20)
-    start = period_increment_positions(array, 0.0, period_step=1e-3)
-    assert np.allclose(start, array.amplitude)
-    later = period_increment_positions(array, array.t_rev, period_step=1e-3)
-    assert np.max(np.abs(later - start)) > 0.1
 
 
 def test_talbot_exact_points():

@@ -542,6 +542,16 @@ def test_explicit_truncation_tail_mass_checked(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "carpet.csv").exists() and (tmp_path / "cat.csv").exists()
 
 
+def test_explicit_auto_truncation_accepted_at_large_nu(tmp_path, monkeypatch, capsys):
+    # At nu = 3e5 the computed tail at the auto N = 305498 is 1.2e-10, norm
+    # rounding above the tolerance; the flag must not change the run.
+    monkeypatch.chdir(tmp_path)
+    argv = ["cat", "--m", "2", "--p", repr(math.sqrt(6e5)), "--q", "0"]
+    assert main(argv + ["--truncation", "305498", "-o", "explicit.csv"]) == 0
+    assert main(argv + ["-o", "auto.csv"]) == 0
+    assert (tmp_path / "explicit.csv").read_bytes() == (tmp_path / "auto.csv").read_bytes()
+
+
 @pytest.mark.parametrize("m", ["33", "20000"])
 def test_cat_order_beyond_the_kept_levels_refused(tmp_path, monkeypatch, capsys, m):
     # Label (1, 1) keeps N + 1 = 32 levels; more components than that are

@@ -6,11 +6,16 @@ float64 limits, nan, inf) and a few ordinary ones. Sizes are capped so that
 no draw allocates more than a few MB. Every run must exit 0, 1 or 2 with no
 traceback and no RuntimeWarning; exits 1 and 2 write no file, and a file
 written on exit 0 has only finite numbers in its metadata and its cells.
+Those numbers also keep the physics' bounds, each within a margin of a few
+eps times the magnitude it guards: |A(t)|^2 <= 1 for ``autocorr``,
+Δx·Δp >= 1/2 for ``xptrace --observable dxdp`` and a unit norm of the
+coefficients for ``cat``.
 """
 
 import contextlib
 import io
 import math
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -81,12 +86,41 @@ def _finite_text(text):
         assert all(math.isfinite(float(cell)) for cell in row.split(",")), row
 
 
+EPS = sys.float_info.epsilon
+
+
+def _physical_bounds(text):
+    """The bounds of the autocorr, dxdp and cat tables, with margins from p² + q² or m."""
+    lines = text.splitlines()
+    meta = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+    if meta["command"] not in ("autocorr", "xptrace", "cat"):
+        return
+    header, *rows = lines[len(meta):]
+    cells = [[float(cell) for cell in row.split(",")] for row in rows]
+    columns = dict(zip(header.split(","), zip(*cells)))
+    p, q = float(meta["p"]), float(meta["q"])
+    scale = 1.0 + p * p + q * q   # 1 + 2 nu; inf past float64, as float products overflow quietly
+    if meta["command"] == "autocorr":
+        # At 64 samples the factored route forms each phase by a chain of up
+        # to 16 products, each moving its modulus by about an ulp: 6 eps seen.
+        assert max(columns["abs2"]) <= 1.0 + 16.0 * EPS * scale, meta
+    elif meta["command"] == "xptrace" and meta["observable"] == "dxdp":
+        assert min(columns["value"]) >= 0.5 - 8.0 * EPS * scale, meta
+    elif meta["command"] == "cat":
+        norm = sum(re * re + im * im for re, im in zip(columns["coeff_re"], columns["coeff_im"]))
+        assert abs(norm - 1.0) <= 4.0 * EPS * int(meta["m"]), meta
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(argv=argvs())
 # A revival period that overflows float64 (2 pi / chi at chi = 5e-324).
 @example(argv=["xptrace", "--chi", "5e-324", "--t-max", "0.5", "--samples", "3"])
 # alpha^40 at |alpha| ~ 7e15: Python's complex power overflows to nan, not inf.
 @example(argv=["moment", "--r", "0", "--s", "40", "--p", "40", "--q", "1e16", "--samples", "3"])
+# Δx·Δp, which random draws rarely reach with exit 0: at nu = 5.2, and at
+# nu = 5e7, where <x^2> - <x>^2 cancels all but about 8 digits.
+@example(argv=["xptrace", "--observable", "dxdp", "--p", "2.83", "--q", "-1.5", "--samples", "5"])
+@example(argv=["xptrace", "--observable", "dxdp", "--p", "1e4", "--q", "2.83", "--samples", "5"])
 def test_every_argv_ends_in_a_clean_exit(argv):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "out"
@@ -107,4 +141,6 @@ def test_every_argv_ends_in_a_clean_exit(argv):
             return
         body = path.read_bytes()
         if not body.startswith(b"P5\n"):
-            _finite_text(body.decode("ascii"))
+            text = body.decode("ascii")
+            _finite_text(text)
+            _physical_bounds(text)

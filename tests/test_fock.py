@@ -10,6 +10,7 @@ import pytest
 from conftest import ladder
 
 from revivals import fock
+from revivals.carpets import carpet
 from revivals.fock import (
     CoherentLabel,
     FockVector,
@@ -20,7 +21,7 @@ from revivals.fock import (
     number_distribution,
 )
 from revivals.moments import ladder_moment
-from revivals.spectra import Spectrum, evolve
+from revivals.spectra import Spectrum, decompose_fractional, evolve
 
 
 def test_label_alpha_roundtrip():
@@ -88,6 +89,33 @@ def test_small_truncation_reports_tail_mass():
     assert state.tail_mass is not None
     assert state.tail_mass > 1e-3
     assert state.norm_sq() + state.tail_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lossy_explicit_truncation_refused_where_a_state_is_built():
+    # nu = 100 at N = 20 keeps about 1e-22 of the weight: the carpet rows
+    # integrated to 2e-22 and the cat reported fidelity 1 before this rule.
+    label = CoherentLabel(math.sqrt(200.0), 0.0)
+    assert coherent_amplitudes(label, 20).tail_mass == 1.0   # reported, not refused
+    message = r"^truncation N = 20 cuts tail mass 1\.000e\+00 of the state, above the tolerance 1e-10;"
+    with pytest.raises(ValueError, match=message):
+        carpet(label, Spectrum.kerr(1.0), nx=4, nt=3, truncation=20)
+    with pytest.raises(ValueError, match=message):
+        decompose_fractional(label, 2, Spectrum.kerr(1.0), truncation=20)
+    # Below the auto truncation N = 220 a tail within the tolerance is kept.
+    assert decompose_fractional(label, 2, Spectrum.kerr(1.0), truncation=200).m == 2
+
+
+def test_truncation_at_or_above_auto_never_refused():
+    # At nu = 3e5 the computed tail at the auto N is norm rounding above the
+    # tolerance; the Poisson weight cut there is below 1e-23.
+    label = CoherentLabel(math.sqrt(6e5), 0.0)
+    auto = auto_truncation(label.nu)
+    for truncation in (auto, auto + 1000):
+        state = fock._kept_state(label, truncation)
+        assert state.truncation == truncation and state.tail_mass > fock.DEFAULT_TOLERANCE
+    # 4.5 standard deviations above the mean the cut weight is real (2.6e-6).
+    with pytest.raises(ValueError, match=rf"truncation N = {auto - 3000} cuts tail mass 2\.61"):
+        fock._kept_state(label, auto - 3000)
 
 
 def test_coherent_overlap_matches_closed_form():

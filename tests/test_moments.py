@@ -294,6 +294,33 @@ def test_autocorrelation_bounds_and_revival():
     )
 
 
+def test_scalar_and_array_times_agree_to_rounding():
+    # A scalar t keeps its own route, cheaper per call than a one-element
+    # array: Python complex products and one pairwise sum, where the array
+    # takes NumPy's complex loops and a matrix product. The two agree only to
+    # rounding; the bounds sit a little above the worst of several seeds.
+    eps = float(np.finfo(np.float64).eps)
+    rng = np.random.default_rng(7)
+    for _ in range(5000):
+        i, j = (int(v) for v in rng.integers(0, 4, size=2))
+        p, q = rng.uniform(-10.0, 10.0, size=2)   # nu up to 100
+        label = CoherentLabel(float(p), float(q))
+        chi, t = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.0, 3.0))
+        scalar = ladder_moment(i, j, label, chi, t)
+        (array,) = ladder_moment(i, j, label, chi, np.array([t]))
+        # Relative to the rounding of the damping exponent and the angle.
+        r, s = min(i, j), abs(i - j)
+        scale = 1.0 + label.nu + chi * t * (s * s + 2 * r * s)
+        assert abs(scalar - array) <= 2.0 * eps * scale * abs(array), (i, j, label, chi, t)
+    kinds = (Spectrum.kerr, Spectrum.harmonic, Spectrum.square_well)
+    for k in range(300):
+        label = CoherentLabel.from_alpha(math.sqrt(rng.uniform(0.0, 2500.0)) * cmath.exp(1j * k))
+        spectrum = kinds[k % 3](float(rng.uniform(0.1, 3.0)))
+        t = float(rng.uniform(0.0, 3.0))
+        (array,) = autocorrelation(label, spectrum, np.array([t]))
+        assert abs(autocorrelation(label, spectrum, t) - array) <= 2.0 * eps, (label, spectrum, t)
+
+
 def test_half_revival_overlap_by_spectrum():
     # At t = pi/(2 chi) the Kerr cat components are +-i alpha, nearly
     # orthogonal to the original at nu = 10, so the overlap is tiny. The

@@ -270,11 +270,11 @@ def test_cat_decomposition_guards():
         decompose_fractional(label, 0, Spectrum.kerr(1.0))
     # The component labels share |alpha| with the input, so each truncated
     # component amplitude is the input amplitude times a pure phase and the
-    # reconstruction is exact per Fock component at any truncation. Even a
-    # starved basis keeps unit fidelity; the fidelity guard is a safety net
-    # against numerical corruption, not a truncation detector.
-    starved = decompose_fractional(label, 2, Spectrum.kerr(1.0), truncation=3)
-    assert starved.fidelity == pytest.approx(1.0, abs=1e-12)
+    # reconstruction is exact per Fock component at any truncation: the
+    # fidelity cannot see a starved basis. The state's tail is checked
+    # instead, so N = 3 at nu = 4 (tail 0.567) is refused.
+    with pytest.raises(ValueError, match=r"truncation N = 3 cuts tail mass 5\.665e-01"):
+        decompose_fractional(label, 2, Spectrum.kerr(1.0), truncation=3)
     # The order is read from the coefficients; a constructor order that
     # disagrees with them is refused, and it is not stored.
     cat = decompose_fractional(label, 3, Spectrum.kerr(1.0))
@@ -307,6 +307,24 @@ def test_cat_order_bounded_by_the_kept_levels(monkeypatch):
     for m, truncation, levels in ((22, 20, 21), (33, None, 32), (10**9, None, 32)):
         with pytest.raises(ValueError, match=rf"m = {m} exceeds N \+ 1 = {levels}, the kept"):
             decompose_fractional(label, m, Spectrum.kerr(1.0), truncation)
+
+
+def test_cat_self_check_names_the_disagreement_not_truncation(monkeypatch):
+    # Both sides of the check are cut at the same N, so a failure says that
+    # the m-term sum and direct evolution disagree, never to raise N.
+    split = spectra._quadratic_phase_split
+
+    def corrupted(m):
+        sequence, rotation = split(m)
+        return sequence[::-1], rotation
+
+    monkeypatch.setattr(spectra, "_quadratic_phase_split", corrupted)
+    with pytest.raises(ValueError) as info:
+        decompose_fractional(CoherentLabel(2.0, 2.0), 3, Spectrum.kerr(1.0))
+    message = str(info.value)
+    assert message.startswith("cat reconstruction fidelity ")
+    assert "disagrees with direct evolution" in message and "rounding of the phases" in message
+    assert "truncation" not in message
 
 
 _LABEL = CoherentLabel(1.0, 1.0)
