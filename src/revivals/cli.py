@@ -34,9 +34,10 @@ import argparse
 import contextlib
 import math
 import os
+import stat
 import sys
 from functools import cache, partial
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -302,6 +303,32 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise ValueError(f"{flag} must be finite, got {value:g}")
 
 
+def _open_output(path: str) -> tuple[BinaryIO, bool]:
+    """Open path to write without truncating it, and whether this open created it.
+
+    O_TRUNC would free every block of an existing file only for the write to
+    allocate them again; ``_cut`` trims a regular file to the bytes written
+    instead. A dangling symlink exists, so the open that creates its target
+    does not count as creating the output.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    try:
+        return open(os.open(path, flags | os.O_EXCL, 0o666), "wb"), True
+    except FileExistsError:
+        return open(os.open(path, flags, 0o666), "wb"), False
+
+
+def _cut(handle: BinaryIO) -> None:
+    """Cut a regular file at the bytes that reached it, dropping an older file's tail.
+
+    Pipes, FIFOs and devices (``-o /dev/stdout``, ``-o /dev/null``) are left
+    alone: ftruncate fails on them, and O_TRUNC never applied to them either.
+    """
+    fd = handle.fileno()
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command from argv: write its file, print its summary.
 
@@ -309,6 +336,10 @@ def main(argv: list[str] | None = None) -> int:
     floats as %.17g; a PGM image has none. Exit 1 on a numeric or domain
     error, an allocation that does not fit or a file that cannot be
     written, which leaves no new file; argparse exits 2 on a usage error.
+
+    An existing regular file is rewritten in place, through a symlink if
+    the path is one: it keeps its inode, mode and hard links, and is cut to
+    the new length. After a failed write it holds the prefix written so far.
     """
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
@@ -319,11 +350,15 @@ def main(argv: list[str] | None = None) -> int:
         _check_flags(args)
         values, chunks = command.run(args)
         fields = {**vars(args), **values}
-        created = not os.path.lexists(path)
-        with open(path, "wb") as handle:
-            if kind == "csv":
-                handle.write(metadata((key, fields[key]) for key in ("command", *command.metadata)))
-            handle.writelines(chunks)
+        handle, created = _open_output(path)
+        with handle:
+            try:
+                if kind == "csv":
+                    handle.write(metadata((key, fields[key]) for key in ("command", *command.metadata)))
+                handle.writelines(chunks)
+                handle.flush()
+            finally:   # after a failure too, so no tail of an older file survives
+                _cut(handle)
     except (ValueError, ArithmeticError) as exc:
         message = str(exc)
     except MemoryError as exc:

@@ -2,6 +2,7 @@
 
 import argparse
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -325,6 +326,10 @@ def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys, error, m
     # The table streams in chunks of about 4k cells: the second chunk fails
     # once the metadata, the header and the first chunk reach the file.
     monkeypatch.chdir(tmp_path)
+    assert main(["xptrace", "--samples", "5000", "-o", "fresh.csv"]) == 0
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    (tmp_path / "fresh.csv").unlink()
+    capsys.readouterr()
     kernel, heads = _text._cells_text, []
 
     def failing(block):
@@ -335,7 +340,7 @@ def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys, error, m
         return kernel(block)
 
     monkeypatch.setattr(_text, "_cells_text", failing)
-    (tmp_path / "kept.csv").write_bytes(b"there before")
+    (tmp_path / "kept.csv").write_bytes(b"x" * 1_000_000)
     for target in ("new.csv", "kept.csv"):
         heads.clear()
         assert main(["xptrace", "--samples", "5000", "-o", target]) == 1
@@ -343,8 +348,12 @@ def test_failed_write_leaves_no_new_file(tmp_path, monkeypatch, capsys, error, m
         assert captured.err == f"error: {message.format(target)}\n"
         assert "wrote" not in captured.out
         assert heads == [b"# command = xptrace\n"]
-    # The file main created is gone; a path that existed before is left.
+    # The file main created is gone; a path that existed before is left,
+    # cut to the prefix of the new output that reached it: no stale "x" tail.
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+    kept = (tmp_path / "kept.csv").read_bytes()
+    assert kept.startswith(b"# command = xptrace\n")
+    assert len(kept) < len(fresh) and fresh.startswith(kept)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_FSIZE with SIGXFSZ ignored, as on Linux")
@@ -362,6 +371,69 @@ def test_file_size_limit_leaves_no_partial_file(tmp_path, cli_env):
     assert result.returncode == 1
     assert result.stderr == "error: cannot write big.csv: File too large\n"
     assert not list(tmp_path.iterdir())
+
+
+#: One small run of each output kind: an xptrace CSV, a CSV carpet and a PGM carpet.
+_OUTPUT_KINDS = {
+    "xptrace": ["xptrace", "--samples", "301"],
+    "carpet-csv": ["carpet", "--nx", "12", "--nt", "9"],
+    "carpet-pgm": ["carpet", "--nx", "12", "--nt", "9", "--format", "pgm"],
+}
+
+
+@pytest.mark.parametrize("stale", [2.0, 0.5], ids=["over-longer", "over-shorter"])
+@pytest.mark.parametrize("argv", _OUTPUT_KINDS.values(), ids=_OUTPUT_KINDS)
+def test_existing_file_rewritten_in_place(tmp_path, monkeypatch, capsys, argv, stale):
+    # A stale file, longer or shorter than the output, keeps its inode, mode
+    # and hard links, a symlink stays a symlink, and each name ends up with
+    # exactly the bytes of a fresh write.
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "-o", "fresh"]) == 0
+    fresh = (tmp_path / "fresh").read_bytes()
+    for name in ("out", "target"):
+        (tmp_path / name).write_bytes(b"x" * int(stale * len(fresh)))
+    (tmp_path / "out").chmod(0o640)
+    os.link(tmp_path / "out", tmp_path / "hard")
+    (tmp_path / "soft").symlink_to("target")
+    before = os.stat(tmp_path / "out")
+    assert main([*argv, "-o", "out"]) == 0
+    assert main([*argv, "-o", "soft"]) == 0
+    after = os.stat(tmp_path / "out")
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert (tmp_path / "soft").is_symlink()
+    for name in ("out", "hard", "target", "soft"):
+        assert (tmp_path / name).read_bytes() == fresh, name
+
+
+#: Run python -m revivals with argv[1:], os.ftruncate reporting each call on stderr.
+_NO_FTRUNCATE = """
+import os, runpy, sys
+os.ftruncate = lambda fd, length: sys.stderr.write(f"ftruncate({fd}, {length})\\n")
+sys.argv = ["revivals", *sys.argv[1:]]
+runpy.run_module("revivals", run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/null and /dev/stdout")
+@pytest.mark.parametrize("argv", _OUTPUT_KINDS.values(), ids=_OUTPUT_KINDS)
+def test_devices_written_through_and_never_cut(tmp_path, monkeypatch, capsys, cli_env, argv):
+    # ftruncate fails on a pipe or a device, and O_TRUNC never applied to one.
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "-o", "fresh"]) == 0
+    fresh = (tmp_path / "fresh").read_bytes()
+    calls = []
+    monkeypatch.setattr(os, "ftruncate", lambda *call: calls.append(call))
+    assert main([*argv, "-o", "/dev/null"]) == 0
+    assert calls == []
+    capsys.readouterr()
+    # The child's stdout is a pipe; the file's bytes come before the summary lines.
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_FTRUNCATE, *argv, "-o", "/dev/stdout"],
+        cwd=tmp_path, env=cli_env, capture_output=True,
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.startswith(fresh)
+    assert result.stdout[len(fresh):].endswith(b"\nwrote /dev/stdout\n")
 
 
 #: Run in a fresh interpreter: the peak RSS, in bytes, of python -m revivals

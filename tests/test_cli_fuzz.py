@@ -8,7 +8,9 @@ traceback and no RuntimeWarning; exits 1 and 2 write no file, and a file
 written on exit 0 has only finite numbers in its metadata and its cells.
 Those numbers also keep the physics' bounds, each within a margin of a few
 eps times the magnitude it guards: |A(t)|^2 <= 1 for ``autocorr``,
-Δx·Δp >= 1/2 for ``xptrace --observable dxdp`` and a unit norm of the
+Δx·Δp >= 1/2 for ``xptrace --observable dxdp``, <x²> + <p²> = 1 + p² + q²
+for ``xptrace --observable x2`` or ``p2`` against the library's sibling
+observable on the same label and times, and a unit norm of the
 coefficients for ``cat``.
 """
 
@@ -20,9 +22,12 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from revivals import cli
+from revivals.fock import CoherentLabel
+from revivals.moments import expect_p2, expect_x2
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -88,9 +93,12 @@ def _finite_text(text):
 
 EPS = sys.float_info.epsilon
 
+#: The library's sibling of each second quadrature moment: <x²> + <p²> = 1 + p² + q².
+SIBLINGS = {"x2": expect_p2, "p2": expect_x2}
+
 
 def _physical_bounds(text):
-    """The bounds of the autocorr, dxdp and cat tables, with margins from p² + q² or m."""
+    """The bounds of the autocorr, xptrace and cat tables, with margins from p² + q² or m."""
     lines = text.splitlines()
     meta = dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
     if meta["command"] not in ("autocorr", "xptrace", "cat"):
@@ -106,6 +114,12 @@ def _physical_bounds(text):
         assert max(columns["abs2"]) <= 1.0 + 16.0 * EPS * scale, meta
     elif meta["command"] == "xptrace" and meta["observable"] == "dxdp":
         assert min(columns["value"]) >= 0.5 - 8.0 * EPS * scale, meta
+    elif meta["command"] == "xptrace" and meta["observable"] in SIBLINGS:
+        # Each sum rounds once: about 1 eps of 1 + p² + q² seen over 4000 labels.
+        times = np.array(columns["t"])
+        sibling = SIBLINGS[meta["observable"]](CoherentLabel(p, q), float(meta["chi"]), times)
+        total = np.array(columns["value"]) + sibling
+        assert np.max(np.abs(total - scale)) <= 4.0 * EPS * scale, meta
     elif meta["command"] == "cat":
         norm = sum(re * re + im * im for re, im in zip(columns["coeff_re"], columns["coeff_im"]))
         assert abs(norm - 1.0) <= 4.0 * EPS * int(meta["m"]), meta
@@ -121,6 +135,8 @@ def _physical_bounds(text):
 # nu = 5e7, where <x^2> - <x>^2 cancels all but about 8 digits.
 @example(argv=["xptrace", "--observable", "dxdp", "--p", "2.83", "--q", "-1.5", "--samples", "5"])
 @example(argv=["xptrace", "--observable", "dxdp", "--p", "1e4", "--q", "2.83", "--samples", "5"])
+# <x²> + <p²> at nu near 5e31 and a fast Kerr rate.
+@example(argv=["xptrace", "--observable", "p2", "--p", "1e16", "--q", "-1.5", "--chi", "60", "--samples", "5"])
 def test_every_argv_ends_in_a_clean_exit(argv):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "out"
