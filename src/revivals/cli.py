@@ -307,9 +307,10 @@ def _open_output(path: str) -> tuple[BinaryIO, bool]:
     """Open path to write without truncating it, and whether this open created it.
 
     O_TRUNC would free every block of an existing file only for the write to
-    allocate them again; ``_cut`` trims a regular file to the bytes written
-    instead. A dangling symlink exists, so the open that creates its target
-    does not count as creating the output.
+    allocate them again; ``_cut`` trims it to the bytes written instead. A
+    file this open created starts empty and needs no cut. A dangling symlink
+    exists, so the open that creates its target does not count as creating
+    the output.
     """
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
@@ -337,9 +338,10 @@ def main(argv: list[str] | None = None) -> int:
     error, an allocation that does not fit or a file that cannot be
     written, which leaves no new file; argparse exits 2 on a usage error.
 
-    An existing regular file is rewritten in place, through a symlink if
-    the path is one: it keeps its inode, mode and hard links, and is cut to
-    the new length. After a failed write it holds the prefix written so far.
+    An existing regular file is overwritten and then cut to the new length,
+    also after a write that fails with an exception, so it holds no tail of
+    the older file. A process killed part-way (a signal, a power loss) is
+    not cut: it can leave the new prefix followed by the older file's tail.
     """
     args = build_parser().parse_args(argv)
     command = _COMMANDS[args.command]
@@ -358,7 +360,8 @@ def main(argv: list[str] | None = None) -> int:
                 handle.writelines(chunks)
                 handle.flush()
             finally:   # after a failure too, so no tail of an older file survives
-                _cut(handle)
+                if not created:
+                    _cut(handle)
     except (ValueError, ArithmeticError) as exc:
         message = str(exc)
     except MemoryError as exc:

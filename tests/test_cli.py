@@ -381,17 +381,16 @@ _OUTPUT_KINDS = {
 }
 
 
-@pytest.mark.parametrize("stale", [2.0, 0.5], ids=["over-longer", "over-shorter"])
 @pytest.mark.parametrize("argv", _OUTPUT_KINDS.values(), ids=_OUTPUT_KINDS)
-def test_existing_file_rewritten_in_place(tmp_path, monkeypatch, capsys, argv, stale):
-    # A stale file, longer or shorter than the output, keeps its inode, mode
-    # and hard links, a symlink stays a symlink, and each name ends up with
-    # exactly the bytes of a fresh write.
+def test_existing_file_rewritten_in_place(tmp_path, monkeypatch, capsys, argv):
+    # A stale file twice the output's length is cut to it: each name ends up
+    # with exactly the bytes of a fresh write. The file keeps its inode, mode
+    # and hard links, and a symlink stays a symlink: nothing is renamed.
     monkeypatch.chdir(tmp_path)
     assert main([*argv, "-o", "fresh"]) == 0
     fresh = (tmp_path / "fresh").read_bytes()
     for name in ("out", "target"):
-        (tmp_path / name).write_bytes(b"x" * int(stale * len(fresh)))
+        (tmp_path / name).write_bytes(b"x" * (2 * len(fresh)))
     (tmp_path / "out").chmod(0o640)
     os.link(tmp_path / "out", tmp_path / "hard")
     (tmp_path / "soft").symlink_to("target")
@@ -418,11 +417,12 @@ runpy.run_module("revivals", run_name="__main__")
 @pytest.mark.parametrize("argv", _OUTPUT_KINDS.values(), ids=_OUTPUT_KINDS)
 def test_devices_written_through_and_never_cut(tmp_path, monkeypatch, capsys, cli_env, argv):
     # ftruncate fails on a pipe or a device, and O_TRUNC never applied to one.
+    # A file the run created starts empty, so it is not cut either.
     monkeypatch.chdir(tmp_path)
-    assert main([*argv, "-o", "fresh"]) == 0
-    fresh = (tmp_path / "fresh").read_bytes()
     calls = []
     monkeypatch.setattr(os, "ftruncate", lambda *call: calls.append(call))
+    assert main([*argv, "-o", "fresh"]) == 0
+    fresh = (tmp_path / "fresh").read_bytes()
     assert main([*argv, "-o", "/dev/null"]) == 0
     assert calls == []
     capsys.readouterr()
