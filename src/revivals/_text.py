@@ -1,5 +1,6 @@
-"""CSV text, formed nowhere else: "# key = value" metadata, header rows and
-%.17g cells, a table coming in chunks of about _CHUNK_CELLS cells to stream."""
+"""Every byte of every output file, formed nowhere else: CSV text ("# key =
+value" metadata, header rows and %.17g cells, a table coming in chunks of
+about _CHUNK_CELLS cells to stream) and the 8-bit PGM image of a carpet."""
 
 from __future__ import annotations
 
@@ -26,6 +27,9 @@ _CHUNK_CELLS = 4096
 
 #: Bytes per cell before compaction: 24 for "-d.dddddddddddddddde-ddd", 1 separator.
 _SLOT = 25
+
+#: Cells per pgm quantisation chunk: a chunk of float64 stays in the L2 cache.
+_PGM_CHUNK_CELLS = 8192
 
 
 class _FormatTables(NamedTuple):
@@ -251,3 +255,24 @@ def table(columns: dict) -> Iterator[bytes]:
     step = max(1, _CHUNK_CELLS // sum(1 if b.ndim == 1 else b.shape[1] for b in blocks))
     for r in range(0, len(blocks[0]), step):
         yield _cells_text(np.column_stack([b[r : r + step] for b in blocks]))
+
+
+def pgm(density: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """An 8-bit binary PGM (P5) of an nt x nx density: its header and its
+    uint8 levels, which a file can take one after the other.
+
+    The levels are normalized to 0..255 over the whole grid (not per row), so
+    fractional-revival rows come out dimmer than the full revivals; an
+    all-zero grid stays 0. Rows are scaled and rounded in chunks of about
+    _PGM_CHUNK_CELLS cells (one row if it is longer), so no float temporary
+    is larger than a chunk, and the allocator can hand it back for the next.
+    """
+    nt, nx = density.shape
+    peak = float(density.max(initial=0.0))
+    scale = 255.0 / peak if peak > 0.0 else 0.0
+    levels = np.empty(density.shape, dtype=np.uint8)
+    rows = max(1, _PGM_CHUNK_CELLS // nx)
+    for r in range(0, nt, rows):
+        scaled = density[r : r + rows] * scale
+        levels[r : r + rows] = np.rint(scaled, out=scaled)
+    return f"P5\n{nx} {nt}\n255\n".encode("ascii"), levels

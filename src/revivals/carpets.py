@@ -12,9 +12,7 @@ underflow, it runs on scaled values (see hermite_functions). The densities
 |psi|^2 over an evenly spaced time grid give the carpet: its phase table is
 built from giant-step x baby-step factors (three rows of N exponentials, the
 rest complex products, about 2 sqrt(nt) N of them) and contracted with the
-Hermite table in one real matrix product. Helper exports render it as CSV
-(its text formed by revivals._text) or as an 8-bit PGM image normalized over
-the whole grid (fractional-revival rows come out dimmer, as they should).
+Hermite table in one real matrix product.
 
 Memory: a carpet's working arrays are the (N + 1) x nx Hermite table, one
 stacked real coefficient block of 2 nt x (N + 1) (Re above Im, filled from
@@ -27,28 +25,21 @@ the two halves is the only fresh nt x nx array, and the grid adopts it
 without a copy. Every other temporary is one Hermite row or one giant row of
 phases. A fresh multi-megabyte temporary costs a page fault per 4 KiB page on
 first touch; for 600 x 600 carpets that is as much as the arithmetic.
-grid_to_pgm quantises in row chunks of about _PGM_CHUNK_CELLS cells, each a
-plain temporary small enough for the allocator to hand back on the next chunk.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "CarpetGrid", "carpet", "count_lobes", "grid_to_csv", "grid_to_pgm", "hermite_functions",
-    "position_wavefunction",
-]
+__all__ = ["CarpetGrid", "carpet", "count_lobes", "hermite_functions", "position_wavefunction"]
 
 import math
 import sys
 import threading
 from dataclasses import InitVar, dataclass
-from typing import Iterator
 
 import numpy as np
 
-from . import _text
-from .fock import CoherentLabel, _kept_state, coherent_amplitudes
-from .spectra import Spectrum, _phase_angles, _phase_factors, evolve, revival_time
+from .fock import CoherentLabel, _check_count, _kept_state, coherent_amplitudes
+from .spectra import Spectrum, _phase_factors, evolve, revival_time
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
 LOBE_THRESHOLD = 0.1
@@ -63,9 +54,6 @@ _FAR_PHI0, _FAR_RESCALE = 1e-150, 1e100
 #: Largest workspace, in bytes, that a thread keeps between carpets. The
 #: largest benchmark carpet (nu ~ 200.7, N = 363, 610 x 610) needs 10.76 MiB.
 _WORKSPACE_CAP = 16 << 20
-
-#: Cells per grid_to_pgm chunk: a chunk of float64 stays in the L2 cache.
-_PGM_CHUNK_CELLS = 8192
 
 _local = threading.local()
 
@@ -262,10 +250,10 @@ def carpet(
     """The |psi(x, t)|^2 grid on nt evenly spaced times and nx positions.
 
     t_max defaults to one revival period. Extents must be finite and
-    increasing and nx and nt at least 2, checked before any grid is built;
-    an explicit truncation that loses the state (fock._kept_state), working
-    arrays beyond the largest array and phases chi E_n t that overflow
-    float64 are refused before the Hermite table.
+    increasing and nx and nt integers of at least 2, checked before any grid
+    is built; an explicit truncation that loses the state (fock._kept_state),
+    working arrays beyond the largest array and phases chi E_n t that
+    overflow float64 are refused before the Hermite table.
 
     The Hermite table, the 2 nt x (N + 1) real coefficient block and the
     2 nt x nx product buffer, in which the squares of Re psi and Im psi are
@@ -281,6 +269,7 @@ def carpet(
     if t_max is None:
         t_max = revival_time(spectrum)
     _check_extents(x_min, x_max, t_min, t_max)
+    nx, nt = _check_count("nx", nx, None), _check_count("nt", nt, None)
     if nx < 2 or nt < 2:
         raise ValueError(f"a carpet needs nx >= 2 and nt >= 2, got nx = {nx}, nt = {nt}")
     state = _kept_state(label, truncation)
@@ -327,46 +316,3 @@ def count_lobes(row: np.ndarray) -> int:
     # A run starts wherever the mask turns on.
     starts = np.count_nonzero(mask[1:] & ~mask[:-1]) + int(mask[0])
     return int(starts)
-
-
-def _csv_chunks(grid: CarpetGrid, chi: float) -> Iterator[bytes]:
-    """grid_to_csv's text as _text.table chunks; chi is checked before any text is formed."""
-    t = grid.t_axis()
-    columns = {"t": t, "chi_t_over_pi": _phase_angles(chi, 1.0, t) / math.pi}
-    return _text.table({**columns, _text.names("x=", grid.x_axis()): grid.density})
-
-
-def grid_to_csv(grid: CarpetGrid, chi: float) -> bytes:
-    """Row-major ASCII CSV: header carries the x axis, each row is one time slice.
-
-    Columns: t, chi_t_over_pi, then one density column per grid x. Values
-    print with 17 significant digits so parsing the file back reproduces
-    the float64 grid exactly. chi t comes from spectra._phase_angles, so a chi
-    that is not finite and positive, or a chi t that overflows, raises
-    ValueError before any text is formed.
-    """
-    return b"".join(_csv_chunks(grid, chi))
-
-
-def _pgm_parts(grid: CarpetGrid) -> tuple[bytes, np.ndarray]:
-    """grid_to_pgm's header and its nt x nx uint8 levels, which a file can take one after the other."""
-    peak = float(grid.density.max(initial=0.0))
-    scale = 255.0 / peak if peak > 0.0 else 0.0   # an all-zero grid stays 0
-    levels = np.empty(grid.density.shape, dtype=np.uint8)
-    rows = max(1, _PGM_CHUNK_CELLS // grid.nx)
-    for r in range(0, grid.nt, rows):
-        scaled = grid.density[r : r + rows] * scale
-        levels[r : r + rows] = np.rint(scaled, out=scaled)
-    return f"P5\n{grid.nx} {grid.nt}\n255\n".encode("ascii"), levels
-
-
-def grid_to_pgm(grid: CarpetGrid) -> bytes:
-    """8-bit binary PGM (P5), normalized to 0..255 over the whole grid.
-
-    Whole-grid normalization (not per row) keeps fractional-revival rows
-    dimmer than the full revivals. Rows are scaled and rounded in chunks of
-    about _PGM_CHUNK_CELLS cells (one row if it is longer), so no float
-    temporary is larger than a chunk, into one uint8 level array that is
-    joined to the header without another copy of the image.
-    """
-    return b"".join(_pgm_parts(grid))

@@ -15,12 +15,13 @@ __all__ = [
 ]
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .fock import _check_count
 
 
 @dataclass(frozen=True)
@@ -40,9 +41,7 @@ class PendulumArray:
 
     def __post_init__(self) -> None:
         for name in ("count", "base_cycles"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            _check_count(name, getattr(self, name), None)
         if self.count < 2:
             raise ValueError("need at least two oscillators")
         if self.base_cycles < 1:

@@ -18,12 +18,13 @@ giving the command's value columns. Its period is ``revival_time``, and its
 metadata lists the command's own flags, then chi and revival_time. Phases
 chi E t that overflow float64 are refused by the library
 (``spectra._phase_angles``), and so is a chi t column that would, before
-any column is built.
+any column is built. A CSV carpet takes the same column from the same
+helper, ``_chi_t_over_pi``, then one density column per grid x.
 
 A file is a CSV table (a '#'-prefixed metadata block, a header row, then
-``%.17g`` fields, all formed by ``revivals._text``) or, for carpets, a
-binary PGM image. Nothing in any output depends on wall clock, environment,
-or randomness, so the same argv always writes the same bytes.
+``%.17g`` fields) or, for carpets, a binary PGM image, each byte of either
+formed by ``revivals._text``. Nothing in any output depends on wall clock,
+environment, or randomness, so the same argv always writes the same bytes.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from typing import Any, BinaryIO, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from ._text import fmt, metadata, table
+from ._text import fmt, metadata, names, pgm, table
 from .angular import TriModeLabel, lx_moment
-from .carpets import _csv_chunks, _pgm_parts, carpet
+from .carpets import carpet
 from .classical import (
     PendulumArray,
     paraxial_talbot_length,
@@ -115,6 +116,11 @@ def _lx_values(args: argparse.Namespace, spectrum: Spectrum, times: np.ndarray) 
     return {"value": lx_moment(args.n, label, args.chi, times)}
 
 
+def _chi_t_over_pi(args: argparse.Namespace, times: np.ndarray) -> np.ndarray:
+    """The chi_t_over_pi column, refused (spectra._phase_angles) where chi t overflows."""
+    return _phase_angles(args.chi, 1.0, times) / math.pi
+
+
 def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
     """The period, and the columns t, the command's values and chi_t_over_pi."""
     spectrum = _spectrum(args)
@@ -125,9 +131,8 @@ def _run_trace(values: Callable[..., dict], args: argparse.Namespace) -> tuple[d
     if not math.isfinite(float(t_max) - float(args.t_min)):
         raise ValueError(f"the span --t-max - --t-min overflows float64 ({t_max:g} - {args.t_min:g})")
     times = np.linspace(args.t_min, t_max, args.samples)
-    chi_t = _phase_angles(args.chi, 1.0, times)   # refused before any column if chi t overflows
-    columns = {"t": times, **values(args, spectrum, times)}
-    columns["chi_t_over_pi"] = chi_t / math.pi
+    chi_t_over_pi = _chi_t_over_pi(args, times)   # refused before any column is built
+    columns = {"t": times, **values(args, spectrum, times), "chi_t_over_pi": chi_t_over_pi}
     return {"revival_time": period}, table(columns)
 
 
@@ -136,8 +141,12 @@ def _run_carpet(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:
     period = revival_time(spectrum)
     keys = ("x_min", "x_max", "nx", "t_min", "t_max", "nt", "truncation")
     grid = carpet(_label(args), spectrum, **{key: getattr(args, key) for key in keys})
-    body = _pgm_parts(grid) if args.fmt == "pgm" else _csv_chunks(grid, args.chi)
-    return {"revival_time": period}, body
+    if args.fmt == "pgm":
+        return {"revival_time": period}, pgm(grid.density)
+    t = grid.t_axis()
+    columns = {"t": t, "chi_t_over_pi": _chi_t_over_pi(args, t)}   # refused before any text
+    columns[names("x=", grid.x_axis())] = grid.density
+    return {"revival_time": period}, table(columns)
 
 
 def _run_pendulum(args: argparse.Namespace) -> tuple[dict, Iterable[bytes]]:

@@ -29,32 +29,31 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-#: Default bound on acceptable residual tail mass 1 - sum |c_n|^2.
+#: Default bound on the Poisson weight (tail_mass) an explicit truncation may cut.
 DEFAULT_TOLERANCE = 1e-10
 
 
 def auto_truncation(nu: float) -> int:
     """Truncation N = ceil(nu + 10 sqrt(nu) + 20), after refusing N + 1 levels no array holds.
 
-    The Poisson weight it cuts is below 1e-23 at every nu. The tail_mass
-    computed at this N is norm rounding: at most 6e-11 up to nu = 1e5,
-    1.2e-10 at nu = 3e5 and 9.2e-10 at nu = 1e6.
+    The Poisson weight it cuts, which coherent_amplitudes reports as
+    tail_mass, is below 1e-23 at every nu, far within DEFAULT_TOLERANCE: an
+    explicit N at or near it is never refused (_kept_state).
     """
-    return _check_level_count(nu, _auto_level(nu))
+    return _check_level_count(nu, math.ceil(nu + 10.0 * math.sqrt(nu) + 20.0))
 
 
-def _auto_level(nu: float) -> int:
-    return math.ceil(nu + 10.0 * math.sqrt(nu) + 20.0)
+def _check_count(name: str, value, least: int | None = 0) -> int:
+    """value as an int, after refusing a non-integer (NumPy integers pass) or one below least.
 
-
-def _check_count(name: str, value) -> int:
-    """value as an int, after refusing a non-integer (NumPy integers pass) or a negative one."""
+    least None leaves the bound, and its message, to the caller.
+    """
     try:
         count = operator.index(value)   # far cheaper than isinstance(value, numbers.Integral)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < 0:
-        raise ValueError(f"{name} must be >= 0")
+    if least is not None and count < least:
+        raise ValueError(f"{name} must be >= {least}")
     return count
 
 
@@ -121,7 +120,7 @@ class FockVector:
 
     truncation is always len(amplitudes) - 1, a read-only property.
     tail_mass carries, when known, the probability weight the truncation cut
-    off (1 - sum |c_n|^2 of the untruncated state); consumers compare it
+    off (sum |c_n|^2 over n > N of the untruncated state); consumers compare it
     against their tolerance instead of receiving warnings. The vector holds
     its own read-only copy of amplitudes, except that the library hands over
     (_adopt=True) a complex128 array it has just built and shares with no
@@ -207,6 +206,27 @@ def _log_amplitudes(nu: float, truncation: int) -> np.ndarray:
     return out
 
 
+def _poisson_tail(nu: float, truncation: int) -> float:
+    """The Poisson weight beyond level N, sum_{k > N} e^{-nu} nu^k / k!, for N + 2 > nu.
+
+    1 - sum |c_n|^2 there is the rounding of the norm (about 1e-10 at nu =
+    3e5), not the weight cut. So the tail is w_{N+1} = exp((N + 1) ln nu -
+    ln (N + 1)! - nu) times 1 + nu/(N + 2) + nu^2/((N + 2)(N + 3)) + ...,
+    whose ratios are below 1, summed until a term falls below 1e-17 of the
+    leading 1. nu = 0 cuts nothing.
+    """
+    if nu == 0.0:
+        return 0.0
+    k = truncation + 1
+    weight = math.exp(k * math.log(nu) - math.lgamma(k + 1.0) - nu)
+    series = term = 1.0
+    while term > 1e-17:
+        k += 1
+        term *= nu / k
+        series += term
+    return weight * series
+
+
 def coherent_amplitudes(
     label: CoherentLabel, truncation: int | None = None
 ) -> FockVector:
@@ -214,7 +234,9 @@ def coherent_amplitudes(
 
     With truncation None the auto rule (auto_truncation) is applied. A
     too-small explicit truncation is not an error here; the returned vector
-    reports the lost weight in tail_mass. carpet and decompose_fractional,
+    reports the lost weight in tail_mass: the Poisson tail beyond N where
+    N + 2 > nu (_poisson_tail), else 1 - sum |c_n|^2, which is then large
+    enough to stand above its rounding. carpet and decompose_fractional,
     which build their state at the caller's N, refuse a lossy one
     (_kept_state). An explicit truncation must be an integer >= 0.
     """
@@ -222,8 +244,10 @@ def coherent_amplitudes(
     truncation = auto_truncation(nu) if truncation is None else _check_count("truncation", truncation)
     logs = _log_amplitudes(nu, truncation)
     magnitudes = np.exp(logs, out=logs)
-    # np.add.reduce is np.sum without its Python wrapper: the same pairwise sum.
-    tail = max(0.0, 1.0 - float(np.add.reduce(magnitudes * magnitudes)))
+    if truncation + 2 > nu:
+        tail = _poisson_tail(nu, truncation)
+    else:   # a tail this large is well resolved; np.add.reduce is np.sum without its wrapper
+        tail = max(0.0, 1.0 - float(np.add.reduce(magnitudes * magnitudes)))
     # e^{i angle n} from the cached n, then times the magnitudes, all in one array.
     amplitudes = np.zeros(truncation + 1, dtype=np.complex128)
     np.multiply(_level_table(truncation + 1)[0, : truncation + 1], label.angle, out=amplitudes.imag)
@@ -233,17 +257,14 @@ def coherent_amplitudes(
 
 
 def _kept_state(label: CoherentLabel, truncation: int | None) -> FockVector:
-    """coherent_amplitudes(label, truncation), refused where an explicit N loses the state.
-
-    That is an N below the auto truncation whose tail_mass exceeds
-    DEFAULT_TOLERANCE. At or above it the computed tail is norm rounding.
-    """
+    """coherent_amplitudes(label, truncation), refused where an explicit N cuts a tail_mass
+    above DEFAULT_TOLERANCE."""
     state = coherent_amplitudes(label, truncation)
-    auto = _auto_level(label.nu)
-    if truncation is not None and state.truncation < auto and state.tail_mass > DEFAULT_TOLERANCE:
+    if truncation is not None and state.tail_mass > DEFAULT_TOLERANCE:
         raise ValueError(
             f"truncation N = {state.truncation} cuts tail mass {state.tail_mass:.3e} of the state, "
-            f"above the tolerance {DEFAULT_TOLERANCE:g}; raise N (auto: {auto}) or omit it"
+            f"above the tolerance {DEFAULT_TOLERANCE:g}; raise N (auto: "
+            f"{auto_truncation(label.nu)}) or omit it"
         )
     return state
 

@@ -111,7 +111,7 @@ def detect_bursts(times, values, revival_time: float, k_max: int) -> BurstReport
         raise ValueError("times must be strictly increasing")
     if not (math.isfinite(revival_time) and revival_time > 0):
         raise ValueError(f"revival_time must be finite and positive, got {revival_time:g}")
-    if k_max < 1:
+    if _check_count("k_max", k_max, None) < 1:
         raise ValueError("k_max must be at least 1")
     span = 1e-9 * revival_time
     if times[0] > span or times[-1] < revival_time - span:

@@ -19,7 +19,6 @@ __all__ = [
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
@@ -27,7 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import CoherentLabel, FockVector, _kept_state, coherent_amplitudes, inner_product
+from .fock import (
+    CoherentLabel, FockVector, _check_count, _kept_state, coherent_amplitudes, inner_product,
+)
 
 #: Floor on 1 - F, F the fidelity of a cat's m-term sum against direct evolution.
 FIDELITY_FLOOR = 1e-9
@@ -332,9 +333,9 @@ def fractional_revival_times(
     """All reduced fractions l/m (2 <= m <= m_max) as (l, m, t) sorted by t.
 
     t = (l/m) * revival_time, which every spectrum has; for Kerr that is pi*l/(m*chi).
+    m_max must be an integer of at least 2.
     """
-    if m_max < 2:
-        raise ValueError("m_max must be >= 2")
+    m_max = _check_count("m_max", m_max, 2)
     period = revival_time(spectrum)
     out = []
     for m in range(2, m_max + 1):
@@ -407,10 +408,7 @@ def decompose_fractional(
     """
     if spectrum.kind != "kerr":
         raise ValueError("fractional-revival decomposition is defined for kerr")
-    if not isinstance(m, numbers.Integral):
-        raise ValueError(f"m must be an integer, got {m!r}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _check_count("m", m, 1)
     state = _kept_state(label, truncation)
     if m > state.truncation + 1:
         raise ValueError(

@@ -15,11 +15,10 @@ from revivals.carpets import (
     carpet,
     count_lobes,
     default_window,
-    grid_to_csv,
-    grid_to_pgm,
     hermite_functions,
     position_wavefunction,
 )
+from revivals.cli import main
 from revivals.fock import CoherentLabel, coherent_amplitudes
 from revivals.spectra import Spectrum, _phase_factors, revival_time
 
@@ -266,32 +265,29 @@ def test_carpet_rejects_x_extents_whose_square_overflows(bounds):
 
 
 def test_pgm_export_shape_and_normalization():
-    density = np.array([[0.0, 1.0], [2.0, 4.0]])
-    grid = CarpetGrid(0.0, 1.0, 0.0, 1.0, density)
-    blob = grid_to_pgm(grid)
-    assert blob.startswith(b"P5\n2 2\n255\n")
-    pixels = np.frombuffer(blob[len(b"P5\n2 2\n255\n") :], dtype=np.uint8)
-    assert pixels.tolist() == [0, 64, 128, 255]
+    header, levels = _text.pgm(np.array([[0.0, 1.0], [2.0, 4.0]]))
+    assert header == b"P5\n2 2\n255\n"
+    assert levels.dtype == np.uint8 and levels.tolist() == [[0, 64], [128, 255]]
     # All-dark grid stays all zeros rather than dividing by zero.
-    dark = CarpetGrid(0.0, 1.0, 0.0, 1.0, np.zeros((2, 2)))
-    assert grid_to_pgm(dark).endswith(bytes(4))
+    assert _text.pgm(np.zeros((2, 2)))[1].tobytes() == bytes(4)
 
 
-def test_csv_export_roundtrip():
-    rng = np.random.default_rng(5)
-    density = rng.uniform(0.0, 2.0, size=(3, 4))
-    grid = CarpetGrid(-1.0, 1.0, 0.0, 0.5, density)
-    text = grid_to_csv(grid, chi=2.0).decode("ascii")
-    lines = text.strip().split("\n")
+def test_csv_export_roundtrip(tmp_path, monkeypatch, capsys):
+    # The CLI's carpet CSV parses back to the float64 grid and times of the
+    # library's carpet, with chi t / pi beside each time.
+    monkeypatch.chdir(tmp_path)
+    flags = ["--p", "1.5", "--q", "-0.5", "--chi", "2", "--x-min", "-1", "--x-max", "1", "--t-max", "0.5"]
+    assert main(["carpet", *flags, "--nx", "4", "--nt", "3", "--format", "csv", "-o", "c.csv"]) == 0
+    capsys.readouterr()
+    lines = [line for line in (tmp_path / "c.csv").read_text().splitlines() if not line.startswith("#")]
     header = lines[0].split(",")
     assert header[:2] == ["t", "chi_t_over_pi"]
     assert len(header) == 2 + 4
-    parsed = np.array(
-        [[float(v) for v in line.split(",")[2:]] for line in lines[1:]]
-    )
-    assert np.array_equal(parsed, density)
-    times = np.array([float(line.split(",")[0]) for line in lines[1:]])
-    assert np.array_equal(times, grid.t_axis())
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    grid = carpet(CoherentLabel(1.5, -0.5), Spectrum.kerr(2.0), x_min=-1.0, x_max=1.0, nx=4, t_max=0.5, nt=3)
+    assert np.array_equal(parsed[:, 2:], grid.density)
+    assert np.array_equal(parsed[:, 0], grid.t_axis())
+    assert np.array_equal(parsed[:, 1], 2.0 * grid.t_axis() / math.pi)
 
 
 @pytest.mark.parametrize(
@@ -300,15 +296,18 @@ def test_csv_export_roundtrip():
      (-2.0, "finite and positive")],
     ids=["overflow", "nan", "negative"],
 )
-def test_grid_to_csv_refuses_a_bad_chi_before_any_text(monkeypatch, chi, message):
-    # chi t on t <= 10 overflows at chi = 1e308; nan and a negative chi would
-    # write a nan or a negative chi_t_over_pi column.
-    grid = CarpetGrid(-1.0, 1.0, 0.0, 10.0, np.ones((3, 4)))
+def test_grid_to_csv_refuses_a_bad_chi_before_any_text(tmp_path, monkeypatch, capsys, chi, message):
+    # The CLI's carpet CSV. chi t on t <= 10 overflows at chi = 1e308 (the
+    # vacuum at N = 1 has only the level E = 0, so the carpet's own phases pass);
+    # nan and a negative chi would write a nan or a negative chi_t_over_pi column.
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(_text, "_cells_text", lambda block: pytest.fail("text formed"))
+    argv = ["carpet", "--p", "0", "--q", "0", "--truncation", "1", "--t-max", "10", f"--chi={chi!r}"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=message):
-            grid_to_csv(grid, chi)
+        assert main(argv + ["--nx", "4", "--nt", "3", "--format", "csv"]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0], ids=["nan", "inf", "-inf", "negative"])
@@ -334,7 +333,7 @@ def test_carpet_density_matches_out_of_place_bits(spectrum, nt):
 def test_pgm_matches_out_of_place_quantization_bits():
     grid = carpet(CoherentLabel(3.0, 2.0), Spectrum.kerr(1.0), nx=97, nt=61)
     levels = np.rint(grid.density * (255.0 / grid.density.max())).astype(np.uint8)
-    assert grid_to_pgm(grid) == b"P5\n97 61\n255\n" + levels.tobytes()
+    assert b"".join(_text.pgm(grid.density)) == b"P5\n97 61\n255\n" + levels.tobytes()
 
 
 def _hermite_by_expressions(x, n_max):
@@ -490,9 +489,8 @@ def test_carpet_above_the_cap_keeps_the_workspace_size(monkeypatch):
 @pytest.mark.parametrize("nx, nt", [(600, 203), (9000, 3)])
 def test_pgm_chunks_match_whole_grid_quantization_bits(nx, nt):
     density = np.random.default_rng(nx).random((nt, nx)) ** 3
-    grid = CarpetGrid(0.0, 1.0, 0.0, 1.0, density)
     levels = np.rint(density * (255.0 / density.max())).astype(np.uint8)
-    assert grid_to_pgm(grid) == f"P5\n{nx} {nt}\n255\n".encode() + levels.tobytes()
+    assert b"".join(_text.pgm(density)) == f"P5\n{nx} {nt}\n255\n".encode() + levels.tobytes()
 
 
 def test_carpet_density_is_read_only_and_owned_by_the_grid():

@@ -201,6 +201,25 @@ def test_lx_trace_zero_for_symmetric_modes(tmp_path, monkeypatch):
     assert max(abs(float(r[1])) for r in rows) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "times", [["--t-min", "0.25", "--t-max", "3.5"], []], ids=["explicit", "one-period"]
+)
+def test_carpet_csv_time_columns_are_those_of_a_trace(tmp_path, monkeypatch, capsys, times):
+    # Both come from one helper: a CSV carpet's t and chi_t_over_pi columns
+    # are, byte for byte, those of an autocorr trace on the same time grid.
+    monkeypatch.chdir(tmp_path)
+    common = ["--chi", "0.7", *times, "--spectrum", "harmonic"]
+    assert main(["carpet", *common, "--nx", "3", "--nt", "17", "--format", "csv", "-o", "c.csv"]) == 0
+    assert main(["autocorr", *common, "--samples", "17", "-o", "a.csv"]) == 0
+    capsys.readouterr()
+    columns = []
+    for name in ("c.csv", "a.csv"):
+        _, header, rows = _read_csv(tmp_path / name)
+        columns.append([[row[header.index(key)] for row in rows] for key in ("t", "chi_t_over_pi")])
+    assert columns[0] == columns[1]
+    assert len(columns[0][0]) == 17
+
+
 def test_carpet_pgm_dimensions(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert (
@@ -615,8 +634,8 @@ def test_explicit_truncation_tail_mass_checked(tmp_path, monkeypatch, capsys):
 
 
 def test_explicit_auto_truncation_accepted_at_large_nu(tmp_path, monkeypatch, capsys):
-    # At nu = 3e5 the computed tail at the auto N = 305498 is 1.2e-10, norm
-    # rounding above the tolerance; the flag must not change the run.
+    # At nu = 3e5, where 1 - sum |c_n|^2 at the auto N = 305498 rounds to
+    # 1.2e-10, above the tolerance, the flag must not change the run.
     monkeypatch.chdir(tmp_path)
     argv = ["cat", "--m", "2", "--p", repr(math.sqrt(6e5)), "--q", "0"]
     assert main(argv + ["--truncation", "305498", "-o", "explicit.csv"]) == 0

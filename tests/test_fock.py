@@ -20,8 +20,8 @@ from revivals.fock import (
     ladder_product_matrix,
     number_distribution,
 )
-from revivals.moments import ladder_moment
-from revivals.spectra import Spectrum, decompose_fractional, evolve
+from revivals.moments import detect_bursts, ladder_moment
+from revivals.spectra import Spectrum, decompose_fractional, evolve, fractional_revival_times
 
 
 def test_label_alpha_roundtrip():
@@ -106,16 +106,36 @@ def test_lossy_explicit_truncation_refused_where_a_state_is_built():
 
 
 def test_truncation_at_or_above_auto_never_refused():
-    # At nu = 3e5 the computed tail at the auto N is norm rounding above the
-    # tolerance; the Poisson weight cut there is below 1e-23.
+    # At nu = 3e5 the Poisson weight cut at the auto N is about 7e-24, and
+    # tail_mass reports it, not the 1.2e-10 rounding of 1 - sum |c_n|^2; so
+    # one below the auto N is kept too.
     label = CoherentLabel(math.sqrt(6e5), 0.0)
     auto = auto_truncation(label.nu)
-    for truncation in (auto, auto + 1000):
+    for truncation in (auto - 1, auto, auto + 1000):
         state = fock._kept_state(label, truncation)
-        assert state.truncation == truncation and state.tail_mass > fock.DEFAULT_TOLERANCE
+        assert state.truncation == truncation and state.tail_mass < 1e-20
     # 4.5 standard deviations above the mean the cut weight is real (2.6e-6).
     with pytest.raises(ValueError, match=rf"truncation N = {auto - 3000} cuts tail mass 2\.61"):
         fock._kept_state(label, auto - 3000)
+
+
+_TIMES = np.linspace(0.0, 1.0, 5)
+_COUNTS = {
+    "nx": lambda n: carpet(CoherentLabel(1.0, 1.0), Spectrum.kerr(1.0), nx=n, nt=3),
+    "nt": lambda n: carpet(CoherentLabel(1.0, 1.0), Spectrum.kerr(1.0), nx=3, nt=n),
+    "m": lambda n: decompose_fractional(CoherentLabel(1.0, 1.0), n, Spectrum.kerr(1.0)),
+    "m_max": lambda n: fractional_revival_times(Spectrum.kerr(1.0), n),
+    "k_max": lambda n: detect_bursts(_TIMES, np.ones(5), 1.0, n),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_counts_must_be_integers(name):
+    # One rule (fock._check_count) for every count, before NumPy or range()
+    # meets the value with a TypeError of its own.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+        _COUNTS[name](2.5)
+    assert _COUNTS[name](np.int64(3)) is not None   # a NumPy integer is a count
 
 
 def test_coherent_overlap_matches_closed_form():

@@ -11,8 +11,9 @@ times k T_rev/P; there mpmath sums the library's own weights with phases
 reduced exactly, and the bound is 1e-14, independent of nu and t.
 
 The moments <(a†)^i a^j> are summed the same way over the Fock levels of
-the Kerr-evolved state, with no use of the closed form, and the Hermite
-functions of the carpets are checked where phi_0 alone underflows.
+the Kerr-evolved state, with no use of the closed form, the Hermite
+functions of the carpets are checked where phi_0 alone underflows, and the
+tail mass a truncation reports against the regularized incomplete gamma.
 """
 
 import math
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from revivals.carpets import hermite_functions
-from revivals.fock import CoherentLabel, auto_truncation, number_distribution
+from revivals.fock import CoherentLabel, auto_truncation, coherent_amplitudes, number_distribution
 from revivals import moments
 from revivals.moments import autocorrelation, ladder_moment, uncertainty_trace
 from revivals.spectra import Spectrum, _folded_sums, revival_time
@@ -277,3 +278,20 @@ def test_far_hermite_functions_match_mpmath(n, x):
         reference = mpmath.hermite(n, point) * mpmath.exp(-point * point / 2) / norm
         error = abs((mpmath.mpf(float(value)) - reference) / reference)
     assert float(error) <= 1e-12, (value, reference)
+
+
+@pytest.mark.parametrize("nu", [40.0, 1.5e5, 1e6])
+def test_tail_mass_matches_mpmath_poisson_tail(nu):
+    # tail_mass is the Poisson weight beyond N, not the rounding of
+    # 1 - sum |c_n|^2 (about 1e-10 at the auto N for nu >= 1.5e5). Its error is
+    # that of the exponent (N + 1) ln nu - ln (N + 1)! - nu, a few eps times
+    # (N + 1) ln nu; measured: 1.5e-14 at nu = 40 and 1.7e-9 at nu = 1e6.
+    label = CoherentLabel(math.sqrt(2.0 * nu), 0.0)
+    auto = auto_truncation(nu)
+    for truncation in (auto, math.ceil(nu + 3.0 * math.sqrt(nu))):
+        tail = coherent_amplitudes(label, truncation).tail_mass
+        with mpmath.workdps(40):
+            reference = mpmath.gammainc(truncation + 1, 0, nu, regularized=True)
+        bound = max(1e-13, 4 * EPS * (truncation + 1) * math.log(nu))
+        assert abs(tail - reference) <= bound * reference, (truncation, tail, reference)
+    assert tail > 1e-3 and coherent_amplitudes(label, auto).tail_mass < 1e-23

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revivals._text import table
-from revivals.carpets import CarpetGrid, grid_to_csv
 from revivals.cli import main
 
 SPECIAL = [
@@ -178,11 +177,13 @@ def test_table_text_matches_format_on_integers_subnormals_and_specials():
     assert _table_text([[-0.0], [0.0]]) == b"-0,0\n"
 
 
-def test_carpet_csv_header_prints_the_x_axis_at_17_digits():
-    grid = CarpetGrid(
-        x_min=-7.5, x_max=6.5, t_min=0.1, t_max=1.3, density=np.ones((3, 60))
-    )
-    header = grid_to_csv(grid, chi=2.0).decode("ascii").splitlines()[0]
+def test_carpet_csv_header_prints_the_x_axis_at_17_digits(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    extents = ["--x-min", "-7.5", "--x-max", "6.5", "--t-min", "0.1", "--t-max", "1.3", "--chi", "2"]
+    assert main(["carpet", *extents, "--nx", "60", "--nt", "3", "--format", "csv", "-o", "c.csv"]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "c.csv").read_text().splitlines()
+    header = next(line for line in lines if not line.startswith("#"))
     assert header == "t,chi_t_over_pi" + "".join(
         ",x=" + format(float(x), ".17g") for x in np.linspace(-7.5, 6.5, 60)
     )
