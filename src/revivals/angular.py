@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import CoherentLabel, auto_truncation, coherent_amplitudes
+from .fock import CoherentLabel, _check_count, auto_truncation, coherent_amplitudes
 from .moments import _hermitian_value, _term_sum
 from .ordering import interference_power_terms
 from .spectra import Spectrum, evolve
@@ -64,7 +64,7 @@ def angular_moment(axis: str, n: int, label: TriModeLabel, chi: float, t):
     an imaginary residue beyond HERMITICITY_LIMIT times the bound on its
     magnitude raises instead of being silently dropped.
     """
-    terms = interference_power_terms(n)   # refuses n outside 1..40
+    terms = interference_power_terms(n)   # refuses n that is no integer or outside 1..40
     total, bound = _term_sum(terms, _pair_labels(axis, label), chi, t)
     return _hermitian_value(total, bound, f"<L{axis}^{n}>")
 
@@ -88,6 +88,7 @@ def lx_moment_oracle(n: int, label: TriModeLabel, chi: float, t: float):
     bound on the moment, which keeps the size of the summed terms where the
     moment itself vanishes by symmetry.
     """
+    n = _check_count("n", n, None)
     if n < 1:
         raise ValueError(f"interference power must be at least 1, got {n}")
     spectrum = Spectrum.kerr(chi)

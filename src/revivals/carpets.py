@@ -12,19 +12,20 @@ underflow, it runs on scaled values (see hermite_functions). The densities
 |psi|^2 over an evenly spaced time grid give the carpet: its phase table is
 built from giant-step x baby-step factors (three rows of N exponentials, the
 rest complex products, about 2 sqrt(nt) N of them) and contracted with the
-Hermite table in one real matrix product.
+Hermite table in two real matrix products, one per part of psi.
 
 Memory: a carpet's working arrays are the (N + 1) x nx Hermite table, one
-stacked real coefficient block of 2 nt x (N + 1) (Re above Im, filled from
-the phase factors one giant row at a time, with no complex table of its own)
-and the 2 nt x nx output of the product, which is squared in place. They
-are views of one float64 workspace per thread, kept between calls and grown
-to the largest carpet seen, up to _WORKSPACE_CAP bytes; a carpet that needs
-more gets a workspace of its own, dropped when it returns. The density sum of
-the two halves is the only fresh nt x nx array, and the grid adopts it
-without a copy. Every other temporary is one Hermite row or one giant row of
-phases. A fresh multi-megabyte temporary costs a page fault per 4 KiB page on
-first touch; for 600 x 600 carpets that is as much as the arithmetic.
+real coefficient block of 2 x nt x (N + 1) (a Re plane and an Im plane,
+filled from the phase factors one giant row at a time, with no complex table
+of its own) and one nt x nx plane for Im psi. They are views of one float64
+workspace per thread, kept between calls and grown to the largest carpet
+seen, up to _WORKSPACE_CAP bytes; a carpet that needs more gets a workspace
+of its own, dropped when it returns. Re psi is the only fresh nt x nx array:
+it is squared in place, the squared Im psi is added to it, and the grid
+adopts it as the density without a copy. Every other temporary is one
+Hermite row or one giant row of phases. A fresh multi-megabyte temporary
+costs a page fault per 4 KiB page on first touch; for 600 x 600 carpets that
+is as much as the arithmetic.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ _X_LIMIT = math.sqrt(sys.float_info.max)
 _FAR_PHI0, _FAR_RESCALE = 1e-150, 1e100
 
 #: Largest workspace, in bytes, that a thread keeps between carpets. The
-#: largest benchmark carpet (nu ~ 200.7, N = 363, 610 x 610) needs 10.76 MiB.
+#: largest benchmark carpet (nu ~ 200.7, N = 363, 610 x 610) needs 7.92 MiB.
 _WORKSPACE_CAP = 16 << 20
 
 _local = threading.local()
@@ -255,12 +256,12 @@ def carpet(
     working arrays beyond the largest array and phases chi E_n t that
     overflow float64 are refused before the Hermite table.
 
-    The Hermite table, the 2 nt x (N + 1) real coefficient block and the
-    2 nt x nx product buffer, in which the squares of Re psi and Im psi are
-    formed in place, are views of this thread's workspace (see the module
-    docstring), kept for the next call up to _WORKSPACE_CAP bytes. Only the
-    returned grid's density, the sum of the two squared halves, is fresh;
-    the grid holds it read-only, without a copy.
+    The Hermite table, the 2 x nt x (N + 1) real coefficient block and the
+    nt x nx plane in which Im psi is formed and squared are views of this
+    thread's workspace (see the module docstring), kept for the next call up
+    to _WORKSPACE_CAP bytes. Only the returned grid's density is fresh: Re
+    psi, squared in place, plus the squared Im psi. The grid holds it
+    read-only, without a copy.
     """
     if x_min is None or x_max is None:
         lo, hi = default_window(label)
@@ -274,7 +275,7 @@ def carpet(
         raise ValueError(f"a carpet needs nx >= 2 and nt >= 2, got nx = {nx}, nt = {nt}")
     state = _kept_state(label, truncation)
     n_max = state.truncation
-    shapes = ((n_max + 1, nx), (2, nt, n_max + 1), (2 * nt, nx))
+    shapes = ((n_max + 1, nx), (2, nt, n_max + 1), (nt, nx))
     if 8 * sum(map(math.prod, shapes)) > sys.maxsize:
         raise ValueError(
             f"a carpet of nx = {nx} by nt = {nt} at N = {n_max} needs more float64 "
@@ -282,11 +283,11 @@ def carpet(
         )
     giant, baby = _phase_factors(spectrum, n_max, np.linspace(t_min, t_max, nt), -1.0)
     giant *= state.amplitudes
-    table, block, psi = _workspace(*shapes)
+    table, block, im = _workspace(*shapes)
     hermite_functions(np.linspace(x_min, x_max, nx), n_max, out=table)
     # Coefficients c_n e^{-i chi E_n t_k} for time k = b B + j are giant[b] *
-    # baby[j]; they go straight into one real block, Re above Im, one giant
-    # row (B times) at a time.
+    # baby[j]; they go straight into the real block's Re and Im planes, one
+    # giant row (B times) at a time.
     step = baby.shape[0]
     for b in range(giant.shape[0]):
         start = b * step
@@ -294,10 +295,11 @@ def carpet(
         prod = giant[b] * baby
         block[0, start:stop] = prod.real[: stop - start]
         block[1, start:stop] = prod.imag[: stop - start]
-    # One real product for both parts: rows [:nt] give Re psi, [nt:] Im psi.
-    np.matmul(block.reshape(2 * nt, n_max + 1), table, out=psi)
-    np.square(psi, out=psi)
-    density = np.add(psi[:nt], psi[nt:])
+    # One real product per part: Re psi is the fresh density, Im psi a workspace plane.
+    density = block[0] @ table
+    np.matmul(block[1], table, out=im)
+    np.square(density, out=density)
+    density += np.square(im, out=im)
     return CarpetGrid(float(x_min), float(x_max), float(t_min), float(t_max), density, _adopt=True)
 
 

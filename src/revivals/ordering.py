@@ -19,6 +19,8 @@ __all__ = ["interference_power_terms", "x_power_terms"]
 
 from functools import lru_cache
 
+from .fock import _check_count
+
 #: Monomial keys: (dagger power, plain power) for one mode.
 Monomial = tuple[int, int]
 
@@ -68,20 +70,24 @@ def _power(form, n: int, one: tuple[int, ...]) -> dict:
     return poly
 
 
-@lru_cache(maxsize=None)
+# typed=True on both caches: a float order equal to a cached integer one
+# misses the cache and meets the integer check.
+@lru_cache(maxsize=None, typed=True)
 def x_power_terms(k: int) -> tuple[tuple[Monomial, int], ...]:
     """Normal-ordered expansion of (a + a†)^k, sorted; the 2^(-k/2) factor is not included."""
+    k = _check_count("k", k, None)
     if k < 0:
         raise ValueError("power must be nonnegative")
     return tuple(sorted(_power(_X_FORM, k, (0, 0)).items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def interference_power_terms(n: int) -> tuple[tuple[TwoModeMonomial, complex], ...]:
     """Normal-ordered expansion of [(b†c - c†b)/2i]^n, sorted for determinism.
 
-    n must lie in 1..MAX_INTERFERENCE_POWER, the verified range.
+    n must be an integer in 1..MAX_INTERFERENCE_POWER, the verified range.
     """
+    n = _check_count("n", n, None)
     if n < 1:
         raise ValueError(f"interference power must be at least 1, got {n}")
     if n > MAX_INTERFERENCE_POWER:

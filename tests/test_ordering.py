@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from conftest import ladder
 
-from revivals.fock import ladder_product_matrix
+from revivals.angular import TriModeLabel, angular_moment, lx_moment, lx_moment_oracle
+from revivals.fock import CoherentLabel, ladder_product_matrix
+from revivals.moments import expect_x_power
 from revivals.ordering import (
     MAX_INTERFERENCE_POWER,
     _multiply_letter,
@@ -181,3 +183,27 @@ def test_interference_terms_rejects_bad_order():
         interference_power_terms(0)
     with pytest.raises(ValueError, match=r"verified range 1\.\.40\), got 41"):
         interference_power_terms(MAX_INTERFERENCE_POWER + 1)
+
+
+_TRI = TriModeLabel.from_alphas(1.0, 0.5j, -0.5)
+
+
+@pytest.mark.parametrize("order", [2.5, 2.0])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("k", x_power_terms),
+        ("n", interference_power_terms),
+        ("n", lambda n: angular_moment("y", n, _TRI, 0.3, 0.1)),
+        ("n", lambda n: lx_moment(n, _TRI, 0.3, 0.1)),
+        ("n", lambda n: lx_moment_oracle(n, _TRI, 0.3, 0.1)),
+        ("k", lambda k: expect_x_power(k, CoherentLabel(1.0, 0.5), 0.3, 0.1)),
+    ],
+    ids=["x_power_terms", "interference_power_terms", "angular_moment", "lx_moment",
+         "lx_moment_oracle", "expect_x_power"],
+)
+def test_non_integer_order_refused_with_its_name(name, call, order):
+    # The integer order first, so that an equal float cannot pass through a cache.
+    call(2)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {order}$"):
+        call(order)
