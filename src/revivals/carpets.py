@@ -9,23 +9,20 @@ functions. The recurrence
 works on the normalized functions directly, so no factorial ever appears
 and n up to a few thousand is routine; beyond |x| ~ 26, where phi_0 nears
 underflow, it runs on scaled values (see hermite_functions). The densities
-|psi|^2 over an evenly spaced time grid give the carpet: its phase table is
-built from giant-step x baby-step factors (three rows of N exponentials, the
-rest complex products, about 2 sqrt(nt) N of them) and contracted with the
-Hermite table in two real matrix products, one per part of psi.
+|psi|^2 over an evenly spaced time grid give the carpet: the Re and Im
+planes of its coefficients c_n e^{-i chi E_n t_k} (spectra._coefficient_planes)
+are contracted with the Hermite table in two real matrix products.
 
-Memory: a carpet's working arrays are the (N + 1) x nx Hermite table, one
-real coefficient block of 2 x nt x (N + 1) (a Re plane and an Im plane,
-filled from the phase factors one giant row at a time, with no complex table
-of its own) and one nt x nx plane for Im psi. They are views of one float64
-workspace per thread, kept between calls and grown to the largest carpet
-seen, up to _WORKSPACE_CAP bytes; a carpet that needs more gets a workspace
-of its own, dropped when it returns. Re psi is the only fresh nt x nx array:
-it is squared in place, the squared Im psi is added to it, and the grid
-adopts it as the density without a copy. Every other temporary is one
-Hermite row or one giant row of phases. A fresh multi-megabyte temporary
-costs a page fault per 4 KiB page on first touch; for 600 x 600 carpets that
-is as much as the arithmetic.
+Memory: a carpet's working arrays are the (N + 1) x nx Hermite table, the
+2 x nt x (N + 1) coefficient planes and one nt x nx plane for Im psi. They
+are views of one float64 workspace per thread, kept between calls and grown
+to the largest carpet seen, up to _WORKSPACE_CAP bytes; a carpet that needs
+more gets a workspace of its own, dropped when it returns. Re psi is the
+only fresh nt x nx array: it is squared in place, the squared Im psi is
+added to it, and the grid adopts it as the density without a copy. Every
+other temporary is one Hermite row or a few rows of phases. A fresh
+multi-megabyte temporary costs a page fault per 4 KiB page on first touch;
+for 600 x 600 carpets that is as much as the arithmetic.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .fock import CoherentLabel, _check_count, _kept_state, coherent_amplitudes
-from .spectra import Spectrum, _phase_factors, evolve, revival_time
+from .spectra import Spectrum, _coefficient_planes, evolve, revival_time
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
 LOBE_THRESHOLD = 0.1
@@ -160,7 +157,7 @@ def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = Non
     """Normalized oscillator eigenfunctions phi_0..phi_{n_max} on the grid x.
 
     x is read flat; positions must be finite with |x| <= _X_LIMIT, and
-    n_max >= 0. Returns shape (n_max + 1, x.size), written into out if given
+    n_max an integer >= 0. Returns shape (n_max + 1, x.size), written into out if given
     (a float64 array of that shape, every cell overwritten). phi_0 = pi^{-1/4}
     e^{-x^2/2}; the two-term recurrence above fills the rest. Where phi_0 <
     _FAR_PHI0 (|x| > 26.27) it would start from an underflowed value, so
@@ -171,8 +168,7 @@ def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = Non
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     _check_positions(x)
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    n_max = _check_count("n_max", n_max)
     shape = (n_max + 1, x.size)
     if out is None:
         out = np.empty(shape)
@@ -217,7 +213,7 @@ def position_wavefunction(
     The state is cut at the auto truncation of its mean photon number. x may
     be a scalar or an array of any shape; the result matches it, and x is
     refused as hermite_functions refuses it. The state evolves through
-    spectra.evolve, which refuses a non-finite t.
+    spectra.evolve, which refuses a non-finite t or more than one time.
     """
     x = np.asarray(x, dtype=np.float64)
     state = evolve(coherent_amplitudes(label), spectrum, t)
@@ -256,12 +252,9 @@ def carpet(
     working arrays beyond the largest array and phases chi E_n t that
     overflow float64 are refused before the Hermite table.
 
-    The Hermite table, the 2 x nt x (N + 1) real coefficient block and the
-    nt x nx plane in which Im psi is formed and squared are views of this
-    thread's workspace (see the module docstring), kept for the next call up
-    to _WORKSPACE_CAP bytes. Only the returned grid's density is fresh: Re
-    psi, squared in place, plus the squared Im psi. The grid holds it
-    read-only, without a copy.
+    The working arrays are views of this thread's workspace (see the module
+    docstring). Only the density is fresh, and the grid holds it read-only,
+    without a copy.
     """
     if x_min is None or x_max is None:
         lo, hi = default_window(label)
@@ -281,20 +274,9 @@ def carpet(
             f"a carpet of nx = {nx} by nt = {nt} at N = {n_max} needs more float64 "
             "working cells than sys.maxsize bytes, the largest array, can hold; lower nx or nt"
         )
-    giant, baby = _phase_factors(spectrum, n_max, np.linspace(t_min, t_max, nt), -1.0)
-    giant *= state.amplitudes
     table, block, im = _workspace(*shapes)
+    _coefficient_planes(spectrum, state.amplitudes, np.linspace(t_min, t_max, nt), block)
     hermite_functions(np.linspace(x_min, x_max, nx), n_max, out=table)
-    # Coefficients c_n e^{-i chi E_n t_k} for time k = b B + j are giant[b] *
-    # baby[j]; they go straight into the real block's Re and Im planes, one
-    # giant row (B times) at a time.
-    step = baby.shape[0]
-    for b in range(giant.shape[0]):
-        start = b * step
-        stop = min(start + step, nt)
-        prod = giant[b] * baby
-        block[0, start:stop] = prod.real[: stop - start]
-        block[1, start:stop] = prod.imag[: stop - start]
     # One real product per part: Re psi is the fresh density, Im psi a workspace plane.
     density = block[0] @ table
     np.matmul(block[1], table, out=im)
@@ -311,6 +293,8 @@ def count_lobes(row: np.ndarray) -> int:
     packets are separated in position.
     """
     row = np.asarray(row, dtype=np.float64)
+    if row.ndim != 1:
+        raise ValueError(f"count_lobes takes one 1-d row, got shape {row.shape}")
     peak = float(row.max(initial=0.0))
     if peak <= 0.0:
         return 0

@@ -42,7 +42,7 @@ import numpy as np
 
 from .fock import CoherentLabel, FockVector, _check_count, number_distribution
 from .ordering import x_power_terms
-from .spectra import Spectrum, _even_stride, _folded_sums, _phase_angles, _phase_factors, _phases
+from .spectra import Spectrum, _phase_angles, _phase_sums
 
 #: Imaginary residue of a Hermitian moment, relative to the bound on its
 #: magnitude (at least 1), above which the residue is treated as a bug.
@@ -52,13 +52,6 @@ HERMITICITY_LIMIT = 1e-8
 #: variance ratio at which a window counts as detected.
 WINDOW_FRAC = 1.0 / 50.0
 BURST_THRESHOLD = 10.0
-
-#: Most complex cells of one block of autocorrelation's phase tables.
-_BLOCK_CELLS = 2_000_000
-
-#: Total weight of the leading Fock levels that autocorrelation's factored
-#: and dense routes leave out: it bounds the change of any value.
-_NEGLIGIBLE_WEIGHT = 2.0**-64
 
 
 @dataclass(frozen=True)
@@ -192,56 +185,10 @@ def autocorrelation(label: CoherentLabel, spectrum: Spectrum, t):
 
     A(t) = e^{-nu} sum_n (nu^n/n!) e^{+i chi E(n) t}, summed to the
     auto-truncation. |A| <= 1 always, and |A(T_rev)| = 1 for every spectrum.
-    Accepts scalar or array t, refused as evolve refuses it, before any route
-    is chosen. Three routes:
-
-    - A scalar t is one sum of N exponentials, 11.7 µs a call against 28.6 µs
-      for a one-element array (nu = 3, 2-core Xeon), as the oracle checks'
-      hot path needs; the summation order differs by up to 2e-16 absolute.
-    - Folded: on a grid t_k = (K0 + k) T_rev/P, the period cut into P steps,
-      every phase is an exact integer residue, and the sums are one length-P
-      FFT of the weights binned by residue (spectra._folded_sums). Its values
-      are those at the ideal times (K0 + k) T_rev/P, which the float times
-      match to 4 eps max|t|. It is taken when it is the cheaper route,
-      (N + 1) M >= 8 P log2 P; the CLI's default grid over one period folds
-      from nu of about 100 up.
-    - Factored: any other evenly spaced grid is contracted through giant-step
-      x baby-step phase factors (spectra._phase_factors), three rows of N
-      exponentials and about 2 sqrt(M) N complex products, in one block when
-      those rows hold at most 2_000_000 cells. Other arrays take one
-      exponential per cell, in blocks of at most 2_000_000 cells, which
-      bounds the memory. These two routes leave out the leading levels
-      whose weights sum below _NEGLIGIBLE_WEIGHT = 2^-64, which moves no
-      value by more than that: at nu = 2500 they keep 961 of 3021 levels.
+    Accepts scalar or array t; the refusals and the routes, by grid, are
+    those of spectra._phase_sums.
     """
-    weights = number_distribution(label)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if t_arr.ndim == 0:
-        # One time: building and contracting phase tables costs more than
-        # this sum, and scalar calls are the oracle checks' hot path.
-        # np.add.reduce is np.sum without its Python wrapper: the same pairwise sum.
-        return complex(np.add.reduce(weights * _phases(spectrum, weights.size - 1, float(t_arr), 1.0)))
-    flat = t_arr.ravel()
-    truncation = weights.size - 1
-    stride = _even_stride(spectrum, truncation, flat)   # refuses a bad chi, t or overflow first
-    if stride > 1:
-        folded = _folded_sums(spectrum, weights, flat)
-        if folded is not None:
-            return folded.reshape(t_arr.shape)
-    first = int(np.searchsorted(np.cumsum(weights), _NEGLIGIBLE_WEIGHT))
-    kept = weights.size - first
-    block = max(1, _BLOCK_CELLS // kept)
-    if stride > 1 and (-(-flat.size // stride) + stride) * kept <= _BLOCK_CELLS:
-        block = flat.size   # the giant and baby rows of the whole grid fit
-    out = np.empty(flat.size, dtype=np.complex128)
-    for start in range(0, flat.size, block):
-        times = flat[start : start + block]
-        giant, baby = _phase_factors(spectrum, truncation, times, 1.0, first)
-        # In place: a fresh product table would cost a page fault per 4 KiB.
-        giant *= weights[first:]
-        values = giant @ baby.T
-        out[start : start + times.size] = values.ravel()[: times.size]
-    return out.reshape(t_arr.shape)
+    return _phase_sums(spectrum, number_distribution(label), t)
 
 
 def _scalar_or_array(value):

@@ -148,6 +148,12 @@ def test_count_lobes_synthetic_rows():
     assert count_lobes(np.array([0.2, 0.0, 0.01])) == 1
 
 
+@pytest.mark.parametrize("row", [np.float64(1.0), np.ones((2, 3)), [[0.0, 1.0, 0.0]]])
+def test_count_lobes_takes_one_row(row):
+    with pytest.raises(ValueError, match=r"^count_lobes takes one 1-d row, got shape \("):
+        count_lobes(row)
+
+
 def test_carpet_guards():
     # A custom spectrum's carpet spans one revival period by default; times
     # whose phases overflow are refused before any grid is built.

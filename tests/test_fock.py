@@ -10,7 +10,7 @@ import pytest
 from conftest import ladder
 
 from revivals import fock
-from revivals.carpets import carpet
+from revivals.carpets import carpet, hermite_functions
 from revivals.fock import (
     CoherentLabel,
     FockVector,
@@ -126,6 +126,7 @@ _COUNTS = {
     "m": lambda n: decompose_fractional(CoherentLabel(1.0, 1.0), n, Spectrum.kerr(1.0)),
     "m_max": lambda n: fractional_revival_times(Spectrum.kerr(1.0), n),
     "k_max": lambda n: detect_bursts(_TIMES, np.ones(5), 1.0, n),
+    "n_max": lambda n: hermite_functions(_TIMES, n),
 }
 
 

@@ -24,7 +24,7 @@ import pytest
 
 from revivals.carpets import hermite_functions
 from revivals.fock import CoherentLabel, auto_truncation, coherent_amplitudes, number_distribution
-from revivals import moments
+from revivals import moments, spectra
 from revivals.moments import autocorrelation, ladder_moment, uncertainty_trace
 from revivals.spectra import Spectrum, _folded_sums, revival_time
 
@@ -80,7 +80,7 @@ def test_autocorrelation_matches_mpmath(label, spectrum, t_max, samples):
 def test_long_negative_grid_at_chain_ends_matches_mpmath(monkeypatch):
     # The grid cuts the period into 800 steps and would fold, so the fold is
     # switched off: this test is about the factored route's product chains.
-    monkeypatch.setattr(moments, "_folded_sums", lambda *args: None)
+    monkeypatch.setattr(spectra, "_folded_sums", lambda *args: None)
     # Kerr, nu = 900, 4001 samples over [-2T, 3T]: B = 64 baby rows and 63
     # giant rows, each a chain of products from one exponential seed. The
     # samples sit at both ends of the baby chain (k = 0, 63), of the giant

@@ -11,7 +11,7 @@ import pytest
 from revivals import spectra
 from revivals.angular import TriModeLabel, angular_moment, lx_moment_oracle
 from revivals.carpets import carpet, position_wavefunction
-from revivals.fock import CoherentLabel, coherent_amplitudes, inner_product
+from revivals.fock import CoherentLabel, auto_truncation, coherent_amplitudes, inner_product
 from revivals.moments import autocorrelation, expect_x2, ladder_moment
 from revivals.spectra import (
     Spectrum,
@@ -356,3 +356,20 @@ def test_library_calls_refuse_overflowing_phases(name):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="phases chi E t overflow float64"):
             _OVERFLOWING_CALLS[name]()
+
+
+def test_evolve_takes_one_time():
+    # An array of N + 1 times paired time k with level k, silently; any other
+    # length met NumPy's broadcast error. evolve names the shape instead.
+    label = CoherentLabel(1.0, 1.0)
+    levels = coherent_amplitudes(label).truncation + 1
+    cases = (
+        (lambda t: evolve(coherent_amplitudes(label), Spectrum.kerr(), t), levels),
+        (lambda t: position_wavefunction(label, 0.3, t, Spectrum.kerr()), levels),
+        (lambda t: lx_moment_oracle(2, _MODES, 1.0, t), auto_truncation(_MODES.mode_c.nu) + 1),
+    )
+    for call, size in cases:
+        for times in (np.linspace(0.0, 1.0, size), np.linspace(0.0, 1.0, 32), [0.1, 0.2]):
+            with pytest.raises(ValueError, match=r"^evolve takes one time t, got an array of shape \("):
+                call(times)
+        call(np.float64(0.5))   # a NumPy scalar is one time

@@ -1,14 +1,9 @@
-"""Evenly spaced time grids: the folded and factored phase routes against per-time evaluation.
+"""Time grids: the routes of spectra._phase_sums, and the carpet's phases, against per-time evaluation.
 
-On an evenly spaced grid, autocorrelation and carpet build their phases from
-giant-step x baby-step factors (spectra._phase_factors): three rows of N
-exponentials seed two chains of complex products, so a phase at chain
-position k carries about k ulps on top of its seed's rounding. A scalar time
-or an uneven array takes one exponential per cell. Both must agree with the
-per-sample evaluation to the float64 rounding of the largest phase chi E t,
-plus the chain lengths and the summation of N terms. A grid that cuts the
-revival period into P steps folds instead (spectra._folded_sums), when that
-is the cheaper route; its values against mpmath are in test_mpmath_referee.
+Each route must agree with per-sample calls to the float64 rounding of the
+largest phase chi E t, plus the product chains of spectra._phase_factors and
+the summation of N terms. The folded route's values against mpmath are in
+test_mpmath_referee.
 """
 
 import math
@@ -18,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from revivals import moments, spectra
+from revivals import spectra
 from revivals.carpets import carpet, position_wavefunction
 from revivals.fock import CoherentLabel, number_distribution
 from revivals.moments import autocorrelation
@@ -139,11 +134,11 @@ def test_twenty_thousand_samples_across_blocks(monkeypatch):
     assert levels == 142 and np.sum(weights[:2]) < 2.0**-64 <= np.sum(weights[:3])
     blocks = []
 
-    def counted(spectrum, truncation, times, sign, first):
+    def counted(spectrum, truncation, times, sign, first, step):
         blocks.append((times.size, truncation + 1 - first))
-        return _phase_factors(spectrum, truncation, times, sign, first)
+        return _phase_factors(spectrum, truncation, times, sign, first, step)
 
-    monkeypatch.setattr(moments, "_phase_factors", counted)
+    monkeypatch.setattr(spectra, "_phase_factors", counted)
     even = np.linspace(-3.0, 17.0, 20001)
     uneven = even.copy()
     uneven[[0, 1]] = uneven[[1, 0]]
@@ -155,6 +150,34 @@ def test_twenty_thousand_samples_across_blocks(monkeypatch):
         assert blocks == [(size, 140) for size in sizes]
         reference = _per_sample(label, spectrum, times[picks])
         assert np.max(np.abs(values[picks] - reference)) <= _bound(spectrum, levels, times)
+
+
+def test_factored_grid_too_large_for_one_block(monkeypatch):
+    # With 30_000 cells a block, the even grid's giant and baby rows,
+    # (141 + 142) 140 cells, do not fit, so it runs in blocks of
+    # 30_000 // 140 = 214 times, each factored on its own with
+    # B = isqrt(213) + 1 = 15; the last 99 times take B = 10. Blocks 13 and
+    # 14 straddle t = 0, where linspace's rounding exceeds 4 eps of the
+    # block's own max|t|, so they take one exponential per cell.
+    spectrum = Spectrum.kerr(0.9)
+    label = CoherentLabel.from_alpha(math.sqrt(50.0) * 1j)
+    levels = number_distribution(label).size
+    blocks = []
+
+    def counted(spectrum, truncation, times, sign, first, step):
+        giant, baby = _phase_factors(spectrum, truncation, times, sign, first, step)
+        blocks.append((times.size, baby.shape[0]))
+        return giant, baby
+
+    monkeypatch.setattr(spectra, "_phase_factors", counted)
+    monkeypatch.setattr(spectra, "_BLOCK_CELLS", 30_000)
+    times = np.linspace(-3.0, 17.0, 20001)
+    values = autocorrelation(label, spectrum, times)
+    assert blocks == [(214, 15)] * 13 + [(214, 1)] * 2 + [(214, 15)] * 78 + [(99, 10)]
+    edges = 214 * np.array([1, 13, 14, 15, 46, 93])
+    picks = np.r_[0, edges - 1, edges, 20000]
+    reference = _per_sample(label, spectrum, times[picks])
+    assert np.max(np.abs(values[picks] - reference)) <= _bound(spectrum, levels, times)
 
 
 def _label_at(nu):
@@ -172,7 +195,7 @@ def test_cli_default_grid_folds_from_nu_100(monkeypatch, name, nu, samples):
     times = np.linspace(0.0, revival_time(spectrum), samples)
     folded = _folded_sums(spectrum, number_distribution(label), times)
     assert folded is not None
-    monkeypatch.setattr(moments, "_phase_factors", lambda *args: pytest.fail("factored route"))
+    monkeypatch.setattr(spectra, "_phase_factors", lambda *args: pytest.fail("factored route"))
     assert autocorrelation(label, spectrum, times).tobytes() == folded.tobytes()
 
 
@@ -203,7 +226,7 @@ def test_refusals_come_before_the_fold(monkeypatch):
     label = _label_at(400.0)
     grid = np.linspace(0.0, math.pi, 801)
     assert _folded_sums(Spectrum.kerr(1.0), number_distribution(label), grid) is not None
-    monkeypatch.setattr(moments, "_folded_sums", lambda *args: pytest.fail("fold before the refusal"))
+    monkeypatch.setattr(spectra, "_folded_sums", lambda *args: pytest.fail("fold before the refusal"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for chi in (math.inf, math.nan, 0.0, -1.0):
