@@ -11,18 +11,22 @@ and n up to a few thousand is routine; beyond |x| ~ 26, where phi_0 nears
 underflow, it runs on scaled values (see hermite_functions). The densities
 |psi|^2 over an evenly spaced time grid give the carpet: the Re and Im
 planes of its coefficients c_n e^{-i chi E_n t_k} (spectra._coefficient_planes)
-are contracted with the Hermite table in two real matrix products.
+are contracted with the Hermite table in two real matrix products. Only the
+kept levels enter them: the leading levels whose |c_n| sum below 2^-64
+(spectra._first_kept) are left out, which moves psi by less than that, as
+|phi_n(x)| <= pi^{-1/4} < 1. At nu = 200 that is 46 of 363 levels.
 
-Memory: a carpet's working arrays are the (N + 1) x nx Hermite table, the
-2 x nt x (N + 1) coefficient planes and one nt x nx plane for Im psi. They
-are views of one float64 workspace per thread, kept between calls and grown
-to the largest carpet seen, up to _WORKSPACE_CAP bytes; a carpet that needs
-more gets a workspace of its own, dropped when it returns. Re psi is the
-only fresh nt x nx array: it is squared in place, the squared Im psi is
-added to it, and the grid adopts it as the density without a copy. Every
-other temporary is one Hermite row or a few rows of phases. A fresh
-multi-megabyte temporary costs a page fault per 4 KiB page on first touch;
-for 600 x 600 carpets that is as much as the arithmetic.
+Memory: with K levels kept, a carpet's working arrays are one nt x max(nx, K)
+region, which holds the Re coefficient plane and then Im psi, the nt x K Im
+coefficient plane and the (N + 1) x nx Hermite table. They are views of one
+float64 workspace per thread, kept between calls and grown to the largest
+carpet seen, up to _WORKSPACE_CAP bytes; a carpet that needs more gets a
+workspace of its own, dropped when it returns. Re psi is the only fresh
+nt x nx array: it is squared in place, the squared Im psi is added to it, and
+the grid adopts it as the density without a copy. Every other temporary is
+one Hermite row or a few rows of phases. A fresh multi-megabyte temporary
+costs a page fault per 4 KiB page on first touch; for 600 x 600 carpets that
+is as much as the arithmetic.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .fock import CoherentLabel, _check_count, _kept_state, coherent_amplitudes
-from .spectra import Spectrum, _coefficient_planes, evolve, revival_time
+from .spectra import Spectrum, _coefficient_planes, _first_kept, evolve, revival_time
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
 LOBE_THRESHOLD = 0.1
@@ -50,7 +54,7 @@ _X_LIMIT = math.sqrt(sys.float_info.max)
 _FAR_PHI0, _FAR_RESCALE = 1e-150, 1e100
 
 #: Largest workspace, in bytes, that a thread keeps between carpets. The
-#: largest benchmark carpet (nu ~ 200.7, N = 363, 610 x 610) needs 7.92 MiB.
+#: largest benchmark carpet (nu ~ 200.7, N = 363, 610 x 610) needs 6.01 MiB.
 _WORKSPACE_CAP = 16 << 20
 
 _local = threading.local()
@@ -252,7 +256,9 @@ def carpet(
     working arrays beyond the largest array and phases chi E_n t that
     overflow float64 are refused before the Hermite table.
 
-    The working arrays are views of this thread's workspace (see the module
+    The leading levels whose |c_n| sum below 2^-64 are left out of the
+    products, and the working arrays are views of this thread's workspace,
+    where Im psi overwrites the spent Re coefficient plane (see the module
     docstring). Only the density is fresh, and the grid holds it read-only,
     without a copy.
     """
@@ -268,18 +274,22 @@ def carpet(
         raise ValueError(f"a carpet needs nx >= 2 and nt >= 2, got nx = {nx}, nt = {nt}")
     state = _kept_state(label, truncation)
     n_max = state.truncation
-    shapes = ((n_max + 1, nx), (2, nt, n_max + 1), (nt, nx))
+    first = _first_kept(np.abs(state.amplitudes))
+    kept = n_max + 1 - first
+    shapes = ((nt * max(nx, kept),), (nt, kept), (n_max + 1, nx))
     if 8 * sum(map(math.prod, shapes)) > sys.maxsize:
         raise ValueError(
             f"a carpet of nx = {nx} by nt = {nt} at N = {n_max} needs more float64 "
             "working cells than sys.maxsize bytes, the largest array, can hold; lower nx or nt"
         )
-    table, block, im = _workspace(*shapes)
-    _coefficient_planes(spectrum, state.amplitudes, np.linspace(t_min, t_max, nt), block)
+    region, im_plane, table = _workspace(*shapes)
+    re_plane = region[: nt * kept].reshape(nt, kept)
+    _coefficient_planes(spectrum, state.amplitudes, np.linspace(t_min, t_max, nt), first, re_plane, im_plane)
     hermite_functions(np.linspace(x_min, x_max, nx), n_max, out=table)
-    # One real product per part: Re psi is the fresh density, Im psi a workspace plane.
-    density = block[0] @ table
-    np.matmul(block[1], table, out=im)
+    # One real product per part over the kept rows: Re psi is the fresh density,
+    # and Im psi then overwrites the Re plane, which that product has read.
+    density = re_plane @ table[first:]
+    im = np.matmul(im_plane, table[first:], out=region[: nt * nx].reshape(nt, nx))
     np.square(density, out=density)
     density += np.square(im, out=im)
     return CarpetGrid(float(x_min), float(x_max), float(t_min), float(t_max), density, _adopt=True)

@@ -315,10 +315,15 @@ def _folded_sums(spectrum: Spectrum, weights: np.ndarray, t: np.ndarray) -> np.n
     return values
 
 
-#: _phase_sums's largest block, in complex cells, and the total weight of the
-#: leading levels that its factored and dense routes leave out.
+#: _phase_sums's largest block, in complex cells, and the total magnitude
+#: of the leading levels that _first_kept leaves out.
 _BLOCK_CELLS = 2_000_000
 _NEGLIGIBLE_WEIGHT = 2.0**-64
+
+
+def _first_kept(magnitudes: np.ndarray) -> int:
+    """The first level kept: the leading magnitudes before it sum below _NEGLIGIBLE_WEIGHT."""
+    return int(np.searchsorted(np.cumsum(magnitudes), _NEGLIGIBLE_WEIGHT))
 
 
 def _phase_sums(spectrum: Spectrum, weights: np.ndarray, t):
@@ -333,11 +338,14 @@ def _phase_sums(spectrum: Spectrum, weights: np.ndarray, t):
     - factored: any other evenly spaced grid (_phase_factors), in one block
       while its giant and baby rows hold at most _BLOCK_CELLS cells;
     - dense: other arrays and larger grids, in blocks of _BLOCK_CELLS // kept
-      times, a block factored when its own times are evenly spaced and one
+      times. A block of an evenly spaced grid is factored with the B of its
+      own size, as the grid has passed the test; a block of other times is
+      factored when its own times are evenly spaced, and takes one
       exponential per cell otherwise.
-    The last two leave out the leading levels whose weights sum below
-    _NEGLIGIBLE_WEIGHT, which moves no value by more than that: at nu = 2500
-    they keep 961 of 3021 levels.
+    The last two leave out the levels before _first_kept(weights), whose
+    weights sum below _NEGLIGIBLE_WEIGHT, which moves no value by more than
+    that: at nu = 2500 they keep 961 of 3021 levels. carpets.carpet applies
+    the same rule to its amplitudes |c_n|.
     """
     t_arr = np.asarray(t, dtype=np.float64)
     if t_arr.ndim == 0:
@@ -350,7 +358,7 @@ def _phase_sums(spectrum: Spectrum, weights: np.ndarray, t):
         folded = _folded_sums(spectrum, weights, flat)
         if folded is not None:
             return folded.reshape(t_arr.shape)
-    first = int(np.searchsorted(np.cumsum(weights), _NEGLIGIBLE_WEIGHT))
+    first = _first_kept(weights)
     kept = weights.size - first
     block = max(1, _BLOCK_CELLS // kept)
     if stride > 1 and (-(-flat.size // stride) + stride) * kept <= _BLOCK_CELLS:
@@ -358,7 +366,8 @@ def _phase_sums(spectrum: Spectrum, weights: np.ndarray, t):
     out = np.empty(flat.size, dtype=np.complex128)
     for start in range(0, flat.size, block):
         times = flat[start : start + block]
-        step = stride if times.size == flat.size else None   # one block: the whole grid's stride
+        # A block of an even grid is even: its B without a second test.
+        step = math.isqrt(times.size - 1) + 1 if stride > 1 else None
         giant, baby = _phase_factors(spectrum, truncation, times, 1.0, first, step)
         # In place: a fresh product table would cost a page fault per 4 KiB.
         giant *= weights[first:]
@@ -367,20 +376,23 @@ def _phase_sums(spectrum: Spectrum, weights: np.ndarray, t):
     return out.reshape(t_arr.shape)
 
 
-def _coefficient_planes(spectrum: Spectrum, amplitudes: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
-    """Write Re and Im of c_n e^{-i chi E_n t_k} into out[0] and out[1], each M x (N + 1).
+def _coefficient_planes(
+    spectrum: Spectrum, amplitudes: np.ndarray, t: np.ndarray, first: int, re: np.ndarray, im: np.ndarray
+) -> None:
+    """Write Re and Im of c_n e^{-i chi E_n t_k} into re and im, each M x (N + 1 - first).
 
-    c_n are the amplitudes and t the 1-d times. Row k = bB + j is giant[b] *
-    baby[j] of _phase_factors, formed one giant row (B times) at a time, so
-    no complex M x (N + 1) table exists. The grid is refused before any write.
+    c_n are the amplitudes from level first on and t the 1-d times. Row
+    k = bB + j is giant[b] * baby[j] of _phase_factors, formed one giant row
+    (B times) at a time, so no complex M x (N + 1 - first) table exists. The
+    grid is refused before any write.
     """
-    giant, baby = _phase_factors(spectrum, amplitudes.size - 1, t, -1.0)
-    giant *= amplitudes
+    giant, baby = _phase_factors(spectrum, amplitudes.size - 1, t, -1.0, first)
+    giant *= amplitudes[first:]
     step = baby.shape[0]
     for b, row in enumerate(giant):
         prod = (row * baby)[: t.size - b * step]
-        out[0, b * step : (b + 1) * step] = prod.real
-        out[1, b * step : (b + 1) * step] = prod.imag
+        re[b * step : (b + 1) * step] = prod.real
+        im[b * step : (b + 1) * step] = prod.imag
 
 
 def revival_time(spectrum: Spectrum) -> float:

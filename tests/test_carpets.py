@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from revivals import _text, carpets
+from revivals import _text, carpets, spectra
 from revivals.carpets import (
     CarpetGrid,
     carpet,
@@ -19,22 +19,24 @@ from revivals.carpets import (
     position_wavefunction,
 )
 from revivals.cli import main
-from revivals.fock import CoherentLabel, coherent_amplitudes
+from revivals.fock import CoherentLabel, coherent_amplitudes, number_distribution
+from revivals.moments import autocorrelation
 from revivals.spectra import Spectrum, _phase_factors, revival_time
 
 SPECTRA = (Spectrum.kerr(1.3), Spectrum.harmonic(0.7), Spectrum.square_well(2.1))
+EPS = float(np.finfo(np.float64).eps)
 
 
-def _density_out_of_place(label, spectrum, nx, nt):
-    """carpet's default-window density by its former out-of-place expressions."""
+def _density_out_of_place(label, spectrum, nx, nt, first=0):
+    """carpet's default-window density over levels first..N by its former out-of-place expressions."""
     x_min, x_max = default_window(label)
     times = np.linspace(0.0, revival_time(spectrum), nt)
     state = coherent_amplitudes(label)
     n_max = state.truncation
-    table = hermite_functions(np.linspace(x_min, x_max, nx), n_max)
-    giant, baby = _phase_factors(spectrum, n_max, times, -1.0)
-    giant = giant * state.amplitudes
-    coeffs = (giant[:, None] * baby[None]).reshape(-1, n_max + 1)[:nt]
+    table = hermite_functions(np.linspace(x_min, x_max, nx), n_max)[first:]
+    giant, baby = _phase_factors(spectrum, n_max, times, -1.0, first)
+    giant = giant * state.amplitudes[first:]
+    coeffs = (giant[:, None] * baby[None]).reshape(-1, n_max + 1 - first)[:nt]
     # Contiguous planes, as carpet multiplies them: a strided .real view goes
     # through NumPy's own loop instead of BLAS and rounds differently.
     re = np.ascontiguousarray(coeffs.real) @ table
@@ -481,14 +483,32 @@ def test_threads_each_get_their_own_workspace():
     assert results == [[e] * 5 for e in expected]
 
 
+def _workspace_cells(levels, kept, nx, nt):
+    """Hermite table, one nt x max(nx, kept) region holding the Re plane and
+    then Im psi, and the Im plane."""
+    return levels * nx + nt * max(nx, kept) + nt * kept
+
+
 def test_carpet_workspace_holds_no_nt_by_nx_plane_beyond_im_psi(monkeypatch):
-    # Hermite table, Re and Im coefficient planes, and one nt x nx plane for
-    # Im psi; Re psi is the density itself, so no 2 nt x nx buffer is kept.
+    # Im psi overwrites the spent Re coefficient plane and Re psi is the
+    # density itself, so the only nt x nx plane is that shared region. This
+    # label cuts no leading level: every level is kept.
     monkeypatch.setattr(carpets, "_local", threading.local())
     label, spectrum, nx, nt = WORKSPACE_SEQUENCE[0]
     carpet(label, spectrum, nx=nx, nt=nt)
     levels = coherent_amplitudes(label).truncation + 1
-    assert carpets._local.buffer.size == levels * nx + 2 * nt * levels + nt * nx
+    assert carpets._local.buffer.size == _workspace_cells(levels, levels, nx, nt)
+
+
+def test_largest_benchmark_carpet_works_in_6_01_mib(monkeypatch):
+    # nu = 200.7 keeps N = 363 and cuts the 46 leading levels whose |c_n|
+    # sum below 2^-64: (364 * 610 + 610 * 610 + 610 * 318) float64 cells,
+    # where both coefficient planes and a separate Im psi plane took 7.92 MiB.
+    monkeypatch.setattr(carpets, "_local", threading.local())
+    label = CoherentLabel(math.sqrt(401.4), 0.0)
+    carpet(label, SPECTRA[0], nx=610, nt=610)
+    assert carpets._local.buffer.size == _workspace_cells(364, 318, 610, 610)
+    assert round(carpets._local.buffer.nbytes / 2**20, 2) == 6.01
 
 
 def test_carpet_above_the_cap_keeps_the_workspace_size(monkeypatch):
@@ -501,6 +521,66 @@ def test_carpet_above_the_cap_keeps_the_workspace_size(monkeypatch):
     grid = carpet(label, spectrum, nx=nx, nt=nt)
     assert grid.density.tobytes() == _density_out_of_place(label, spectrum, nx, nt).tobytes()
     assert carpets._local.buffer is kept
+
+
+def _first_kept_by_amplitude(amplitudes):
+    """The leading levels whose |c_n| sum below 2^-64 are cut, as carpet cuts them."""
+    return int(np.searchsorted(np.cumsum(np.abs(amplitudes)), 2.0**-64))
+
+
+def _band_bound(amplitudes, first):
+    """Largest |density - full-band density| the cut and the rounding allow.
+
+    |phi_n(x)| < 1, so the cut moves Re psi and Im psi by at most the cut
+    |c_n|'s sum. Each side's product sums at most N + 1 terms, each within
+    |c_n| of 0, so rounds by at most (N + 1) eps sum |c_n|; with |Re psi|,
+    |Im psi| <= sum |c_n|, squaring and adding moves the density by at most
+    twice 2 dpsi sum |c_n| + dpsi^2, and each side's squares and sum round by
+    at most 2 eps of sum |c_n|^2.
+    """
+    mags = np.abs(amplitudes)
+    total = float(mags.sum())
+    dpsi = float(mags[:first].sum()) + 2 * mags.size * EPS * total
+    return 2 * (2 * total * dpsi + dpsi**2) + 4 * EPS * total**2
+
+
+@pytest.mark.parametrize("spectrum", SPECTRA, ids=lambda s: s.kind)
+def test_carpet_leaves_out_only_negligible_leading_levels(spectrum):
+    # nu = 200, the benchmark's largest carpets, cuts about 46 leading levels.
+    label = CoherentLabel.from_alpha(math.sqrt(200.0) * complex(0.6, -0.8))
+    amplitudes = coherent_amplitudes(label).amplitudes
+    first = _first_kept_by_amplitude(amplitudes)
+    assert first > 40
+    nx, nt = 83, 41
+    grid = carpet(label, spectrum, nx=nx, nt=nt)
+    band = _density_out_of_place(label, spectrum, nx, nt, first)
+    assert grid.density.tobytes() == band.tobytes()
+    full = _density_out_of_place(label, spectrum, nx, nt)
+    assert float(np.max(np.abs(grid.density - full))) <= _band_bound(amplitudes, first)
+    assert b"".join(_text.pgm(grid.density)) == b"".join(_text.pgm(full))
+
+
+def test_phase_sums_and_carpet_share_the_level_cut(monkeypatch):
+    # A cut of 1e-3 leaves out leading levels at nu = 20, more of the
+    # autocorrelation's weights than of the carpet's amplitudes.
+    monkeypatch.setattr(spectra, "_NEGLIGIBLE_WEIGHT", 1e-3)
+    firsts = []
+
+    def recorded(spectrum, truncation, times, sign, first=0, step=None):
+        firsts.append(first)
+        return _phase_factors(spectrum, truncation, times, sign, first, step)
+
+    monkeypatch.setattr(spectra, "_phase_factors", recorded)
+    label, spectrum = CoherentLabel(6.0, -2.0), SPECTRA[0]
+    weights = number_distribution(label)
+    autocorrelation(label, spectrum, np.array([0.1, 0.35, 0.4, 0.9]))
+    amplitudes = coherent_amplitudes(label).amplitudes
+    grid = carpet(label, spectrum, nx=31, nt=17)
+    expected = [spectra._first_kept(weights), spectra._first_kept(np.abs(amplitudes))]
+    assert firsts == expected
+    assert expected[0] > expected[1] > 0
+    band = _density_out_of_place(label, spectrum, 31, 17, expected[1])
+    assert grid.density.tobytes() == band.tobytes()
 
 
 # 600 columns take 13 rows per chunk, so 203 rows end on a partial chunk;

@@ -156,9 +156,10 @@ def test_factored_grid_too_large_for_one_block(monkeypatch):
     # With 30_000 cells a block, the even grid's giant and baby rows,
     # (141 + 142) 140 cells, do not fit, so it runs in blocks of
     # 30_000 // 140 = 214 times, each factored on its own with
-    # B = isqrt(213) + 1 = 15; the last 99 times take B = 10. Blocks 13 and
+    # B = isqrt(213) + 1 = 15; the last 99 times take B = 10. The whole grid
+    # passed the evenness test, so no block is tested again: blocks 13 and
     # 14 straddle t = 0, where linspace's rounding exceeds 4 eps of the
-    # block's own max|t|, so they take one exponential per cell.
+    # block's own max|t|, and are factored all the same.
     spectrum = Spectrum.kerr(0.9)
     label = CoherentLabel.from_alpha(math.sqrt(50.0) * 1j)
     levels = number_distribution(label).size
@@ -173,7 +174,7 @@ def test_factored_grid_too_large_for_one_block(monkeypatch):
     monkeypatch.setattr(spectra, "_BLOCK_CELLS", 30_000)
     times = np.linspace(-3.0, 17.0, 20001)
     values = autocorrelation(label, spectrum, times)
-    assert blocks == [(214, 15)] * 13 + [(214, 1)] * 2 + [(214, 15)] * 78 + [(99, 10)]
+    assert blocks == [(214, 15)] * 93 + [(99, 10)]
     edges = 214 * np.array([1, 13, 14, 15, 46, 93])
     picks = np.r_[0, edges - 1, edges, 20000]
     reference = _per_sample(label, spectrum, times[picks])
