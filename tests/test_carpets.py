@@ -1,8 +1,10 @@
 """Hermite-function wavefunctions, carpet grids, lobe counting, exports."""
 
 import math
+import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -19,12 +21,18 @@ from revivals.carpets import (
     position_wavefunction,
 )
 from revivals.cli import main
-from revivals.fock import CoherentLabel, coherent_amplitudes, number_distribution
+from revivals.fock import CoherentLabel, auto_truncation, coherent_amplitudes, number_distribution
 from revivals.moments import autocorrelation
 from revivals.spectra import Spectrum, _phase_factors, revival_time
 
 SPECTRA = (Spectrum.kerr(1.3), Spectrum.harmonic(0.7), Spectrum.square_well(2.1))
 EPS = float(np.finfo(np.float64).eps)
+
+
+def _fock(label, spectrum):
+    """carpet's truncation that keeps the spectrum on the Fock contraction: the
+    auto N for a linear spectrum, whose default is the travelling Gaussian."""
+    return {"truncation": auto_truncation(label.nu)} if len(spectrum.coefficients) == 2 else {}
 
 
 def _density_out_of_place(label, spectrum, nx, nt, first=0):
@@ -175,8 +183,21 @@ def test_carpet_refuses_overflowing_phases_before_the_hermite_table(monkeypatch)
         raise AssertionError("hermite_functions called for a carpet whose phases overflow")
 
     monkeypatch.setattr("revivals.carpets.hermite_functions", refuse)
+    label = CoherentLabel(3.0, 0.0)
     with pytest.raises(ValueError, match="phases chi E t overflow float64"):
-        carpet(CoherentLabel(3.0, 0.0), Spectrum.kerr(1e200), t_max=1e200, nx=16, nt=8)
+        carpet(label, Spectrum.kerr(1e200), t_max=1e200, nx=16, nt=8)
+    # The travelling Gaussian refuses with the contraction's message, |E| up
+    # to E_N of the auto N included, before it forms its 1.28 MB density.
+    messages = []
+    for truncation in (auto_truncation(label.nu), None):
+        tracemalloc.start()
+        with pytest.raises(ValueError, match="phases chi E t overflow float64") as refused:
+            carpet(label, Spectrum.harmonic(1e200), t_max=1e200, nx=400, nt=400, truncation=truncation)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+    assert peak < 8 * 400 * 400 // 10
 
 
 @pytest.mark.parametrize("flag", ["nx", "nt"])
@@ -190,6 +211,57 @@ def test_carpet_refuses_small_sizes_before_computing(monkeypatch, flag, size):
     message = f"a carpet needs nx >= 2 and nt >= 2, got nx = {sizes['nx']}, nt = {sizes['nt']}"
     with pytest.raises(ValueError, match=message):
         carpet(CoherentLabel(1.0, 1.0), Spectrum.kerr(1.0), **sizes)
+
+
+# Inputs that carpet refuses, each with the start of the contraction's message.
+LINEAR_REFUSALS = {
+    "x-inf": ({"x_max": math.inf}, "grid extents must be finite"),
+    "t-nan": ({"t_min": math.nan, "t_max": 1.0}, "grid extents must be finite"),
+    "x-decreasing": ({"x_min": 1.0, "x_max": -1.0}, "grid extents must be increasing"),
+    "t-decreasing": ({"t_min": 2.0, "t_max": 1.0}, "grid extents must be increasing"),
+    "t-span": ({"t_min": -1e308, "t_max": 1e308}, "grid spans x_max - x_min and t_max - t_min must be finite"),
+    "x-square": ({"x_min": -1e307, "x_max": 1e307}, "x extents must lie within"),
+    "nx-1": ({"nx": 1}, "a carpet needs nx >= 2 and nt >= 2, got nx = 1, nt = 8"),
+    "nt-0": ({"nt": 0}, "a carpet needs nx >= 2 and nt >= 2, got nx = 16, nt = 0"),
+    "nx-float": ({"nx": 2.5}, "nx must be an integer, got 2.5"),
+    "nt-str": ({"nt": "8"}, "nt must be an integer, got '8'"),
+    "phases": ({"chi": 1e200, "t_max": 1e200}, "phases chi E t overflow float64 at chi = 1e+200"),
+    "cells": ({"nt": 10**17}, f"a carpet of nx = 16 by nt = {10**17} at N = 52 needs more float64"),
+}
+
+
+@pytest.mark.parametrize("case", LINEAR_REFUSALS)
+def test_linear_carpet_refuses_what_the_contraction_refuses(case):
+    # Without a truncation a harmonic carpet takes the travelling Gaussian;
+    # at the explicit auto N, the same N, it takes the contraction, whose
+    # message is the referee, word for word.
+    bad, message = LINEAR_REFUSALS[case]
+    args = {"nx": 16, "nt": 8, **bad}
+    spectrum = Spectrum.harmonic(args.pop("chi", 0.7))
+    label = CoherentLabel(3.0, -2.0)
+    messages = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for truncation in (None, auto_truncation(label.nu)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}") as refused:
+                carpet(label, spectrum, truncation=truncation, **args)
+            messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
+def test_linear_carpet_refuses_a_level_count_no_array_holds():
+    # No explicit N exists here, so the referee is Kerr's contraction, which
+    # refuses before any level is built, as the Gaussian does.
+    label = CoherentLabel(1e150, 0.0)
+    messages = []
+    for spectrum in (Spectrum.harmonic(1.0), Spectrum.kerr(1.0)):
+        with pytest.raises(ValueError) as refused:
+            carpet(label, spectrum, nx=4, nt=3)
+        messages.append(str(refused.value))
+    assert messages == [
+        "N + 1 = 5.000e+299 Fock levels at nu = 5e+299: that many complex128 amplitudes "
+        "exceed sys.maxsize bytes, the largest array"
+    ] * 2
 
 
 def test_grid_validation():
@@ -336,7 +408,7 @@ def test_carpet_grid_refuses_non_finite_or_negative_densities(bad):
 @pytest.mark.parametrize("spectrum", SPECTRA, ids=lambda s: s.kind)
 def test_carpet_density_matches_out_of_place_bits(spectrum, nt):
     label = CoherentLabel(7.0, -5.5)
-    grid = carpet(label, spectrum, nx=53, nt=nt)
+    grid = carpet(label, spectrum, nx=53, nt=nt, **_fock(label, spectrum))
     expected = _density_out_of_place(label, spectrum, 53, nt)
     assert grid.density.tobytes() == expected.tobytes()
 
@@ -441,7 +513,7 @@ WORKSPACE_SEQUENCE = (
 def test_workspace_reuse_keeps_every_carpet_exact():
     grids = []
     for label, spectrum, nx, nt in WORKSPACE_SEQUENCE:
-        grid = carpet(label, spectrum, nx=nx, nt=nt)
+        grid = carpet(label, spectrum, nx=nx, nt=nt, **_fock(label, spectrum))
         expected = _density_out_of_place(label, spectrum, nx, nt)
         assert grid.density.tobytes() == expected.tobytes()
         assert not np.shares_memory(grid.density, carpets._local.buffer)
@@ -467,7 +539,8 @@ def test_threads_each_get_their_own_workspace():
         label, spectrum, nx, nt = jobs[index]
         start.wait()
         for _ in range(5):
-            results[index].append(carpet(label, spectrum, nx=nx, nt=nt).density.tobytes())
+            grid = carpet(label, spectrum, nx=nx, nt=nt, **_fock(label, spectrum))
+            results[index].append(grid.density.tobytes())
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
@@ -514,7 +587,7 @@ def test_largest_benchmark_carpet_works_in_6_01_mib(monkeypatch):
 def test_carpet_above_the_cap_keeps_the_workspace_size(monkeypatch):
     monkeypatch.setattr(carpets, "_local", threading.local())
     small = WORKSPACE_SEQUENCE[1]
-    carpet(small[0], small[1], nx=small[2], nt=small[3])
+    carpet(small[0], small[1], nx=small[2], nt=small[3], **_fock(small[0], small[1]))
     kept = carpets._local.buffer
     monkeypatch.setattr(carpets, "_WORKSPACE_CAP", 4 * kept.nbytes)
     label, spectrum, nx, nt = WORKSPACE_SEQUENCE[0]
@@ -552,7 +625,7 @@ def test_carpet_leaves_out_only_negligible_leading_levels(spectrum):
     first = _first_kept_by_amplitude(amplitudes)
     assert first > 40
     nx, nt = 83, 41
-    grid = carpet(label, spectrum, nx=nx, nt=nt)
+    grid = carpet(label, spectrum, nx=nx, nt=nt, **_fock(label, spectrum))
     band = _density_out_of_place(label, spectrum, nx, nt, first)
     assert grid.density.tobytes() == band.tobytes()
     full = _density_out_of_place(label, spectrum, nx, nt)
@@ -604,6 +677,84 @@ def test_carpet_density_is_read_only_and_owned_by_the_grid():
     assert np.array_equal(first.density, kept)
 
 
+def _linear_route_bound(label, spectrum, grid, first=0):
+    """Largest |travelling Gaussian - contraction| density the contraction's cuts and rounding allow.
+
+    The contraction at the auto N, from level first on, leaves out
+    sum_{n < first} |c_n| + sum_{n > N} |c_n| of psi, as |phi_n(x)| < 1. Its
+    phase chi E_n t rounds by eps chi E_max max|t|, which the product chains
+    of spectra._phase_factors (at most ceil(nt/B) + B products) can double,
+    with an ulp or so per product; its (N + 1)-term sums and the Hermite
+    recurrence add about (N + 1) ulps each. Each error scales sum |c_n|:
+
+        dpsi = cut + 2 eps (chi E_max max|t| + 2 (N + 1) + ceil(nt/B) + B) sum |c_n|.
+
+    Both |psi| are at most pi^{-1/4}, so the densities differ by at most
+    dpsi (2 pi^{-1/4} + dpsi). The Gaussian's own rounding adds eps times
+    (|p| + |q|)(max|theta| + 2) for its centres and 2 max|x| + 2 for
+    x - xbar and the exponential, each scaled by the slope
+    max |d rho/d xbar| = (2/(e pi))^{1/2} < 1.
+    """
+    n_max = auto_truncation(label.nu)
+    mags = np.abs(coherent_amplitudes(label, 2 * n_max).amplitudes)
+    total = float(mags.sum())
+    cut = float(mags[:first].sum() + mags[n_max + 1 :].sum())
+    times = np.abs(grid.t_axis()).max()
+    e_max = float(np.abs(spectrum.energies(n_max)).max())
+    step = math.isqrt(grid.nt - 1) + 1
+    chains = -(-grid.nt // step) + step
+    dpsi = cut + 2 * EPS * (spectrum.chi * e_max * times + 2 * (n_max + 1) + chains) * total
+    theta = spectrum.chi * abs(float(spectrum.coefficients[1])) * times
+    x_max = max(abs(grid.x_min), abs(grid.x_max))
+    gaussian = EPS * ((abs(label.p) + abs(label.q)) * (theta + 2) + 2 * x_max + 2)
+    return dpsi * (2 * math.pi**-0.25 + dpsi) + gaussian
+
+
+LINEAR_SPECTRA = (Spectrum.harmonic(0.7), Spectrum((Fraction(1, 3), 2), 1.1))
+
+
+@pytest.mark.parametrize("nu", [3.0, 200.0, 1250.0])
+@pytest.mark.parametrize("spectrum", LINEAR_SPECTRA, ids=["harmonic", "third-plus-2n"])
+def test_linear_carpet_matches_the_contraction_and_the_wavefunction(spectrum, nu):
+    # A referee that shares no code with the Gaussian: the contraction at the
+    # auto N (with its leading-level cut) and position_wavefunction rows (no
+    # cut, one exponential per level). At nu = 1250 the default window reaches
+    # |x| = 54, past the |x| > 26.27 where hermite_functions scales its columns.
+    label = CoherentLabel.from_alpha(math.sqrt(nu) * complex(0.6, -0.8))
+    n_max = auto_truncation(nu)
+    nx, nt = 201, 23
+    grid = carpet(label, spectrum, nx=nx, nt=nt)
+    fock = carpet(label, spectrum, nx=nx, nt=nt, truncation=n_max)
+    first = _first_kept_by_amplitude(coherent_amplitudes(label).amplitudes)
+    assert float(np.max(np.abs(grid.density - fock.density))) <= _linear_route_bound(label, spectrum, grid, first)
+    assert not np.array_equal(grid.density, fock.density)   # two routes, not one
+    rows = [0, 7, nt - 1]
+    x = grid.x_axis()
+    reference = np.array([np.abs(position_wavefunction(label, x, t, spectrum)) ** 2 for t in grid.t_axis()[rows]])
+    assert float(np.max(np.abs(grid.density[rows] - reference))) <= _linear_route_bound(label, spectrum, grid)
+
+
+def test_linear_carpet_allocates_only_its_density(monkeypatch):
+    # No workspace: the thread's buffer keeps its object and its bytes. The
+    # only nt x nx array is the density; the rest are a few rows of nt or nx
+    # values, the N + 1 cached levels and one ufunc buffer of np.getbufsize()
+    # values for the broadcast centres. Harmonic slot 6 of the benchmark
+    # runs while the nu ~ 65 Kerr carpet's workspace is still held.
+    monkeypatch.setattr(carpets, "_local", threading.local())
+    carpet(CoherentLabel(8.0, 9.0), SPECTRA[0], nx=610, nt=610)
+    buffer = carpets._local.buffer
+    kept = buffer.tobytes()
+    label, spectrum, nx, nt = CoherentLabel(-11.0, 15.0), Spectrum.harmonic(2.3), 601, 607
+    tracemalloc.start()
+    grid = carpet(label, spectrum, nx=nx, nt=nt)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert carpets._local.buffer is buffer and buffer.tobytes() == kept
+    rows = np.getbufsize() + 8 * nt + 2 * nx + auto_truncation(label.nu) + 1
+    assert 8 * nt * nx <= peak <= 8 * (nt * nx + rows) + 4096
+    assert grid.density.nbytes == 8 * nt * nx
+
+
 # The default window leaves 6 sigma beyond every packet, so erfc(3 sqrt 2)/2,
 # about 9.9e-10 of the norm, may fall outside it; measured worst 9.91e-10, at
 # nu = 1250. The bound allows twice that and is never to be loosened: before
@@ -628,7 +779,7 @@ def test_workspace_kept_after_a_large_carpet_stays_within_the_cap(monkeypatch):
     # above the cap, so that buffer is dropped and the thread keeps the last one.
     monkeypatch.setattr(carpets, "_local", threading.local())
     small = WORKSPACE_SEQUENCE[1]
-    carpet(small[0], small[1], nx=small[2], nt=small[3])
+    carpet(small[0], small[1], nx=small[2], nt=small[3], **_fock(small[0], small[1]))
     kept = carpets._local.buffer
     carpet(CoherentLabel(math.sqrt(2500.0), 0.0), SPECTRA[0], nx=4001, nt=5)
     assert carpets._local.buffer is kept

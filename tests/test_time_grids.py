@@ -319,6 +319,27 @@ class _CountingExp:
         return np.exp(x)
 
 
+@pytest.mark.parametrize("m", [64, 20_001, 100_001])
+def test_factored_vacuum_stays_within_the_chain_error_model(m):
+    # On the vacuum only level 0 has weight, so A(t_k) = giant[b] baby[j] at
+    # level 0, k = bB + j: the seeds e^{i chi E_0 t_0}, W and w, then b
+    # products by W, j - 1 by w and one giant x baby product. A seed whose
+    # cos and sin are each within an ulp has modulus within eps of 1, and a
+    # complex product's modulus is within (sqrt 5/2) eps of the exact one
+    # (Brent, Percival & Zimmermann, Math. Comp. 76, 1469 (2007)); W and w
+    # enter their chains once per product. So |A| <= (1 + (1 + sqrt 5/2) eps)^(b + j + 1),
+    # and with b + j <= ceil(M/B) + B - 2 and an eps for forming |A|^2,
+    #     |A|^2 - 1 <= c (ceil(M/B) + B) eps,  c = 2 + sqrt 5.
+    # The chains grow with M, so |A|^2 - 1 does: 4 eps at M = 64, 90 eps at
+    # M = 100 001 (the fuzzer caps its grids at 64 samples); this bounds the drift.
+    label, spectrum, times = CoherentLabel(0.0, 0.0), Spectrum.harmonic(1.0), np.linspace(0.0, 7.3, m)
+    assert _folded_sums(spectrum, number_distribution(label), times) is None   # factored, in one block
+    values = autocorrelation(label, spectrum, times)
+    step = math.isqrt(m - 1) + 1
+    excess = float(np.max(np.abs(values) ** 2)) - 1.0
+    assert excess <= (2.0 + math.sqrt(5.0)) * (-(-m // step) + step) * EPS
+
+
 @pytest.mark.parametrize("m", [3, 4, 801, 20001])
 def test_even_grid_evaluates_three_exponential_rows(monkeypatch, m):
     counter = _CountingExp()

@@ -63,6 +63,11 @@ EXTRA = (
     # A window reaching |x| = 44, beyond the |x| > 26.27 where hermite_functions
     # scales its columns; no benchmark carpet reaches them.
     ["carpet", "--p", "40", "--q", "0", "--nx", "64", "--nt", "5"],
+    # Both routes of a linear spectrum's carpet: the travelling Gaussian, and
+    # the contraction that an explicit truncation asks for.
+    ["carpet", "--spectrum", "harmonic", "--p", "2.5", "--q", "1.5", "--chi", "0.8", "--nx", "60", "--nt", "40"],
+    ["carpet", "--spectrum", "harmonic", "--p", "2.5", "--q", "1.5", "--chi", "0.8", "--nx", "60", "--nt", "40",
+     "--truncation", "40"],
 )
 
 
