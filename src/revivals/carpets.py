@@ -33,7 +33,8 @@ to alpha e^{-i theta}, theta = chi c1 t, and the carpet is one travelling
 Gaussian, |psi|^2 = pi^{-1/2} e^{-(x - xbar)^2} with xbar = p cos theta +
 q sin theta (Robinett, Phys. Rep. 392, 1 (2004)). Unless an explicit
 truncation asks for the truncated state, carpet writes that Gaussian in place
-in the fresh density, with no state, table, workspace or product. It is the
+in the fresh density, with no state, table, workspace or product, after the
+one prologue of both routes has tested and refused the grid. It is the
 untruncated density: at nu = 1250 it is within 1.5e-14 of 40-digit mpmath,
 where the contraction at the auto N is within 1.1e-12, both of the grid maximum.
 """
@@ -50,7 +51,9 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 
 from .fock import CoherentLabel, _check_count, _kept_state, auto_truncation, coherent_amplitudes
-from .spectra import Spectrum, _coefficient_planes, _first_kept, _phase_angles, evolve, revival_time
+from .spectra import (
+    Spectrum, _coefficient_planes, _even_stride, _first_kept, _phase_angles, evolve, revival_time,
+)
 
 #: Fraction of the row maximum above which a grid cell belongs to a lobe.
 LOBE_THRESHOLD = 0.1
@@ -167,10 +170,6 @@ class CarpetGrid:
         edges = 0.5 * (self.density[:, 0] + self.density[:, -1])
         return dx * (interior - edges)
 
-    def row_nearest(self, t: float) -> int:
-        """Index of the row whose time is closest to t."""
-        return int(np.argmin(np.abs(self.t_axis() - t)))
-
 
 def hermite_functions(x: np.ndarray, n_max: int, *, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized oscillator eigenfunctions phi_0..phi_{n_max} on the grid x.
@@ -265,16 +264,16 @@ def carpet(
 ) -> CarpetGrid:
     """The |psi(x, t)|^2 grid on nt evenly spaced times and nx positions.
 
-    t_max defaults to one revival period. Extents must be finite and
-    increasing and nx and nt integers of at least 2, checked before any grid
-    is built; an explicit truncation that loses the state (fock._kept_state),
-    working arrays beyond the largest array and phases chi E_n t that
-    overflow float64 are refused before the Hermite table.
+    t_max defaults to one revival period. One prologue serves both routes and
+    refuses, in this order and before the workspace or the density exists:
+    extents that are not finite and increasing, nx or nt not integers >= 2,
+    an explicit truncation that loses the state (fock._kept_state), a level
+    count no array holds, working arrays beyond the largest array, and phases
+    chi E_n t, n <= N, that overflow float64 (the grid's one _even_stride).
 
     A linear spectrum with no truncation takes the travelling Gaussian of
-    the module docstring, after the same refusals with the same messages;
-    an explicit truncation (the CLI's --truncation) asks for the truncated
-    state, which takes the contraction below at any spectrum.
+    the module docstring; an explicit truncation (the CLI's --truncation)
+    asks for the truncated state, which takes the contraction at any spectrum.
 
     The leading levels whose |c_n| sum below 2^-64 are left out of the
     products, and the working arrays are views of this thread's workspace,
@@ -292,28 +291,29 @@ def carpet(
     nx, nt = _check_count("nx", nx, None), _check_count("nt", nt, None)
     if nx < 2 or nt < 2:
         raise ValueError(f"a carpet needs nx >= 2 and nt >= 2, got nx = {nx}, nt = {nt}")
-    extents = (float(x_min), float(x_max), float(t_min), float(t_max))
-    if truncation is None and len(spectrum.coefficients) == 2:
-        n_max = auto_truncation(label.nu)   # refuses the level count the state would
-        # The contraction's working cells grow with the levels it keeps, so a grid
-        # that fits with all N + 1 fits there; any other takes its refusal.
-        if _working_shapes(nx, nt, n_max, n_max + 1) is not None:
-            density = _travelling_gaussian(label, spectrum, n_max, *extents, nx, nt)
-            return CarpetGrid(*extents, density, _adopt=True)
-    state = _kept_state(label, truncation)
-    n_max = state.truncation
-    first = _first_kept(np.abs(state.amplitudes))
+    linear = truncation is None and len(spectrum.coefficients) == 2
+    if linear:
+        n_max, first = auto_truncation(label.nu), 0   # refuses the level count the state would
+    else:
+        state = _kept_state(label, truncation)
+        n_max, first = state.truncation, _first_kept(np.abs(state.amplitudes))
+    # The contraction's workspace views at K kept levels (see the module docstring).
     kept = n_max + 1 - first
-    shapes = _working_shapes(nx, nt, n_max, kept)
-    if shapes is None:
+    shapes = ((nt * max(nx, kept),), (nt, kept), (n_max + 1, nx))
+    if 8 * sum(map(math.prod, shapes)) > sys.maxsize:
         raise ValueError(
             f"a carpet of nx = {nx} by nt = {nt} at N = {n_max} needs more float64 "
             "working cells than sys.maxsize bytes, the largest array, can hold; lower nx or nt"
         )
+    times, x = np.linspace(t_min, t_max, nt), np.linspace(x_min, x_max, nx)
+    step = _even_stride(spectrum, n_max, times)
+    extents = (float(x_min), float(x_max), float(t_min), float(t_max))
+    if linear:
+        return CarpetGrid(*extents, _travelling_gaussian(label, spectrum, times, x), _adopt=True)
     region, im_plane, table = _workspace(*shapes)
     re_plane = region[: nt * kept].reshape(nt, kept)
-    _coefficient_planes(spectrum, state.amplitudes, np.linspace(t_min, t_max, nt), first, re_plane, im_plane)
-    hermite_functions(np.linspace(x_min, x_max, nx), n_max, out=table)
+    _coefficient_planes(spectrum, state.amplitudes, times, first, step, re_plane, im_plane)
+    hermite_functions(x, n_max, out=table)
     # One real product per part over the kept rows: Re psi is the fresh density,
     # and Im psi then overwrites the Re plane, which that product has read.
     density = re_plane @ table[first:]
@@ -323,33 +323,20 @@ def carpet(
     return CarpetGrid(*extents, density, _adopt=True)
 
 
-def _working_shapes(nx: int, nt: int, n_max: int, kept: int) -> tuple[tuple[int, ...], ...] | None:
-    """The contraction's workspace views at K = kept levels: one nt x max(nx, K)
-    region, the nt x K Im coefficient plane and the (N + 1) x nx Hermite table;
-    None where their float64 cells exceed sys.maxsize bytes, the largest array."""
-    shapes = ((nt * max(nx, kept),), (nt, kept), (n_max + 1, nx))
-    return shapes if 8 * sum(map(math.prod, shapes)) <= sys.maxsize else None
-
-
 def _travelling_gaussian(
-    label: CoherentLabel, spectrum: Spectrum, n_max: int,
-    x_min: float, x_max: float, t_min: float, t_max: float, nx: int, nt: int,
+    label: CoherentLabel, spectrum: Spectrum, times: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """pi^{-1/2} e^{-(x - xbar_k)^2}, xbar_k = p cos theta_k + q sin theta_k, on the
     carpet grid of a linear spectrum, as one fresh nt x nx array.
 
-    theta_k = chi c1 t_k comes from _phase_angles given the largest |E_n|,
-    n <= N, so the phases the contraction refuses are refused here with its
-    message, and then the positions that hermite_functions refuses.
-    (x - xbar)^2 beyond _GAUSSIAN_EXPONENT_CAP is cut to it.
+    theta_k = chi c1 t_k comes from _phase_angles; carpet has refused the
+    phases up to E_N, so only the positions that hermite_functions refuses
+    are refused here. (x - xbar)^2 beyond _GAUSSIAN_EXPONENT_CAP is cut to it.
     """
-    level_max = spectrum._levels(n_max)[1]
-    times = np.linspace(t_min, t_max, nt)
-    theta = _phase_angles(spectrum.chi, float(spectrum.coefficients[1]), times, level_max)
-    x = np.linspace(x_min, x_max, nx)
+    theta = _phase_angles(spectrum.chi, float(spectrum.coefficients[1]), times)
     _check_positions(x)
     centre = label.p * np.cos(theta) + label.q * np.sin(theta)
-    density = np.empty((nt, nx))
+    density = np.empty((times.size, x.size))
     density[:] = x
     density -= centre[:, None]
     np.square(density, out=density)

@@ -143,8 +143,8 @@ def _kerr_envelope(r: int, s: int, nu: float, chi: float, t):
     """
     t = float(t) if np.ndim(t) == 0 else np.asarray(t, dtype=np.float64)
     double = _phase_angles(chi, 2 * s, t)
-    # 2 sin² rather than 1 - cos 2x, which rounds to 0 below x ~ 1e-8.
-    damping = np.exp(-2.0 * nu * np.sin(0.5 * double) ** 2)
+    # 2 sin² rather than 1 - cos 2x (0 below x ~ 1e-8); np.square, as a scalar's ** 2 is pow.
+    damping = np.exp(-2.0 * nu * np.square(np.sin(0.5 * double)))
     angle = _phase_angles(chi, s * (s - 1) + 2 * r * s, t) + nu * np.sin(double)
     return damping, angle
 

@@ -195,15 +195,15 @@ def _even_stride(spectrum: Spectrum, truncation: int, t: np.ndarray) -> int:
     """B = isqrt(M - 1) + 1 where the 1-d times t are an evenly spaced grid, else 1.
 
     A bad chi, a non-finite time or a phase chi E_n t that overflows anywhere
-    on the grid raises ValueError first (_phase_angles). A grid counts as
-    evenly spaced when M > 2, no time is farther than 4 eps max|t| from
-    t_0 + k dt, with dt = (t_{M-1} - t_0)/(M - 1), which np.linspace grids
-    satisfy, and the stride seed chi E B dt is finite.
+    on the grid raises ValueError first (_phase_angles of max|E_n| and max|t|
+    alone). A grid counts as evenly spaced when M > 2, no time is farther
+    than 4 eps max|t| from t_0 + k dt, with dt = (t_{M-1} - t_0)/(M - 1),
+    which np.linspace grids satisfy, and the stride seed chi E B dt is finite.
     """
-    energies, level_max = spectrum._levels(truncation)
+    level_max = spectrum._levels(truncation)[1]
     m = t.size
     top = np.abs(t).max(initial=0.0)
-    _phase_angles(spectrum.chi, energies, top, level_max)
+    _phase_angles(spectrum.chi, level_max, top)
     if m > 2:
         step = math.isqrt(m - 1) + 1
         # Python floats: a span or stride seed beyond float64 is inf, not a warning.
@@ -216,7 +216,7 @@ def _even_stride(spectrum: Spectrum, truncation: int, t: np.ndarray) -> int:
 
 
 def _phase_factors(
-    spectrum: Spectrum, truncation: int, t: np.ndarray, sign: float, first: int = 0, step: int | None = None
+    spectrum: Spectrum, truncation: int, t: np.ndarray, sign: float, first: int, step: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Giant and baby rows of the phases e^{sign i chi E_n t_k}, first <= n <= truncation, at 1-d times t.
 
@@ -228,14 +228,12 @@ def _phase_factors(
     baby[j - 1] w and giant[b] = giant[b - 1] W, so 3 N exponentials and
     about 2 sqrt(M) N complex products serve M N cells. A chain of k
     products adds about k ulps to the rounding of its seed's argument, which
-    is of the same size as the rounding of chi E t_k itself. Any other times
-    get B = 1: every time is a giant row of its own exponentials and the
-    single baby row is all ones, which is the dense one-exponential-per-cell
-    route. step is _even_stride of t where the caller has it; otherwise
-    _even_stride runs here, and either way refuses the grid first.
+    is of the same size as the rounding of chi E t_k itself. step is the
+    caller's B, from its one _even_stride test, which refuses the grid; at
+    B = 1 every time is a giant row of its own exponentials and the single
+    baby row is all ones, which is the dense one-exponential-per-cell route.
     """
     count = truncation + 1 - first
-    step = _even_stride(spectrum, truncation, t) if step is None else step
     if step == 1:
         return _phases(spectrum, truncation, t[:, None], sign, first), np.ones((1, count), np.complex128)
     m = t.size
@@ -339,9 +337,8 @@ def _phase_sums(spectrum: Spectrum, weights: np.ndarray, t):
       while its giant and baby rows hold at most _BLOCK_CELLS cells;
     - dense: other arrays and larger grids, in blocks of _BLOCK_CELLS // kept
       times. A block of an evenly spaced grid is factored with the B of its
-      own size, as the grid has passed the test; a block of other times is
-      factored when its own times are evenly spaced, and takes one
-      exponential per cell otherwise.
+      own size, as the grid has passed the test; a block of other times takes
+      one exponential per cell (B = 1), so _even_stride runs once a call.
     The last two leave out the levels before _first_kept(weights), whose
     weights sum below _NEGLIGIBLE_WEIGHT, which moves no value by more than
     that: at nu = 2500 they keep 961 of 3021 levels. carpets.carpet applies
@@ -367,7 +364,7 @@ def _phase_sums(spectrum: Spectrum, weights: np.ndarray, t):
     for start in range(0, flat.size, block):
         times = flat[start : start + block]
         # A block of an even grid is even: its B without a second test.
-        step = math.isqrt(times.size - 1) + 1 if stride > 1 else None
+        step = math.isqrt(times.size - 1) + 1 if stride > 1 else 1
         giant, baby = _phase_factors(spectrum, truncation, times, 1.0, first, step)
         # In place: a fresh product table would cost a page fault per 4 KiB.
         giant *= weights[first:]
@@ -377,18 +374,18 @@ def _phase_sums(spectrum: Spectrum, weights: np.ndarray, t):
 
 
 def _coefficient_planes(
-    spectrum: Spectrum, amplitudes: np.ndarray, t: np.ndarray, first: int, re: np.ndarray, im: np.ndarray
+    spectrum: Spectrum, amplitudes: np.ndarray, t: np.ndarray, first: int, step: int,
+    re: np.ndarray, im: np.ndarray,
 ) -> None:
     """Write Re and Im of c_n e^{-i chi E_n t_k} into re and im, each M x (N + 1 - first).
 
-    c_n are the amplitudes from level first on and t the 1-d times. Row
+    c_n are the amplitudes from level first on, t the 1-d times and step
+    their B from the caller's _even_stride, which has refused the grid. Row
     k = bB + j is giant[b] * baby[j] of _phase_factors, formed one giant row
-    (B times) at a time, so no complex M x (N + 1 - first) table exists. The
-    grid is refused before any write.
+    (B times) at a time, so no complex M x (N + 1 - first) table exists.
     """
-    giant, baby = _phase_factors(spectrum, amplitudes.size - 1, t, -1.0, first)
+    giant, baby = _phase_factors(spectrum, amplitudes.size - 1, t, -1.0, first, step)
     giant *= amplitudes[first:]
-    step = baby.shape[0]
     for b, row in enumerate(giant):
         prod = (row * baby)[: t.size - b * step]
         re[b * step : (b + 1) * step] = prod.real

@@ -23,7 +23,7 @@ from revivals.carpets import (
 from revivals.cli import main
 from revivals.fock import CoherentLabel, auto_truncation, coherent_amplitudes, number_distribution
 from revivals.moments import autocorrelation
-from revivals.spectra import Spectrum, _phase_factors, revival_time
+from revivals.spectra import Spectrum, _even_stride, _phase_factors, revival_time
 
 SPECTRA = (Spectrum.kerr(1.3), Spectrum.harmonic(0.7), Spectrum.square_well(2.1))
 EPS = float(np.finfo(np.float64).eps)
@@ -42,7 +42,7 @@ def _density_out_of_place(label, spectrum, nx, nt, first=0):
     state = coherent_amplitudes(label)
     n_max = state.truncation
     table = hermite_functions(np.linspace(x_min, x_max, nx), n_max)[first:]
-    giant, baby = _phase_factors(spectrum, n_max, times, -1.0, first)
+    giant, baby = _phase_factors(spectrum, n_max, times, -1.0, first, _even_stride(spectrum, n_max, times))
     giant = giant * state.amplitudes[first:]
     coeffs = (giant[:, None] * baby[None]).reshape(-1, n_max + 1 - first)[:nt]
     # Contiguous planes, as carpet multiplies them: a strided .real view goes
@@ -131,11 +131,8 @@ def test_carpet_lobe_counts_nearest_rows():
     spectrum = Spectrum.kerr(1.0)
     grid = carpet(label, spectrum, nx=400, nt=401, truncation=50)
     period = math.pi
-    assert count_lobes(grid.density[grid.row_nearest(0.0)]) == 1
-    assert count_lobes(grid.density[grid.row_nearest(period)]) == 1
-    assert count_lobes(grid.density[grid.row_nearest(period / 2.0)]) == 2
-    assert count_lobes(grid.density[grid.row_nearest(period / 3.0)]) == 3
-    assert count_lobes(grid.density[grid.row_nearest(2.0 * period / 3.0)]) == 3
+    for t, lobes in ((0.0, 1), (period, 1), (period / 2.0, 2), (period / 3.0, 3), (2.0 * period / 3.0, 3)):
+        assert count_lobes(grid.density[np.argmin(np.abs(grid.t_axis() - t))]) == lobes
 
 
 def test_harmonic_carpet_argmax_traces_cosine():
@@ -198,6 +195,28 @@ def test_carpet_refuses_overflowing_phases_before_the_hermite_table(monkeypatch)
         messages.append(str(refused.value))
     assert messages[0] == messages[1]
     assert peak < 8 * 400 * 400 // 10
+
+
+@pytest.mark.parametrize(
+    "spectrum", [Spectrum.kerr(1e200), Spectrum.harmonic(1e200)], ids=["contraction", "gaussian"]
+)
+def test_carpet_refuses_overflowing_phases_before_its_workspace(monkeypatch, spectrum):
+    # The phases are refused in carpet's prologue, on both routes: a fresh
+    # thread's workspace stays untaken, and a 10^6 x 10^6 grid, whose
+    # workspace would need 7.28 TiB, is refused with the same message.
+    local = threading.local()
+    monkeypatch.setattr(carpets, "_local", local)
+    label = CoherentLabel(3.0, 0.0)
+    with pytest.raises(ValueError, match="phases chi E t overflow float64"):
+        carpet(label, spectrum, t_max=1e200, nx=300, nt=300)
+    assert not hasattr(local, "buffer")
+
+    def refuse(*shapes):
+        raise AssertionError("workspace taken for a carpet whose phases overflow")
+
+    monkeypatch.setattr(carpets, "_workspace", refuse)
+    with pytest.raises(ValueError, match="phases chi E t overflow float64"):
+        carpet(label, spectrum, t_max=1e200, nx=10**6, nt=10**6)
 
 
 @pytest.mark.parametrize("flag", ["nx", "nt"])
@@ -639,7 +658,7 @@ def test_phase_sums_and_carpet_share_the_level_cut(monkeypatch):
     monkeypatch.setattr(spectra, "_NEGLIGIBLE_WEIGHT", 1e-3)
     firsts = []
 
-    def recorded(spectrum, truncation, times, sign, first=0, step=None):
+    def recorded(spectrum, truncation, times, sign, first, step):
         firsts.append(first)
         return _phase_factors(spectrum, truncation, times, sign, first, step)
 

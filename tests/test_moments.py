@@ -479,3 +479,13 @@ def test_detect_bursts_refuses_malformed_traces():
             detect_bursts(times, np.sin(7 * times), period, 3)
     report = detect_bursts(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0, 3.0]), 1.0, 1)
     assert tuple(report.ratios) == (Fraction(1, 1),)
+
+
+def test_kerr_envelope_of_a_scalar_time_has_the_bits_of_an_array():
+    # sin^2 is np.square at a scalar t as in an array: a scalar's ** 2 is pow,
+    # which rounds otherwise in a few cells in a thousand.
+    rng = np.random.default_rng(58)
+    for nu, s, t in zip(rng.uniform(0.0, 50.0, 20_000), rng.integers(0, 4, 20_000), rng.uniform(0.0, 3.0, 20_000)):
+        scalar = moments._kerr_envelope(0, int(s), nu, 1.0, float(t))
+        array = moments._kerr_envelope(0, int(s), nu, 1.0, np.array([t]))
+        assert [float(v) for v in scalar] == [float(v[0]) for v in array]

@@ -17,7 +17,7 @@ from revivals import spectra
 from revivals.carpets import carpet, position_wavefunction
 from revivals.fock import CoherentLabel, number_distribution
 from revivals.moments import autocorrelation
-from revivals.spectra import Spectrum, _folded_sums, _phase_factors, revival_time
+from revivals.spectra import Spectrum, _even_stride, _folded_sums, _phase_factors, revival_time
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -46,7 +46,7 @@ def _per_sample(label, spectrum, times):
 
 
 def _giant_rows(spectrum, times):
-    giant, baby = _phase_factors(spectrum, 4, times, 1.0)
+    giant, baby = _phase_factors(spectrum, 4, times, 1.0, 0, _even_stride(spectrum, 4, times))
     assert giant.shape[1] == baby.shape[1] == 5
     return giant.shape[0], baby.shape[0]
 
@@ -126,7 +126,8 @@ def test_twenty_thousand_samples_across_blocks(monkeypatch):
     # left out. An uneven grid takes one exponential per cell in blocks of
     # 2_000_000 // 140 = 14285 times, so 20001 times split in two; both edges
     # of the split are checked. The even grid is factored, and its
-    # (141 + 142) 140 cells of giant and baby rows run in one block.
+    # (141 + 142) 140 cells of giant and baby rows run in one block. Each
+    # grid takes one evenness test, whatever its blocks.
     spectrum = Spectrum.kerr(0.9)
     label = CoherentLabel.from_alpha(math.sqrt(50.0) * 1j)
     weights = number_distribution(label)
@@ -139,6 +140,13 @@ def test_twenty_thousand_samples_across_blocks(monkeypatch):
         return _phase_factors(spectrum, truncation, times, sign, first, step)
 
     monkeypatch.setattr(spectra, "_phase_factors", counted)
+    strides = []
+
+    def tested(*args):
+        strides.append(_even_stride(*args))
+        return strides[-1]
+
+    monkeypatch.setattr(spectra, "_even_stride", tested)
     even = np.linspace(-3.0, 17.0, 20001)
     uneven = even.copy()
     uneven[[0, 1]] = uneven[[1, 0]]
@@ -146,8 +154,10 @@ def test_twenty_thousand_samples_across_blocks(monkeypatch):
     picks = np.unique(np.r_[0:20001:197, block - 2 : block + 2, 19995:20001])
     for times, sizes in ((uneven, [block, 20001 - block]), (even, [20001])):
         blocks.clear()
+        strides.clear()
         values = autocorrelation(label, spectrum, times)
         assert blocks == [(size, 140) for size in sizes]
+        assert strides == [1 if times is uneven else 142]
         reference = _per_sample(label, spectrum, times[picks])
         assert np.max(np.abs(values[picks] - reference)) <= _bound(spectrum, levels, times)
 
@@ -288,7 +298,8 @@ KERR_2500 = Spectrum.kerr(1.0).energies(3020)
 )
 def test_recurrence_rows_match_one_exponential_per_cell(sign, t0, t1, m):
     times = np.linspace(t0, t1, m)
-    giant, baby = _phase_factors(Spectrum.kerr(1.0), 3020, times, sign)
+    spectrum = Spectrum.kerr(1.0)
+    giant, baby = _phase_factors(spectrum, 3020, times, sign, 0, _even_stride(spectrum, 3020, times))
     step = math.isqrt(m - 1) + 1
     rows = -(-m // step)
     assert giant.shape == (rows, KERR_2500.size) and baby.shape == (step, KERR_2500.size)
@@ -344,7 +355,8 @@ def test_factored_vacuum_stays_within_the_chain_error_model(m):
 def test_even_grid_evaluates_three_exponential_rows(monkeypatch, m):
     counter = _CountingExp()
     monkeypatch.setattr(spectra, "np", counter)
-    _phase_factors(Spectrum.kerr(1.0), 3020, np.linspace(-1.0, 2.0, m), 1.0)
+    spectrum, times = Spectrum.kerr(1.0), np.linspace(-1.0, 2.0, m)
+    _phase_factors(spectrum, 3020, times, 1.0, 0, _even_stride(spectrum, 3020, times))
     assert counter.cells == 3 * KERR_2500.size
 
 
@@ -357,7 +369,7 @@ def test_even_grid_evaluates_three_exponential_rows(monkeypatch, m):
 def test_dense_route_is_one_exponential_per_cell(sign, times):
     spectrum = Spectrum.kerr(0.9)
     energies = spectrum.energies(200)
-    giant, baby = _phase_factors(spectrum, 200, times, sign)
+    giant, baby = _phase_factors(spectrum, 200, times, sign, 0, _even_stride(spectrum, 200, times))
     rate = sign * 1j * spectrum.chi
     np.testing.assert_array_equal(giant, np.exp(rate * (times[:, None] * energies)))
     np.testing.assert_array_equal(baby, np.ones((1, energies.size)))
@@ -372,7 +384,7 @@ def test_stride_seed_overflow_takes_the_dense_route(sign):
     energies = spectrum.energies(10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        giant, baby = _phase_factors(spectrum, 10, times, sign)
+        giant, baby = _phase_factors(spectrum, 10, times, sign, 0, _even_stride(spectrum, 10, times))
         expected = np.exp(sign * 1j * (spectrum.chi * (times[:, None] * energies)))
     assert giant.tobytes() == expected.tobytes()
     np.testing.assert_array_equal(baby, np.ones((1, energies.size)))

@@ -20,10 +20,14 @@ command. The expected hash of the current tree is kept in one place, the
     python tools/cli_outputs.py src /tmp/out \
         --expect "$(grep -oE '[0-9a-f]{64}' tests/test_cli_outputs.py)"
 
-To see which files moved, write both trees and compare them:
+To see which files moved, and by how much, write the old tree's outputs
+and compare the new ones with them:
 
-    python tools/cli_outputs.py ../old/src /tmp/old && python tools/cli_outputs.py src /tmp/new
-    diff -r /tmp/old /tmp/new
+    python tools/cli_outputs.py ../old/src /tmp/old
+    python tools/cli_outputs.py src /tmp/new --compare /tmp/old
+
+``--compare`` prints one line for each file whose bytes differ or that only
+one side holds (see ``compare``), before the summary lines.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -109,6 +114,80 @@ def _run_all(main, argvs: list[list[str]], directory: Path) -> int:
     return failures
 
 
+def _csv_columns(path: Path) -> list[tuple[str, list[str]]]:
+    """A CSV output's columns as (name, cells): each '# key = value' line is a
+    column of one cell, and then come the header's columns."""
+    lines = path.read_text().splitlines()
+    columns = [(f"# {key}", [value]) for key, _, value in
+               (line[2:].partition(" = ") for line in lines if line.startswith("# "))]
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    if rows:
+        header, body = rows[0], rows[1:]
+        columns += [(name, [row[k] for row in body if k < len(row)]) for k, name in enumerate(header)]
+    return columns
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _csv_move(old: Path, new: Path) -> str:
+    """The largest |new - old| cell over its column's largest finite |old|, and its column."""
+    before, after = _csv_columns(old), _csv_columns(new)
+    if [len(cells) for _, cells in before] != [len(cells) for _, cells in after]:
+        return "the columns or their lengths differ"
+    worst, where, text = 0.0, None, [name for name, _ in before] != [name for name, _ in after]
+    for (name, cells), (_, moved) in zip(before, after):
+        values = [_number(cell) for cell in cells]
+        scale = max((abs(v) for v in values if v is not None and math.isfinite(v)), default=0.0)
+        for cell, other, value in zip(cells, moved, values):
+            if cell == other:
+                continue
+            number = _number(other)
+            if value is None or number is None:
+                text = True
+                continue
+            change = abs(number - value)
+            move = change / scale if scale else (math.inf if change else 0.0)
+            move = math.inf if math.isnan(move) else move
+            if where is None or move > worst:
+                worst, where = move, name
+    parts = [f"largest move {worst:.3g} of its column's largest |old|, in column {where}"] if where else []
+    return ", ".join(parts + ["header or text cells differ"] * text)
+
+
+def _pgm_move(old: Path, new: Path) -> str:
+    """The largest grey-level change and the number of changed pixels."""
+    (*before, pixels), (*after, moved) = (path.read_bytes().split(b"\n", 3) for path in (old, new))
+    if before != after or len(pixels) != len(moved):
+        return f"header {b' '.join(before).decode()} -> {b' '.join(after).decode()}"
+    changes = [abs(a - b) for a, b in zip(pixels, moved) if a != b]
+    return f"largest grey-level change {max(changes, default=0)}, {len(changes)} pixels changed"
+
+
+def compare(old: Path, new: Path) -> list[str]:
+    """One line for each file of the output trees old and new whose bytes differ
+    or that only one side holds, MANIFEST.sha256 aside: for a CSV the largest
+    |new - old| cell over that column's largest |old|, for a PGM the largest
+    grey-level change and the number of changed pixels."""
+    names = {
+        p.relative_to(root).as_posix()
+        for root in (old, new) for p in root.rglob("*") if p.is_file() and p.name != "MANIFEST.sha256"
+    }
+    lines = []
+    for name in sorted(names):
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            lines.append(f"{name}: only in {'old' if a.is_file() else 'new'}")
+        elif a.read_bytes() != b.read_bytes():
+            move = {".csv": _csv_move, ".pgm": _pgm_move}.get(a.suffix, lambda *_: "bytes differ")
+            lines.append(f"{name}: {move(a, b)}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", type=Path, help="src/ directory holding the revivals package")
@@ -116,11 +195,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--expect", metavar="SHA256",
                         help="exit 1 unless the manifest hash equals this one")
+    parser.add_argument("--compare", metavar="OLD_OUTDIR", type=Path,
+                        help="print how each file differs from the one in OLD_OUTDIR")
     args = parser.parse_args(argv)
 
     outdir = args.outdir.resolve()
     if outdir.exists() and any(outdir.iterdir()):
         parser.error(f"{outdir} is not empty")
+    if args.compare is not None and not args.compare.is_dir():
+        parser.error(f"{args.compare} is not a directory")
     cli = _load_revivals(args.src.resolve())
     workloads = _load_workloads()
     failures = 0
@@ -138,6 +221,8 @@ def main(argv: list[str] | None = None) -> int:
         for p in files
     )
     (outdir / "MANIFEST.sha256").write_text(manifest)
+    if args.compare is not None:
+        print("\n".join(compare(args.compare.resolve(), outdir)) or "no file differs")
     print(f"{len(files)} files, {failures} failed commands")
     digest = hashlib.sha256(manifest.encode()).hexdigest()
     print(digest)
